@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 
 #include "core/scc.hpp"
 #include "support/error.hpp"
@@ -84,7 +85,7 @@ struct CycleSim {
         occupancy[ci] += amount;
       }
     }
-    if (schedule != nullptr) schedule->order.push_back({a, fired[mi]});
+    if (schedule != nullptr) schedule->push(a, fired[mi]);
     ++fired[mi];
   }
 
@@ -233,10 +234,10 @@ LivenessReport checkLivenessOver(const AnalysisContext& ctx,
 
   // Whole-graph symbolic execution at the sample valuation, over the
   // shared view and integer rate tables.
-  const csdf::LivenessResult global =
+  csdf::LivenessResult global =
       csdf::findSchedule(view, rv, report.sampleEnv,
                          csdf::SchedulePolicy::Eager, &sampleRates, budget);
-  report.sampleSchedule = global.schedule;
+  report.sampleSchedule = std::move(global.schedule);
 
   report.live = allCyclesLive && global.live;
   if (!report.live && report.diagnostic.empty()) {

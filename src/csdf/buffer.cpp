@@ -1,5 +1,7 @@
 #include "csdf/buffer.hpp"
 
+#include <utility>
+
 #include "support/checked.hpp"
 
 namespace tpdf::csdf {
@@ -67,22 +69,21 @@ BufferReport minimumBuffers(const graph::GraphView& view,
                             const graph::EvaluatedRates* rates,
                             support::Budget* budget) {
   BufferReport report;
-  const LivenessResult live =
-      findSchedule(view, rv, env, policy, rates, budget);
+  LivenessResult live = findSchedule(view, rv, env, policy, rates, budget);
   if (!live.live) {
     report.diagnostic = live.diagnostic;
     return report;
   }
-  return buffersForSchedule(view, live.schedule, env, rates, budget);
+  return buffersForSchedule(view, std::move(live.schedule), env, rates,
+                            budget);
 }
 
-BufferReport buffersForSchedule(const graph::Graph& g, const Schedule& s,
+BufferReport buffersForSchedule(const graph::Graph& g, Schedule s,
                                 const symbolic::Environment& env) {
-  return buffersForSchedule(graph::GraphView(g), s, env);
+  return buffersForSchedule(graph::GraphView(g), std::move(s), env);
 }
 
-BufferReport buffersForSchedule(const graph::GraphView& view,
-                                const Schedule& s,
+BufferReport buffersForSchedule(const graph::GraphView& view, Schedule s,
                                 const symbolic::Environment& env,
                                 const graph::EvaluatedRates* rates,
                                 support::Budget* budget) {
@@ -94,7 +95,7 @@ BufferReport buffersForSchedule(const graph::GraphView& view,
   }
   report.ok = true;
   report.perChannel = check.maxOccupancy;
-  report.schedule = s;
+  report.schedule = std::move(s);
   return report;
 }
 

@@ -62,11 +62,11 @@ BufferReport minimumBuffers(const graph::GraphView& view,
                             const graph::EvaluatedRates* rates = nullptr,
                             support::Budget* budget = nullptr);
 
-/// Buffer sizes for a caller-provided schedule.
-BufferReport buffersForSchedule(const graph::Graph& g, const Schedule& s,
+/// Buffer sizes for a caller-provided schedule, which the report keeps
+/// (taken by value: move a schedule in that is not needed afterwards).
+BufferReport buffersForSchedule(const graph::Graph& g, Schedule s,
                                 const symbolic::Environment& env = {});
-BufferReport buffersForSchedule(const graph::GraphView& view,
-                                const Schedule& s,
+BufferReport buffersForSchedule(const graph::GraphView& view, Schedule s,
                                 const symbolic::Environment& env = {},
                                 const graph::EvaluatedRates* rates = nullptr,
                                 support::Budget* budget = nullptr);

@@ -134,8 +134,7 @@ LivenessResult findSchedule(const graph::GraphView& view,
     for (const EvalPort& p : eval[ai].outputs) {
       occupancy[p.channel] += p.rates[phase];
     }
-    out.schedule.order.push_back(
-        {ActorId(static_cast<std::uint32_t>(ai)), fired[ai]});
+    out.schedule.push(ActorId(static_cast<std::uint32_t>(ai)), fired[ai]);
     ++fired[ai];
   };
 
@@ -176,16 +175,10 @@ LivenessResult findSchedule(const graph::GraphView& view,
       }
     }
     out.diagnostic = "deadlock after " +
-                     std::to_string(out.schedule.order.size()) +
+                     std::to_string(out.schedule.size()) +
                      " firings; blocked actors: " + stuck;
   };
 
-  // Cap the up-front reservation: an adversarial repetition vector can
-  // make totalFirings huge, and the budget (or a deadlock) may stop the
-  // run long before the schedule reaches that length.
-  constexpr std::int64_t kMaxReserve = 1 << 20;
-  out.schedule.order.reserve(
-      static_cast<std::size_t>(std::min(totalFirings, kMaxReserve)));
   // Budget accounting is one unit per firing, but accumulated in a
   // stack local and charged in >= kMaxBatch lumps: the scheduling loops
   // carry no per-firing budget instructions, and a budgeted run still
@@ -193,8 +186,7 @@ LivenessResult findSchedule(const graph::GraphView& view,
   // firings (microseconds of work).
   constexpr std::int64_t kMaxBatch = 4096;
   std::int64_t pending = 0;
-  while (static_cast<std::int64_t>(out.schedule.order.size()) <
-         totalFirings) {
+  while (static_cast<std::int64_t>(out.schedule.size()) < totalFirings) {
     if (ready.empty()) {
       // A tripped budget outranks the deadlock verdict: the search was
       // not allowed to finish, so it must not claim a negative result.
@@ -235,7 +227,7 @@ LivenessResult findSchedule(const graph::GraphView& view,
     // additionally capped at kMaxBatch firings; the outer loop re-picks
     // the same actor, so the firing order is unchanged.
     const std::int64_t batchStart =
-        static_cast<std::int64_t>(out.schedule.order.size());
+        static_cast<std::int64_t>(out.schedule.size());
     const std::int64_t stopAt =
         budget == nullptr ? totalFirings
                           : std::min(totalFirings, batchStart + kMaxBatch);
@@ -249,10 +241,9 @@ LivenessResult findSchedule(const graph::GraphView& view,
         if (wake(p.dstActor) && p.dstActor < chosen) lowerWoke = true;
       }
     } while (policy == SchedulePolicy::Eager && !lowerWoke &&
-             static_cast<std::int64_t>(out.schedule.order.size()) < stopAt &&
+             static_cast<std::int64_t>(out.schedule.size()) < stopAt &&
              enabled(chosen));
-    pending += static_cast<std::int64_t>(out.schedule.order.size()) -
-               batchStart;
+    pending += static_cast<std::int64_t>(out.schedule.size()) - batchStart;
     if (budget != nullptr && pending >= kMaxBatch) {
       budget->charge(static_cast<std::uint64_t>(pending));
       pending = 0;

@@ -10,46 +10,60 @@ namespace tpdf::csdf {
 using graph::ActorId;
 using graph::Graph;
 
+namespace {
+
+/// Calls `f(actor, count)` once per group of adjacent firings of one
+/// actor — the grouping toString() and toJson() render.  Runs are
+/// already maximal for push()ed schedules; a group spans several runs
+/// only when an out-of-order index split them.
+template <typename F>
+void forEachGroup(const std::vector<ScheduleRun>& runs, F&& f) {
+  std::size_t i = 0;
+  while (i < runs.size()) {
+    std::int64_t count = runs[i].count;
+    std::size_t j = i + 1;
+    for (; j < runs.size() && runs[j].actor == runs[i].actor; ++j) {
+      count += runs[j].count;
+    }
+    f(runs[i].actor, count);
+    i = j;
+  }
+}
+
+}  // namespace
+
 std::int64_t Schedule::countOf(ActorId a) const {
   std::int64_t n = 0;
-  for (const FiringEvent& e : order) {
-    if (e.actor == a) ++n;
+  for (const ScheduleRun& r : runs_) {
+    if (r.actor == a) n += r.count;
   }
   return n;
 }
 
 std::string Schedule::toString(const Graph& g) const {
   std::string out;
-  std::size_t i = 0;
-  while (i < order.size()) {
-    std::size_t j = i;
-    while (j < order.size() && order[j].actor == order[i].actor) ++j;
+  forEachGroup(runs_, [&](ActorId a, std::int64_t count) {
     if (!out.empty()) out += " ";
-    const std::string& name = g.actor(order[i].actor).name;
-    if (j - i == 1) {
+    const std::string& name = g.actor(a).name;
+    if (count == 1) {
       out += name;
     } else {
-      out += name + "^" + std::to_string(j - i);
+      out += name + "^" + std::to_string(count);
     }
-    i = j;
-  }
+  });
   return out;
 }
 
 support::json::Value Schedule::toJson(const Graph& g) const {
   auto doc = support::json::Value::object();
-  doc.set("firings", order.size());
+  doc.set("firings", firings_);
   auto runs = support::json::Value::array();
-  std::size_t i = 0;
-  while (i < order.size()) {
-    std::size_t j = i;
-    while (j < order.size() && order[j].actor == order[i].actor) ++j;
+  forEachGroup(runs_, [&](ActorId a, std::int64_t count) {
     auto run = support::json::Value::object();
-    run.set("actor", g.actor(order[i].actor).name);
-    run.set("count", j - i);
+    run.set("actor", g.actor(a).name);
+    run.set("count", count);
     runs.push(std::move(run));
-    i = j;
-  }
+  });
   doc.set("runs", std::move(runs));
   return doc;
 }
@@ -84,41 +98,47 @@ ScheduleCheck validateSchedule(const graph::GraphView& view, const Schedule& s,
 
   std::vector<std::int64_t> fired(g.actorCount(), 0);
 
-  for (const FiringEvent& e : s.order) {
-    support::Budget::checkpoint(budget);
-    if (e.k != fired[e.actor.index()]) {
-      check.diagnostic = "firing of '" + g.actor(e.actor).name +
-                         "' out of order: expected k=" +
-                         std::to_string(fired[e.actor.index()]) + ", got k=" +
-                         std::to_string(e.k);
-      return check;
-    }
-    // Consume from every input channel.
-    for (graph::PortId pid : g.actor(e.actor).ports) {
-      const graph::Port& p = g.port(pid);
-      if (!graph::isInput(p.kind)) continue;
-      const std::int64_t need = rateAt(pid, e.k);
-      std::int64_t& occupancy = check.finalOccupancy[p.channel.index()];
-      if (occupancy < need) {
-        check.diagnostic =
-            "channel '" + g.channel(p.channel).name + "' underflows at " +
-            g.actor(e.actor).name + "#" + std::to_string(e.k) + ": needs " +
-            std::to_string(need) + ", has " + std::to_string(occupancy);
+  for (const ScheduleRun& run : s.runs()) {
+    const ActorId a = run.actor;
+    const std::vector<graph::PortId>& ports = g.actor(a).ports;
+    for (std::int64_t k = run.firstK; k < run.firstK + run.count; ++k) {
+      support::Budget::checkpoint(budget);
+      // Indices inside a run are consecutive, so only its first firing
+      // can be out of order.
+      if (k == run.firstK && k != fired[a.index()]) {
+        check.diagnostic = "firing of '" + g.actor(a).name +
+                           "' out of order: expected k=" +
+                           std::to_string(fired[a.index()]) + ", got k=" +
+                           std::to_string(k);
         return check;
       }
-      occupancy -= need;
+      // Consume from every input channel.
+      for (graph::PortId pid : ports) {
+        const graph::Port& p = g.port(pid);
+        if (!graph::isInput(p.kind)) continue;
+        const std::int64_t need = rateAt(pid, k);
+        std::int64_t& occupancy = check.finalOccupancy[p.channel.index()];
+        if (occupancy < need) {
+          check.diagnostic =
+              "channel '" + g.channel(p.channel).name + "' underflows at " +
+              g.actor(a).name + "#" + std::to_string(k) + ": needs " +
+              std::to_string(need) + ", has " + std::to_string(occupancy);
+          return check;
+        }
+        occupancy -= need;
+      }
+      // Produce on every output channel.
+      for (graph::PortId pid : ports) {
+        const graph::Port& p = g.port(pid);
+        if (graph::isInput(p.kind)) continue;
+        const std::int64_t made = rateAt(pid, k);
+        std::int64_t& occupancy = check.finalOccupancy[p.channel.index()];
+        occupancy = support::checkedAdd(occupancy, made);
+        check.maxOccupancy[p.channel.index()] =
+            std::max(check.maxOccupancy[p.channel.index()], occupancy);
+      }
+      ++fired[a.index()];
     }
-    // Produce on every output channel.
-    for (graph::PortId pid : g.actor(e.actor).ports) {
-      const graph::Port& p = g.port(pid);
-      if (graph::isInput(p.kind)) continue;
-      const std::int64_t made = rateAt(pid, e.k);
-      std::int64_t& occupancy = check.finalOccupancy[p.channel.index()];
-      occupancy = support::checkedAdd(occupancy, made);
-      check.maxOccupancy[p.channel.index()] =
-          std::max(check.maxOccupancy[p.channel.index()], occupancy);
-    }
-    ++fired[e.actor.index()];
   }
 
   check.ok = true;

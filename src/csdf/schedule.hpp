@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -17,34 +18,67 @@
 
 namespace tpdf::csdf {
 
-struct FiringEvent {
+/// A run of consecutive firings of one actor: its firing indices
+/// firstK, firstK + 1, ..., firstK + count - 1 (0-based within the
+/// iteration; the phase of firing k is k mod tau).  Packed into 16
+/// bytes, the size of one (actor, k) pair, so a finely interleaved
+/// schedule (one firing per run) costs no more than a firing list.
+struct ScheduleRun {
+  std::int64_t firstK = 0;
   graph::ActorId actor;
-  /// 0-based global firing index of this actor within the iteration; the
-  /// phase is k mod tau.
-  std::int64_t k = 0;
+  std::uint32_t count = 0;
 
-  bool operator==(const FiringEvent& o) const {
-    return actor == o.actor && k == o.k;
-  }
+  bool operator==(const ScheduleRun&) const = default;
 };
+static_assert(sizeof(ScheduleRun) == 16);
 
-struct Schedule {
-  std::vector<FiringEvent> order;
+/// Stored run-length encoded, the looped form the paper writes
+/// schedules in (Figure 1: (a3)^2 (a1)^3 (a2)^2): memory grows with the
+/// number of runs, not with the number of firings — a 100k-actor chain
+/// whose iteration is ~19M firings holds 100k runs.  push() extends the
+/// last run only when it fires the same actor at the next index, so the
+/// encoding is lossless (any firing sequence, valid or not, expands
+/// back exactly) and canonical (equal sequences have equal runs); a run
+/// that would exceed 2^32 - 1 firings continues in a new one.
+class Schedule {
+ public:
+  /// Appends one firing: firing index `k` of actor `a`.
+  void push(graph::ActorId a, std::int64_t k) {
+    if (!runs_.empty()) {
+      ScheduleRun& last = runs_.back();
+      if (last.actor == a && last.firstK + last.count == k &&
+          last.count != std::numeric_limits<std::uint32_t>::max()) {
+        ++last.count;
+        ++firings_;
+        return;
+      }
+    }
+    runs_.push_back({.firstK = k, .actor = a, .count = 1});
+    ++firings_;
+  }
 
-  bool empty() const { return order.empty(); }
-  std::size_t size() const { return order.size(); }
+  bool empty() const { return firings_ == 0; }
+  /// Number of firings (not runs).
+  std::size_t size() const { return firings_; }
+  const std::vector<ScheduleRun>& runs() const { return runs_; }
 
   /// Number of firings of `a` in this schedule.
   std::int64_t countOf(graph::ActorId a) const;
 
-  /// Run-length grouped rendering, e.g. "a3^2 a1^3 a2^2"; singleton
-  /// runs are printed without the exponent: "A B C".
+  /// Grouped rendering, e.g. "a3^2 a1^3 a2^2"; singleton groups are
+  /// printed without the exponent: "A B C".  A group is every adjacent
+  /// firing of one actor (runs split only by an index gap are merged).
   std::string toString(const graph::Graph& g) const;
 
   /// {"firings": N, "runs": [{"actor": "a3", "count": 2}, ...]} with the
-  /// same run-length grouping as toString() (lossless: each actor's
-  /// firing indices are consecutive, so k is recoverable per run).
+  /// same grouping as toString() (lossless for a valid schedule: each
+  /// actor's firing indices are consecutive, so k is recoverable per
+  /// group).
   support::json::Value toJson(const graph::Graph& g) const;
+
+ private:
+  std::vector<ScheduleRun> runs_;
+  std::size_t firings_ = 0;
 };
 
 /// Result of token-accurate schedule validation / construction.

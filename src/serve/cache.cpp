@@ -1,5 +1,7 @@
 #include "serve/cache.hpp"
 
+#include <exception>
+#include <optional>
 #include <utility>
 
 #include "io/format.hpp"
@@ -42,8 +44,10 @@ GraphCache::GraphCache(std::size_t maxEntries, std::size_t maxBytes)
 
 GraphCache::Acquired GraphCache::acquire(const std::string& text) {
   const std::uint64_t hash = contentHash(text);
+  // Engaged only on a miss: a hit pays no shared-state allocation.
+  std::optional<std::promise<std::shared_ptr<Entry>>> admission;
   {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::unique_lock<std::mutex> lock(mutex_);
     const auto it = index_.find(hash);
     if (it != index_.end()) {
       std::shared_ptr<Entry> entry = *it->second;
@@ -59,38 +63,53 @@ GraphCache::Acquired GraphCache::acquire(const std::string& text) {
       lru_.erase(it->second);
       index_.erase(it);
     }
+    const auto pending = inflight_.find(hash);
+    if (pending != inflight_.end()) {
+      // Single flight: another thread is admitting this source.  Wait
+      // for its entry instead of parsing it again — a hit, since this
+      // thread pays no parse.  A failed parse rethrows its error here.
+      const std::shared_future<std::shared_ptr<Entry>> admitted =
+          pending->second;
+      lock.unlock();
+      std::shared_ptr<Entry> entry = admitted.get();
+      lock.lock();
+      ++counters_.hits;
+      return {std::move(entry), true};
+    }
+    inflight_.emplace(hash, admission.emplace().get_future().share());
   }
 
   // Miss: parse and build the analysis context OUTSIDE the cache lock,
   // so concurrent misses on different graphs proceed in parallel.  Bad
   // input throws here (ParseError/ModelError) and the cache stays
   // untouched.
-  auto fresh = std::make_shared<Entry>();
-  fresh->hash = hash;
-  fresh->id = cacheId(hash);
-  fresh->model = std::make_shared<core::TpdfGraph>(io::readGraph(text));
-  fresh->ctx =
-      std::make_shared<core::AnalysisContext>(fresh->model->graph());
-  const graph::Graph& g = fresh->model->graph();
-  fresh->revision = g.revision();
-  fresh->bytes =
-      text.size() + g.namePoolBytes() + g.frozenBytes() + sizeof(Entry);
+  std::shared_ptr<Entry> fresh;
+  try {
+    fresh = std::make_shared<Entry>();
+    fresh->hash = hash;
+    fresh->id = cacheId(hash);
+    fresh->model = std::make_shared<core::TpdfGraph>(io::readGraph(text));
+    fresh->ctx =
+        std::make_shared<core::AnalysisContext>(fresh->model->graph());
+    const graph::Graph& g = fresh->model->graph();
+    fresh->revision = g.revision();
+    fresh->bytes =
+        text.size() + g.namePoolBytes() + g.frozenBytes() + sizeof(Entry);
+  } catch (...) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    inflight_.erase(hash);
+    admission->set_exception(std::current_exception());
+    throw;
+  }
 
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = index_.find(hash);
-  if (it != index_.end()) {
-    // Same-hash race: another client admitted this graph while we
-    // parsed.  Converge on the shared entry (ours is dropped); still a
-    // miss for accounting — this thread did pay the parse.
-    ++counters_.misses;
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return {*it->second, false};
-  }
+  inflight_.erase(hash);
   ++counters_.misses;
   bytes_ += fresh->bytes;
   lru_.push_front(fresh);
   index_.emplace(hash, lru_.begin());
   evictLocked();
+  admission->set_value(fresh);
   return {std::move(fresh), false};
 }
 

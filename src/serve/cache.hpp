@@ -15,12 +15,14 @@
 // shared_ptrs, so in-flight requests never race a disappearing graph.
 //
 // Concurrency: the cache's own index is mutex-guarded; parsing and
-// context construction happen OUTSIDE that lock (concurrent misses on
-// different graphs proceed in parallel) with a re-check on insert so a
-// same-hash race still converges on one shared entry.  AnalysisContext
-// itself is NOT thread-safe — Entry::mutex serializes request execution
-// over one entry while requests against different graphs run in
-// parallel.
+// context construction happen OUTSIDE that lock, so concurrent misses
+// on different graphs proceed in parallel.  Admission is single-flight
+// per hash: requests arriving while the same source is being parsed
+// wait for that parse and share its entry (counted as hits), so one
+// source costs exactly one parse and one miss however many clients
+// race on it.  AnalysisContext itself is NOT thread-safe — Entry::mutex
+// serializes request execution over one entry while requests against
+// different graphs run in parallel.
 //
 // Invalidation: Entry::revision records Graph::revision() at admission;
 // a later acquire that finds the stored graph mutated (revision bumped)
@@ -29,6 +31,7 @@
 #pragma once
 
 #include <cstdint>
+#include <future>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -87,7 +90,8 @@ class GraphCache {
 
   struct Acquired {
     std::shared_ptr<Entry> entry;
-    /// True when the entry pre-existed (no parse, shared context).
+    /// True when this call paid no parse: the entry pre-existed, or a
+    /// concurrent caller's in-flight admission supplied it.
     bool hit = false;
   };
 
@@ -102,7 +106,8 @@ class GraphCache {
   /// Looks up (or parses, analyzes and admits) the graph with this
   /// source text.  Throws what the reader/validator throws on a miss
   /// over bad input (support::ParseError with position, ModelError);
-  /// the cache is unchanged in that case.
+  /// the cache is unchanged in that case, and callers that were waiting
+  /// on that admission get the same error.
   Acquired acquire(const std::string& text);
 
   CacheStats stats() const;
@@ -121,6 +126,10 @@ class GraphCache {
   mutable std::mutex mutex_;
   Lru lru_;  // front = most recently used
   std::unordered_map<std::uint64_t, Lru::iterator> index_;
+  /// Admissions in progress (parse outside the lock), by hash.
+  std::unordered_map<std::uint64_t,
+                     std::shared_future<std::shared_ptr<Entry>>>
+      inflight_;
   std::size_t bytes_ = 0;
   CacheStats counters_;  // entries/bytes filled in by stats()
 };

@@ -24,6 +24,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -170,20 +171,53 @@ class Value {
 
   /// Compact single-line serialization.
   std::string dump() const {
-    std::string out;
-    write(out, -1, 0);
-    return out;
+    Sink sink;
+    write(sink, -1, 0);
+    return std::move(sink.buf);
   }
 
   /// Indented multi-line serialization (`indent` spaces per level).
   std::string pretty(int indent = 2) const {
-    std::string out;
-    write(out, indent < 0 ? 0 : indent, 0);
-    out += '\n';
-    return out;
+    Sink sink;
+    write(sink, indent < 0 ? 0 : indent, 0);
+    sink.buf += '\n';
+    return std::move(sink.buf);
+  }
+
+  /// Receives a streamed serialization one chunk at a time.
+  using ChunkOut = std::function<void(std::string_view)>;
+
+  /// pretty(), streamed: `out` is called with consecutive chunks whose
+  /// concatenation is exactly pretty().  Chunks are cut at value
+  /// boundaries once at least 64 KiB are pending, so memory stays ~one
+  /// chunk (plus the largest single string) however large the document
+  /// is.
+  void prettyTo(const ChunkOut& out) const {
+    Sink sink{.buf = {}, .out = &out};
+    sink.buf.reserve(kChunkBytes + kChunkBytes / 4);
+    write(sink, 2, 0);
+    sink.buf += '\n';
+    out(sink.buf);
   }
 
  private:
+  static constexpr std::size_t kChunkBytes = 64 * 1024;
+
+  /// Where the one writer puts its bytes: into `buf`, which is either
+  /// the whole result (dump/pretty: no `out`) or the pending chunk,
+  /// handed to `out` and cleared at value boundaries (prettyTo).
+  struct Sink {
+    std::string buf;
+    const ChunkOut* out = nullptr;
+
+    void boundary() {
+      if (out != nullptr && buf.size() >= kChunkBytes) {
+        (*out)(buf);
+        buf.clear();
+      }
+    }
+  };
+
   Object& mutableObject() {
     if (!isObject()) {
       throw support::Error("json: set() on a non-object value");
@@ -223,7 +257,8 @@ class Value {
   }
 
   /// `indent` < 0 means compact.
-  void write(std::string& out, int indent, int depth) const {
+  void write(Sink& sink, int indent, int depth) const {
+    std::string& out = sink.buf;
     if (isNull()) {
       out += "null";
     } else if (isBool()) {
@@ -248,7 +283,8 @@ class Value {
         if (!first) out += ',';
         first = false;
         newline(out, indent, depth + 1);
-        v.write(out, indent, depth + 1);
+        v.write(sink, indent, depth + 1);
+        sink.boundary();
       }
       newline(out, indent, depth);
       out += ']';
@@ -268,7 +304,8 @@ class Value {
         out += escape(m.first);
         out += "\":";
         if (indent > 0) out += ' ';
-        m.second.write(out, indent, depth + 1);
+        m.second.write(sink, indent, depth + 1);
+        sink.boundary();
       }
       newline(out, indent, depth);
       out += '}';

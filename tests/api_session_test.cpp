@@ -16,6 +16,8 @@
 #include "io/format.hpp"
 #include "support/prng.hpp"
 
+#include "schedule_firings.hpp"
+
 namespace tpdf::api {
 namespace {
 
@@ -72,7 +74,8 @@ void expectReportsEqual(const core::AnalysisReport& a,
   EXPECT_EQ(a.liveness.live, b.liveness.live);
   EXPECT_EQ(a.liveness.diagnostic, b.liveness.diagnostic);
   EXPECT_EQ(a.liveness.parametricSchedule, b.liveness.parametricSchedule);
-  EXPECT_EQ(a.liveness.sampleSchedule.order, b.liveness.sampleSchedule.order);
+  EXPECT_EQ(csdf::expandFirings(a.liveness.sampleSchedule),
+            csdf::expandFirings(b.liveness.sampleSchedule));
   EXPECT_EQ(a.liveness.sampleEnv.bindings(), b.liveness.sampleEnv.bindings());
   EXPECT_EQ(a.bounded(), b.bounded());
 }
@@ -285,7 +288,8 @@ TEST(ApiSchedule, AgreesWithDirectFindSchedule) {
   const ScheduleResponse response = session.schedule(request);
   ASSERT_EQ(response.status, Status::Ok);
   const csdf::LivenessResult direct = csdf::findSchedule(g);
-  EXPECT_EQ(response.result.schedule.order, direct.schedule.order);
+  EXPECT_EQ(csdf::expandFirings(response.result.schedule),
+            csdf::expandFirings(direct.schedule));
   EXPECT_EQ(response.result.q, direct.q);
 }
 

@@ -17,6 +17,8 @@
 #include "graph/builder.hpp"
 #include "support/prng.hpp"
 
+#include "schedule_firings.hpp"
+
 namespace tpdf::csdf {
 namespace {
 
@@ -25,13 +27,22 @@ using graph::Graph;
 using graph::GraphBuilder;
 using symbolic::Environment;
 
+/// What the reference scheduler found: the firing sequence as a plain
+/// per-firing list, independent of Schedule's run-length storage.
+struct ReferenceResult {
+  bool live = false;
+  std::string diagnostic;
+  std::vector<std::int64_t> q;
+  std::vector<Firing> firings;
+};
+
 /// Reference scheduler: the pre-optimization full-rescan loop.  Every
 /// step scans all actors and picks the first enabled one (Eager) or the
 /// enabled one with the smallest occupancy delta, first wins ties
 /// (MinOccupancy).
-LivenessResult referenceSchedule(const Graph& g, const Environment& env,
-                                 SchedulePolicy policy) {
-  LivenessResult out;
+ReferenceResult referenceSchedule(const Graph& g, const Environment& env,
+                                  SchedulePolicy policy) {
+  ReferenceResult out;
   const RepetitionVector rv = computeRepetitionVector(g);
   if (!rv.consistent) {
     out.diagnostic = rv.diagnostic;
@@ -75,7 +86,7 @@ LivenessResult referenceSchedule(const Graph& g, const Environment& env,
     return d;
   };
 
-  while (static_cast<std::int64_t>(out.schedule.order.size()) <
+  while (static_cast<std::int64_t>(out.firings.size()) <
          totalFirings) {
     std::size_t chosen = g.actorCount();
     if (policy == SchedulePolicy::Eager) {
@@ -104,17 +115,17 @@ LivenessResult referenceSchedule(const Graph& g, const Environment& env,
       const std::int64_t r = rate(pid, fired[chosen]);
       occupancy[p.channel.index()] += graph::isInput(p.kind) ? -r : r;
     }
-    out.schedule.order.push_back({id, fired[chosen]});
+    out.firings.emplace_back(id, fired[chosen]);
     ++fired[chosen];
   }
   out.live = true;
   return out;
 }
 
-std::string renderOrder(const Graph& g, const Schedule& s) {
+std::string renderOrder(const Graph& g, const std::vector<Firing>& firings) {
   std::string out;
-  for (const FiringEvent& e : s.order) {
-    out += g.actor(e.actor).name + "#" + std::to_string(e.k) + " ";
+  for (const auto& [actor, k] : firings) {
+    out += g.actor(actor).name + "#" + std::to_string(k) + " ";
   }
   return out;
 }
@@ -122,12 +133,12 @@ std::string renderOrder(const Graph& g, const Schedule& s) {
 void expectIdenticalSchedules(const Graph& g, const Environment& env) {
   for (const SchedulePolicy policy :
        {SchedulePolicy::Eager, SchedulePolicy::MinOccupancy}) {
-    const LivenessResult expected = referenceSchedule(g, env, policy);
+    const ReferenceResult expected = referenceSchedule(g, env, policy);
     const LivenessResult actual = findSchedule(g, env, policy);
     ASSERT_EQ(actual.live, expected.live) << g.name();
     ASSERT_EQ(actual.q, expected.q) << g.name();
-    ASSERT_EQ(renderOrder(g, actual.schedule),
-              renderOrder(g, expected.schedule))
+    ASSERT_EQ(renderOrder(g, expandFirings(actual.schedule)),
+              renderOrder(g, expected.firings))
         << g.name() << " under policy "
         << (policy == SchedulePolicy::Eager ? "Eager" : "MinOccupancy");
   }

@@ -52,7 +52,7 @@ TEST(Liveness, Figure2PaperScheduleIsAdmissible) {
   Schedule s;
   auto push = [&](const std::string& name, std::int64_t count) {
     for (std::int64_t k = 0; k < count; ++k) {
-      s.order.push_back({*g.findActor(name), k});
+      s.push(*g.findActor(name), k);
     }
   };
   const std::int64_t p = 2;
@@ -106,9 +106,87 @@ TEST(Liveness, SelfLoopWithTokensIsLive) {
 TEST(Schedule, ToStringGroupsRuns) {
   const Graph g = apps::fig1Csdf();
   Schedule s;
-  s.order = {{*g.findActor("a3"), 0}, {*g.findActor("a1"), 0},
-             {*g.findActor("a3"), 1}};
+  s.push(*g.findActor("a3"), 0);
+  s.push(*g.findActor("a1"), 0);
+  s.push(*g.findActor("a3"), 1);
   EXPECT_EQ(s.toString(g), "a3 a1 a3");
+}
+
+TEST(Schedule, ConsecutiveIndicesMergeIntoOneRun) {
+  const Graph g = apps::fig1Csdf();
+  const graph::ActorId a3 = *g.findActor("a3");
+  Schedule s;
+  for (std::int64_t k = 0; k < 3; ++k) s.push(a3, k);
+  ASSERT_EQ(s.runs().size(), 1u);
+  EXPECT_EQ(s.runs()[0], (ScheduleRun{.firstK = 0, .actor = a3, .count = 3}));
+  EXPECT_EQ(s.size(), 3u);
+  EXPECT_EQ(s.toString(g), "a3^3");
+}
+
+TEST(Schedule, IndexGapOrReorderStartsANewRun) {
+  const Graph g = apps::fig1Csdf();
+  const graph::ActorId a3 = *g.findActor("a3");
+  Schedule gap;
+  gap.push(a3, 0);
+  gap.push(a3, 2);
+  ASSERT_EQ(gap.runs().size(), 2u);
+  EXPECT_EQ(gap.runs()[1], (ScheduleRun{.firstK = 2, .actor = a3, .count = 1}));
+  // Rendering groups adjacent firings of one actor, as before.
+  EXPECT_EQ(gap.toString(g), "a3^2");
+  EXPECT_EQ(gap.toJson(g).dump(),
+            "{\"firings\":2,\"runs\":[{\"actor\":\"a3\",\"count\":2}]}");
+  EXPECT_EQ(validateSchedule(g, gap).diagnostic,
+            "firing of 'a3' out of order: expected k=1, got k=2");
+
+  Schedule reorder;
+  reorder.push(a3, 1);
+  reorder.push(a3, 0);
+  ASSERT_EQ(reorder.runs().size(), 2u);
+  EXPECT_EQ(reorder.runs()[0], (ScheduleRun{.firstK = 1, .actor = a3, .count = 1}));
+  EXPECT_EQ(reorder.runs()[1], (ScheduleRun{.firstK = 0, .actor = a3, .count = 1}));
+  EXPECT_EQ(validateSchedule(g, reorder).diagnostic,
+            "firing of 'a3' out of order: expected k=0, got k=1");
+}
+
+TEST(Schedule, SizeCountsFiringsAndCountOfSumsRuns) {
+  const Graph g = apps::fig1Csdf();
+  const graph::ActorId a1 = *g.findActor("a1");
+  const graph::ActorId a3 = *g.findActor("a3");
+  Schedule s;
+  s.push(a3, 0);
+  s.push(a3, 1);
+  s.push(a1, 0);
+  s.push(a3, 2);
+  s.push(a1, 1);
+  s.push(a1, 2);
+  EXPECT_EQ(s.runs().size(), 4u);
+  EXPECT_EQ(s.size(), 6u);
+  EXPECT_EQ(s.countOf(a3), 3);
+  EXPECT_EQ(s.countOf(a1), 3);
+  EXPECT_EQ(s.countOf(*g.findActor("a2")), 0);
+}
+
+TEST(Schedule, EagerChainScheduleHoldsOneRunPerActor) {
+  // Each actor fires 10x as often as its predecessor: sum(q) = 1111111
+  // firings, stored as one run per actor.
+  constexpr int kActors = 7;
+  GraphBuilder b("fanout_chain");
+  for (int i = 0; i < kActors; ++i) {
+    b.kernel("A" + std::to_string(i));
+    if (i > 0) b.in("i", "[1]");
+    if (i + 1 < kActors) b.out("o", "[10]");
+  }
+  for (int i = 0; i + 1 < kActors; ++i) {
+    b.channel("e" + std::to_string(i), "A" + std::to_string(i) + ".o",
+              "A" + std::to_string(i + 1) + ".i");
+  }
+  const Graph g = b.build();
+  const LivenessResult live = findSchedule(g);
+  ASSERT_TRUE(live.live) << live.diagnostic;
+  EXPECT_EQ(live.schedule.size(), 1111111u);
+  EXPECT_LE(live.schedule.runs().size(), g.actorCount());
+  EXPECT_EQ(live.schedule.countOf(*g.findActor("A6")), 1000000);
+  EXPECT_TRUE(validateSchedule(g, live.schedule).ok);
 }
 
 TEST(Schedule, CountOf) {
@@ -121,19 +199,20 @@ TEST(Schedule, CountOf) {
 TEST(ValidateSchedule, RejectsUnderflow) {
   const Graph g = apps::fig1Csdf();
   Schedule s;
-  s.order = {{*g.findActor("a1"), 0}};  // a1 needs 2 tokens on e3, has 0
+  s.push(*g.findActor("a1"), 0);  // a1 needs 2 tokens on e3, has 0
   const ScheduleCheck check = validateSchedule(g, s);
   EXPECT_FALSE(check.ok);
-  EXPECT_NE(check.diagnostic.find("underflow"), std::string::npos);
+  EXPECT_EQ(check.diagnostic, "channel 'e3' underflows at a1#0: needs 2, has 0");
 }
 
 TEST(ValidateSchedule, RejectsOutOfOrderFirings) {
   const Graph g = apps::fig1Csdf();
   Schedule s;
-  s.order = {{*g.findActor("a3"), 1}};  // skips firing 0
+  s.push(*g.findActor("a3"), 1);  // skips firing 0
   const ScheduleCheck check = validateSchedule(g, s);
   EXPECT_FALSE(check.ok);
-  EXPECT_NE(check.diagnostic.find("out of order"), std::string::npos);
+  EXPECT_EQ(check.diagnostic,
+            "firing of 'a3' out of order: expected k=0, got k=1");
 }
 
 // ---- Buffer analysis --------------------------------------------------
@@ -238,8 +317,8 @@ TEST(ScheduleCheckTest, PartialScheduleIgnoresUnboundRatesOfIdleActors) {
                       .channel("e2", "C.o", "D.i")
                       .build();
   Schedule s;
-  s.order.push_back({*g.findActor("A"), 0});
-  s.order.push_back({*g.findActor("B"), 0});
+  s.push(*g.findActor("A"), 0);
+  s.push(*g.findActor("B"), 0);
   // No binding for q: C and D never fire, so their rates are never
   // evaluated and the check must succeed.
   const ScheduleCheck check = validateSchedule(g, s, {});

@@ -112,7 +112,7 @@ TEST(Schedule, ValidateRejectsForeignEnvironment) {
   // evaluateInt -> support::Error.
   const Graph g = apps::fig2Tpdf();
   Schedule s;
-  s.order = {{*g.findActor("A"), 0}};
+  s.push(*g.findActor("A"), 0);
   EXPECT_THROW(validateSchedule(g, s), support::Error);
 }
 
@@ -121,8 +121,10 @@ TEST(Schedule, PhaseDependentValidation) {
   // channel is empty.
   const Graph g = apps::fig1Csdf();
   Schedule s;
-  s.order = {{*g.findActor("a3"), 0}, {*g.findActor("a3"), 1},
-             {*g.findActor("a1"), 0}, {*g.findActor("a1"), 1}};
+  for (const char* name : {"a3", "a1"}) {
+    s.push(*g.findActor(name), 0);
+    s.push(*g.findActor(name), 1);
+  }
   const ScheduleCheck check = validateSchedule(g, s);
   EXPECT_TRUE(check.ok) << check.diagnostic;
 }

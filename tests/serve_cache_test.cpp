@@ -2,12 +2,15 @@
 //
 // Pins the sharing contract (identical source text from any number of
 // clients converges on one entry), both eviction bounds (entry count
-// and resident bytes), the revision-bump invalidation path, and the
-// counter consistency guarantee under concurrent acquires.
+// and resident bytes), the revision-bump invalidation path, the counter
+// consistency guarantee under concurrent acquires, and single-flight
+// admission (racing cold misses on one source parse it once).
 #include "serve/cache.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -193,6 +196,78 @@ TEST(ServeCache, ConcurrentAcquiresKeepCountersConsistent) {
   EXPECT_EQ(stats.hits + stats.misses, kThreads * kAcquires);
   EXPECT_GE(stats.misses, kDistinct);  // each text parsed at least once
   EXPECT_LE(stats.entries, kDistinct);
+}
+
+/// A chain long enough that its parse overlaps the other threads'
+/// arrivals.
+std::string longGraphText(std::size_t actors) {
+  std::string text = "graph long_chain {\n";
+  for (std::size_t i = 0; i < actors; ++i) {
+    text += "  kernel a" + std::to_string(i) + " {";
+    if (i > 0) text += " in i rates [1];";
+    if (i + 1 < actors) text += " out o rates [1];";
+    text += " }\n";
+  }
+  for (std::size_t i = 0; i + 1 < actors; ++i) {
+    text += "  channel c" + std::to_string(i) + " from a" + std::to_string(i) +
+            ".o to a" + std::to_string(i + 1) + ".i;\n";
+  }
+  return text + "}\n";
+}
+
+TEST(ServeCache, RacingColdMissesOnOneSourceParseOnce) {
+  constexpr std::size_t kThreads = 8;
+  GraphCache cache(8, 0);
+  const std::string text = longGraphText(2000);
+  std::latch start(kThreads);
+  std::vector<GraphCache::Acquired> got(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      got[t] = cache.acquire(text);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  // One thread parsed; every other one waited for it and shares its
+  // entry as a hit.
+  std::size_t parsed = 0;
+  for (const GraphCache::Acquired& a : got) {
+    ASSERT_NE(a.entry, nullptr);
+    EXPECT_EQ(a.entry.get(), got[0].entry.get());
+    if (!a.hit) ++parsed;
+  }
+  EXPECT_EQ(parsed, 1u);
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, kThreads - 1);
+  EXPECT_EQ(stats.entries, 1u);
+}
+
+TEST(ServeCache, RacingAcquiresOfBadSourceAllSeeTheParseError) {
+  constexpr std::size_t kThreads = 8;
+  GraphCache cache(8, 0);
+  std::latch start(kThreads);
+  std::atomic<std::size_t> rejected{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      start.arrive_and_wait();
+      try {
+        cache.acquire("graph broken {");
+      } catch (const support::ParseError&) {
+        rejected.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(rejected.load(), kThreads);
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.hits + stats.misses, 0u);
 }
 
 }  // namespace

@@ -5,8 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "api/requests.hpp"
 #include "core/differential.hpp"
@@ -199,6 +203,83 @@ TEST(JsonFuzz, RandomizedApiResponsesRoundTrip) {
     response.inputCount = static_cast<std::size_t>(rng.uniform(1, 40));
     response.elapsedMs = static_cast<double>(rng.uniform(0, 10'000)) / 16.0;
     tpdf::test::expectRoundTrip(response.toJson());
+  }
+}
+
+// ---- Streamed writer ------------------------------------------------
+
+/// prettyTo()'s chunk size (64 KiB).
+constexpr std::size_t kStreamChunk = 64 * 1024;
+
+/// prettyTo()'s chunks, collected.
+std::vector<std::string> chunksOf(const Value& doc) {
+  std::vector<std::string> chunks;
+  doc.prettyTo([&](std::string_view c) { chunks.emplace_back(c); });
+  return chunks;
+}
+
+/// The chunked stream must reproduce pretty() byte for byte, and every
+/// chunk but the last must have reached the chunk size.
+void expectStreamMatchesPretty(const Value& doc, const std::string& what) {
+  const std::vector<std::string> chunks = chunksOf(doc);
+  std::string joined;
+  for (const std::string& c : chunks) joined += c;
+  EXPECT_EQ(joined, doc.pretty()) << what;
+  for (std::size_t i = 0; i + 1 < chunks.size(); ++i) {
+    EXPECT_GE(chunks[i].size(), kStreamChunk) << what << " chunk " << i;
+  }
+}
+
+TEST(JsonStream, GoldenDocumentsStreamByteIdentically) {
+  const std::filesystem::path dir =
+      std::filesystem::path(TPDF_SOURCE_DIR) / "tests" / "golden";
+  std::size_t seen = 0;
+  for (const auto& file : std::filesystem::directory_iterator(dir)) {
+    if (file.path().extension() != ".json") continue;
+    std::ifstream in(file.path(), std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    expectStreamMatchesPretty(parse(text.str()),
+                              file.path().filename().string());
+    ++seen;
+  }
+  EXPECT_GT(seen, 0u);
+}
+
+TEST(JsonStream, MultiChunkDocumentStreamsByteIdentically) {
+  // Several chunks of nested objects, arrays, escaped strings, doubles
+  // and empty containers, so chunks are cut inside each of them.
+  std::vector<Value> phaseLists;
+  for (int n = 0; n < 5; ++n) {
+    auto phases = Value::array();
+    for (int k = 0; k < n; ++k) phases.push(k);
+    phaseLists.push_back(std::move(phases));
+  }
+  auto doc = Value::object();
+  auto rows = Value::array();
+  for (int i = 0; i < 6000; ++i) {
+    auto row = Value::object();
+    row.set("actor", "a" + std::to_string(i) + "\t\"q\"");
+    row.set("count", i * 7);
+    row.set("ratio", i / 3.0);
+    row.set("empty", i % 2 == 0 ? Value::array() : Value::object());
+    row.set("phases", phaseLists[static_cast<std::size_t>(i % 5)]);
+    rows.push(std::move(row));
+  }
+  doc.set("runs", std::move(rows));
+  // A single string longer than a chunk.
+  doc.set("note", std::string(3 * kStreamChunk / 2, 'x'));
+  ASSERT_GT(doc.pretty().size(), 4 * kStreamChunk);
+  EXPECT_GT(chunksOf(doc).size(), 4u);
+  expectStreamMatchesPretty(doc, "synthetic");
+}
+
+TEST(JsonStream, ScalarAndEmptyDocumentsAreOneChunk) {
+  for (const Value& doc : {Value(), Value(3), Value("s"), Value::array(),
+                           Value::object()}) {
+    const std::vector<std::string> chunks = chunksOf(doc);
+    ASSERT_EQ(chunks.size(), 1u);
+    EXPECT_EQ(chunks[0], doc.pretty());
   }
 }
 

@@ -78,6 +78,7 @@
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -175,10 +176,19 @@ struct Cli {
   std::size_t coldEvery = 0;
 };
 
+/// Writes doc.pretty() to stdout in 64 KiB pieces instead of rendering
+/// it into one string first.
+void printPretty(const support::json::Value& doc) {
+  doc.prettyTo([](std::string_view chunk) {
+    std::fwrite(chunk.data(), 1, chunk.size(), stdout);
+  });
+}
+
 /// Prints the final document: the envelope identifies the tool and the
 /// command, then the response members (status, diagnostics, payload)
-/// follow verbatim.  Takes the document by value so the members (a sim
-/// trace can be megabytes) are moved, not copied, into the envelope.
+/// follow verbatim.  The document is taken by value and its members are
+/// moved, not copied, into the envelope (a map or sim document can be
+/// tens of megabytes), and the envelope is streamed to stdout.
 void emitJson(const Cli& cli, support::json::Value responseDoc) {
   auto envelope = support::json::Value::object();
   envelope.set("tool", "tpdfc");
@@ -187,7 +197,7 @@ void emitJson(const Cli& cli, support::json::Value responseDoc) {
   for (auto& [key, value] : responseDoc.members()) {
     envelope.set(key, std::move(value));
   }
-  std::printf("%s", envelope.pretty().c_str());
+  printPretty(envelope);
 }
 
 /// Text mode: diagnostics go to stderr, one line each.
@@ -200,9 +210,9 @@ void emitDiagnostics(const api::Response& response) {
 /// Renders a response whose text payload was already printed (or that
 /// has none), returning the documented exit code.
 int finish(const Cli& cli, const api::Response& response,
-           const support::json::Value& doc) {
+           support::json::Value doc) {
   if (cli.json) {
-    emitJson(cli, doc);
+    emitJson(cli, std::move(doc));
   } else {
     emitDiagnostics(response);
   }
@@ -216,7 +226,7 @@ int usageError(const Cli& cli, const std::string& message) {
     auto doc = support::json::Value::object();
     doc.set("status", toString(response.status));
     doc.set("diagnostics", response.diagnosticsJson());
-    emitJson(cli, doc);
+    emitJson(cli, std::move(doc));
   }
   std::fprintf(stderr, "tpdfc: %s\n%s", message.c_str(), kUsage);
   return api::exitCode(response.status);
@@ -259,7 +269,7 @@ int runVersion(const Cli& cli) {
     doc.set("status", "ok");
     doc.set("diagnostics", support::json::Value::array());
     doc.set("release", api::version().toJson());
-    emitJson(cli, doc);
+    emitJson(cli, std::move(doc));
   } else {
     std::printf("%s\n", api::version().toString().c_str());
   }
@@ -356,7 +366,7 @@ int runScenarios(const Cli& cli) {
       auto doc = support::json::Value::object();
       doc.set("status", toString(response.status));
       doc.set("diagnostics", response.diagnosticsJson());
-      emitJson(cli, doc);
+      emitJson(cli, std::move(doc));
     }
     std::fprintf(stderr, "tpdfc: %s\n", e.what());
     return api::exitCode(response.status);
@@ -376,7 +386,7 @@ int runScenarios(const Cli& cli) {
       list.push(std::move(entry));
     }
     doc.set("scenarios", std::move(list));
-    emitJson(cli, doc);
+    emitJson(cli, std::move(doc));
   } else {
     std::printf("wrote %zu scenario graphs to %s\n", corpus.size(),
                 cli.input.c_str());
@@ -571,7 +581,7 @@ int runDot(const Cli& cli, api::Session& session, const std::string& id) {
     doc.set("status", "ok");
     doc.set("diagnostics", support::json::Value::array());
     doc.set("dot", g.toDot());
-    emitJson(cli, doc);
+    emitJson(cli, std::move(doc));
   } else {
     std::printf("%s", g.toDot().c_str());
   }
@@ -586,7 +596,7 @@ int runEcho(const Cli& cli, api::Session& session, const std::string& id) {
     doc.set("diagnostics", support::json::Value::array());
     doc.set("tpdf", io::writeGraph(g));
     doc.set("graph", io::toJson(g));
-    emitJson(cli, doc);
+    emitJson(cli, std::move(doc));
   } else {
     std::printf("%s", io::writeGraph(g).c_str());
   }
@@ -615,7 +625,7 @@ bool slurpFile(const std::string& path, std::string& out,
 int emitEnvelope(const std::string& line) {
   try {
     const support::json::Value doc = support::json::parse(line);
-    std::printf("%s", doc.pretty().c_str());
+    printPretty(doc);
     const support::json::Value* status = doc.find("status");
     if (status != nullptr && status->isString()) {
       if (const auto s = api::statusFromString(status->asString())) {
@@ -636,7 +646,7 @@ int transportError(const Cli& cli, const std::string& what) {
     auto doc = support::json::Value::object();
     doc.set("status", toString(response.status));
     doc.set("diagnostics", response.diagnosticsJson());
-    emitJson(cli, doc);
+    emitJson(cli, std::move(doc));
   }
   std::fprintf(stderr, "tpdfc: %s\n", what.c_str());
   return api::exitCode(response.status);
@@ -733,7 +743,7 @@ int runLoadtest(const Cli& cli) {
         auto doc = support::json::Value::object();
         doc.set("status", toString(bad.status));
         doc.set("diagnostics", bad.diagnosticsJson());
-        emitJson(cli, doc);
+        emitJson(cli, std::move(doc));
       }
       std::fprintf(stderr, "tpdfc: %s\n", bad.firstError().c_str());
       return api::exitCode(bad.status);
@@ -904,7 +914,7 @@ int runLoadtest(const Cli& cli) {
                 hotAnalysisUs,
                 analysisSum / static_cast<double>(samples.size()));
   }
-  return finish(cli, response, doc);
+  return finish(cli, response, std::move(doc));
 }
 
 int runConnect(const Cli& cli) {
@@ -920,7 +930,7 @@ int runConnect(const Cli& cli) {
       auto doc = support::json::Value::object();
       doc.set("status", toString(bad.status));
       doc.set("diagnostics", bad.diagnosticsJson());
-      emitJson(cli, doc);
+      emitJson(cli, std::move(doc));
     }
     std::fprintf(stderr, "tpdfc: %s\n", bad.firstError().c_str());
     return api::exitCode(bad.status);
