@@ -345,6 +345,33 @@ void BM_SweepOfdmFreshLoop(benchmark::State& state) {
 BENCHMARK(BM_SweepOfdmFreshLoop)
     ->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
 
+// The paper's case study as design-space exploration: the OFDM
+// demodulator over b x N x L and 9 platform variants (3 topologies x 3
+// link bandwidths), buffers and period on.  Each parameter valuation's
+// rate table, liveness, buffers and canonical period are computed once
+// and shared by its 9 variants; only the list schedule runs per point.
+void BM_SweepOfdmPlatformAxes(benchmark::State& state) {
+  const Graph g = apps::ofdmCsdfGraph();
+  const core::AnalysisContext ctx(g);
+  core::SweepSpec spec;
+  spec.axes.push_back(core::SweepAxis::range("b", 1, state.range(0)));
+  spec.axes.push_back(core::SweepAxis::list("N", {64, 256}));
+  spec.axes.push_back(core::SweepAxis::range("L", 1, 2));
+  spec.topologies = {"mesh:2x2", "ring:4", "bus:4"};
+  spec.linkBandwidths = {1.0, 4.0, 16.0};
+  spec.jobs = 1;
+  std::size_t points = 0;
+  for (auto _ : state) {
+    const core::SweepResult result = core::sweep(ctx, spec);
+    points = result.points.size();
+    benchmark::DoNotOptimize(result.bounded());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(points));
+}
+BENCHMARK(BM_SweepOfdmPlatformAxes)
+    ->Arg(8)->Arg(32)->UseRealTime()->Unit(benchmark::kMillisecond);
+
 void BM_SweepChain(benchmark::State& state) {
   const Graph g = paramChain(64);
   const core::AnalysisContext ctx(g);

@@ -1,6 +1,7 @@
 #include "core/sweep.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <exception>
 #include <limits>
 #include <thread>
@@ -257,6 +258,24 @@ std::size_t resolveJobs(std::size_t requested) {
   return hw == 0 ? 1 : hw;
 }
 
+/// Runs `body`, recording what it throws as `point`'s failure (a budget
+/// trip as resourceLimited).  Returns whether it completed.
+template <typename Body>
+bool capture(SweepPoint& point, Body&& body) {
+  try {
+    body();
+    return true;
+  } catch (const support::BudgetExceeded& e) {
+    point.resourceLimited = true;
+    point.error = e.what();
+  } catch (const std::exception& e) {
+    point.error = e.what();
+  } catch (...) {
+    point.error = "unknown error (non-standard exception)";
+  }
+  return false;
+}
+
 /// Marks the non-dominated points (bufferTotal vs. period, both
 /// minimized) and returns their indices by ascending bufferTotal.  A
 /// point survives iff no other point is <= on both metrics and < on one.
@@ -455,37 +474,58 @@ SweepResult sweep(const AnalysisContext& ctx, const SweepSpec& spec) {
   const csdf::RepetitionVector& rv = ctx.repetition();
   const RateSafetyReport safety = checkRateSafety(ctx);
 
+  // Per-point budget: deadline/work cap from the spec, chained to the
+  // run-wide cancel flag.  Passed down only when actually limited, so an
+  // unbudgeted sweep pays nothing per firing.
+  const auto pointBudget = [&spec](support::Budget& budget,
+                                   support::Budget::Clock::time_point deadline)
+      -> support::Budget* {
+    if (spec.pointTimeoutMs > 0) budget.setDeadline(deadline);
+    if (spec.pointMaxWork > 0) {
+      budget.setMaxWork(static_cast<std::uint64_t>(spec.pointMaxWork));
+    }
+    budget.chainCancel(spec.budget);
+    return budget.limited() ? &budget : nullptr;
+  };
+
+  // Valuation-major: one task per parameter valuation j runs everything
+  // that does not depend on the platform (rate table, liveness, buffers,
+  // canonical period) once, then list-schedules that period for each
+  // variant v, i.e. grid point i = v * paramGrid + j.
   result.points.resize(pointCount);
-  support::ThreadPool pool(
-      std::min(resolveJobs(spec.jobs), std::max<std::size_t>(pointCount, 1)));
-  for (std::size_t i = 0; i < pointCount; ++i) {
-    pool.submit([&, i] {
-      SweepPoint& point = result.points[i];
-      // Decode the row-major grid index: platform variants vary slowest,
-      // then the first axis.
-      const PlatformVariant& variant =
-          variants[std::min(i / paramGrid, variants.size() - 1)];
-      std::size_t rest = i % paramGrid;
+  const std::size_t valuations = std::min(paramGrid, pointCount);
+  std::vector<Environment> valuationBindings(valuations);
+  const std::size_t workers = std::min(resolveJobs(spec.jobs), valuations);
+  support::ThreadPool pool(workers);
+  for (std::size_t j = 0; j < valuations; ++j) {
+    pool.submit([&, j] {
+      // Decode the row-major coordinates: the first axis varies slowest.
+      std::size_t rest = j;
       std::vector<std::int64_t> coords(spec.axes.size(), 0);
       for (std::size_t a = spec.axes.size(); a-- > 0;) {
         const std::size_t n = spec.axes[a].values.size();
         coords[a] = spec.axes[a].values[rest % n];
         rest /= n;
       }
-      // Per-point budget: deadline/work cap from the spec, chained to
-      // the run-wide cancel flag.  Passed down only when actually
-      // limited, so an unbudgeted sweep pays nothing per firing.
-      support::Budget pointBudget(spec.pointTimeoutMs, spec.pointMaxWork);
-      pointBudget.chainCancel(spec.budget);
-      support::Budget* budget =
-          pointBudget.limited() ? &pointBudget : nullptr;
-      try {
+
+      // The valuation's analyses, run under the budget every one of its
+      // points would start with.  `shared` is the point state they leave
+      // behind (a failure marks every variant the same way); the
+      // variants copy it and add their own list schedule.  Its bindings
+      // go to valuationBindings instead (see the second pass below).
+      const auto deadline = support::Budget::Clock::now() +
+                            std::chrono::milliseconds(spec.pointTimeoutMs);
+      support::Budget sharedBudget;
+      support::Budget* budget = pointBudget(sharedBudget, deadline);
+      SweepPoint shared;
+      AnalysisReport report;
+      std::optional<sched::CanonicalPeriod> period;
+      const bool sharedOk = capture(shared, [&] {
         Environment env = spec.fixed;
         for (std::size_t a = 0; a < spec.axes.size(); ++a) {
           env.bind(spec.axes[a].param, coords[a]);
         }
-        point.bindings = env;
-        point.platform = variant.label;
+        valuationBindings[j] = env;
 
         // The per-binding memoization, worker-local: evaluate every rate
         // expression exactly once and reuse the table across liveness,
@@ -498,60 +538,86 @@ SweepResult sweep(const AnalysisContext& ctx, const SweepSpec& spec) {
         }
         const graph::EvaluatedRates rates(ctx.view(), completed);
 
-        AnalysisReport report;
         report.repetition = rv;
         report.safety = safety;
         report.liveness = checkLiveness(ctx, env, 2, rates, budget);
 
-        point.consistent = report.consistent();
-        point.rateSafe = report.rateSafe();
-        point.live = report.live();
-        point.bounded = report.bounded();
-        if (!point.consistent) {
-          point.diagnostic = report.repetition.diagnostic;
-        } else if (!point.rateSafe) {
-          point.diagnostic = report.safety.diagnostic;
-        } else if (!point.live) {
-          point.diagnostic = report.liveness.diagnostic;
+        shared.consistent = report.consistent();
+        shared.rateSafe = report.rateSafe();
+        shared.live = report.live();
+        shared.bounded = report.bounded();
+        if (!shared.consistent) {
+          shared.diagnostic = report.repetition.diagnostic;
+        } else if (!shared.rateSafe) {
+          shared.diagnostic = report.safety.diagnostic;
+        } else if (!shared.live) {
+          shared.diagnostic = report.liveness.diagnostic;
         }
 
-        if (point.bounded && spec.computeBuffers) {
+        if (shared.bounded && spec.computeBuffers) {
           const csdf::BufferReport buffers = csdf::minimumBuffers(
               ctx.view(), rv, completed, spec.bufferPolicy, &rates, budget);
           if (buffers.ok) {
-            point.buffersComputed = true;
-            point.bufferTotal = buffers.total();
-            point.dataBufferTotal = buffers.dataTotal(g);
-            point.controlBufferTotal = buffers.controlTotal(g);
-          } else if (point.diagnostic.empty()) {
-            point.diagnostic = buffers.diagnostic;
+            shared.buffersComputed = true;
+            shared.bufferTotal = buffers.total();
+            shared.dataBufferTotal = buffers.dataTotal(g);
+            shared.controlBufferTotal = buffers.controlTotal(g);
+          } else if (shared.diagnostic.empty()) {
+            shared.diagnostic = buffers.diagnostic;
           }
         }
-        if (point.bounded && spec.computePeriod) {
-          const sched::CanonicalPeriod period(ctx.view(), rv, rates,
-                                              completed, budget);
-          sched::Platform plat{.peCount = spec.pes};
-          if (variant.pes != 0) plat.peCount = variant.pes;
-          if (variant.topology.has_value()) {
-            plat.linkLatency = variant.latency;
-            plat.topology = &*variant.topology;
-          }
-          const sched::ListSchedule schedule =
-              sched::listSchedule(period, plat, {}, budget);
-          point.periodComputed = true;
-          point.period = schedule.makespan;
-          point.throughput =
-              schedule.makespan > 0.0 ? 1.0 / schedule.makespan : 0.0;
+        if (shared.bounded && spec.computePeriod) {
+          period.emplace(ctx.view(), rv, rates, completed, budget);
         }
-        if (spec.keepReports) point.report = std::move(report);
-        point.ok = true;
-      } catch (const support::BudgetExceeded& e) {
-        point.resourceLimited = true;
-        point.error = e.what();
-      } catch (const std::exception& e) {
-        point.error = e.what();
-      } catch (...) {
-        point.error = "unknown error (non-standard exception)";
+      });
+      const std::uint64_t sharedWork = sharedBudget.work();
+
+      for (std::size_t i = j; i < pointCount; i += paramGrid) {
+        const PlatformVariant& variant =
+            variants[std::min(i / paramGrid, variants.size() - 1)];
+        SweepPoint& point = result.points[i];
+        point = shared;
+        point.platform = variant.label;
+        if (!sharedOk) continue;
+        point.ok = capture(point, [&] {
+          if (period.has_value()) {
+            // The point's own budget, already charged with the work its
+            // valuation's analyses spent: a cap trips at the same
+            // checkpoint as if the point had run them itself.
+            support::Budget variantBudget;
+            support::Budget* vb = pointBudget(variantBudget, deadline);
+            if (vb != nullptr) vb->charge(sharedWork);
+            sched::Platform plat{.peCount = spec.pes};
+            if (variant.pes != 0) plat.peCount = variant.pes;
+            if (variant.topology.has_value()) {
+              plat.linkLatency = variant.latency;
+              plat.topology = &*variant.topology;
+            }
+            const sched::ListSchedule schedule =
+                sched::listSchedule(*period, plat, {}, vb);
+            point.periodComputed = true;
+            point.period = schedule.makespan;
+            point.throughput =
+                schedule.makespan > 0.0 ? 1.0 / schedule.makespan : 0.0;
+          }
+          if (spec.keepReports) point.report = report;
+        });
+      }
+    });
+  }
+  pool.wait();
+
+  // The bindings are copied in a second pass, one contiguous run of
+  // points per worker, so that walking the points in order (rendering
+  // the document) reads them in allocation order.  Copied by the
+  // valuation tasks they land scattered, which slows the render of a
+  // 10k-point sweep by ~10%.
+  const std::size_t run = (pointCount + workers - 1) / workers;
+  for (std::size_t begin = 0; begin < pointCount; begin += run) {
+    pool.submit([&, begin] {
+      const std::size_t end = std::min(begin + run, pointCount);
+      for (std::size_t i = begin; i < end; ++i) {
+        result.points[i].bindings = valuationBindings[i % paramGrid];
       }
     });
   }

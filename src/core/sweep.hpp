@@ -5,18 +5,21 @@
 // sweep() makes that operational: a SweepSpec names per-parameter value
 // axes (ranges or explicit lists), the driver enumerates their cartesian
 // grid (hard-capped, with an explicit truncation record — never a silent
-// cut) and fans the points over a thread pool while sharing a single
-// read-only AnalysisContext:
+// cut) and fans the parameter valuations over a thread pool while
+// sharing a single read-only AnalysisContext:
 //
 //   * the structural GraphView and the symbolic repetition vector are
 //     computed once for the whole sweep (not once per point);
 //   * rate safety is parameter-independent, so its report is computed
 //     once and replicated into every point's AnalysisReport;
-//   * each point evaluates its integer rate tables exactly once and
-//     reuses them across liveness, buffer sizing and the canonical
-//     period (the per-binding memoization of AnalysisContext, done
-//     worker-locally so the shared context is never mutated — contexts
-//     are not internally synchronized).
+//   * each parameter valuation evaluates its integer rate tables
+//     exactly once and reuses them across liveness, buffer sizing and
+//     the canonical period (the per-binding memoization of
+//     AnalysisContext, done worker-locally so the shared context is
+//     never mutated — contexts are not internally synchronized);
+//   * none of those depend on the platform, so a valuation runs them
+//     once and every platform variant of it only list-schedules the
+//     shared canonical period (one pool task per valuation).
 //
 // Every point carries the full boundedness verdict plus two design
 // metrics: the minimum-buffer total (csdf::minimumBuffers) and the
@@ -114,14 +117,21 @@ struct SweepSpec {
   std::size_t platformVariants() const;
 
   /// Keep the full AnalysisReport on every point (the equivalence tests
-  /// need it).  Off by default: a 64k-point sweep retaining 64k sample
-  /// schedules would dwarf the metrics the sweep exists to produce.
+  /// need it); each platform variant gets its own copy of its
+  /// valuation's report.  Off by default: a 64k-point sweep retaining
+  /// 64k sample schedules would dwarf the metrics the sweep exists to
+  /// produce.
   bool keepReports = false;
 
   /// Per-point resource limits (0 = unlimited): each grid point gets its
   /// own budget with this deadline/work cap.  A point that trips it is
   /// recorded as a `resourceLimited` failure and the sweep continues —
-  /// graceful degradation, never a whole-run abort.
+  /// graceful degradation, never a whole-run abort.  A point's budget
+  /// includes its share of its valuation's work: the analyses its
+  /// platform variants share run once under the same limits (a trip
+  /// there marks every variant of the valuation), and each variant's
+  /// budget starts charged with their work and keeps their deadline, so
+  /// a work cap trips exactly where a point analyzed on its own would.
   std::int64_t pointTimeoutMs = 0;
   std::int64_t pointMaxWork = 0;
 

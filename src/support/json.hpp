@@ -130,24 +130,33 @@ class Value {
 
   /// Sets `key` in an object (replacing an existing member in place, so
   /// insertion order is stable under overwrite).  Throws on non-objects.
-  Value& set(std::string key, Value v) {
+  ///
+  /// set() and push() build the member in place from their argument
+  /// instead of taking a Value by value and moving it in: that saves a
+  /// move per member, and it keeps GCC 12's -Wmaybe-uninitialized from
+  /// misreading the inlined std::variant move of a temporary.
+  template <typename T>
+    requires std::is_constructible_v<Value, T&&>
+  Value& set(std::string key, T&& v) {
     Object& obj = mutableObject();
     for (Member& m : obj) {
       if (m.first == key) {
-        m.second = std::move(v);
+        m.second = Value(std::forward<T>(v));
         return *this;
       }
     }
-    obj.emplace_back(std::move(key), std::move(v));
+    obj.emplace_back(std::move(key), std::forward<T>(v));
     return *this;
   }
 
   /// Appends to an array.  Throws on non-arrays.
-  Value& push(Value v) {
+  template <typename T>
+    requires std::is_constructible_v<Value, T&&>
+  Value& push(T&& v) {
     if (!isArray()) {
       throw support::Error("json: push() on a non-array value");
     }
-    std::get<Array>(data_).push_back(std::move(v));
+    std::get<Array>(data_).emplace_back(std::forward<T>(v));
     return *this;
   }
 

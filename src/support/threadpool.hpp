@@ -1,8 +1,10 @@
 // A fixed-size thread pool with a single shared FIFO queue.
 //
-// Deliberately work-stealing-free: batch analysis jobs are coarse (one
-// whole graph each), so a mutex-guarded central queue is contention-free
-// in practice and keeps completion order reasoning trivial.  Workers are
+// Deliberately work-stealing-free: every job is coarse (a whole graph
+// in core::analyzeBatch, one parameter valuation and all its platform
+// variants in core::sweep, one request in the tpdfd server), so a
+// mutex-guarded central queue is contention-free in practice and keeps
+// completion order reasoning trivial.  Workers are
 // spawned once at construction and joined at destruction; submit() after
 // shutdown is a contract violation.
 //

@@ -1,25 +1,40 @@
 // Behaviour tests for the parametric sweep engine (core/sweep.hpp):
 // axis resolution and the spec grammar, cartesian grid enumeration with
 // the hard cap, the sweep-vs-fresh-analyze equivalence property, job-
-// count determinism, per-point failure capture and the Pareto frontier.
+// count determinism, per-point failure capture, the Pareto frontier, and
+// platform-axis sweeps against a golden document and a per-point oracle.
+//
+// Regenerate tests/golden/sweep_ofdm_platform.json (only when an
+// intentional output change lands):
+//   TPDF_WRITE_GOLDEN=1 ./tests/core_sweep_test --gtest_filter='*Golden*'
 #include "core/sweep.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "apps/ofdm.hpp"
 #include "apps/papergraphs.hpp"
 #include "apps/randomgraphs.hpp"
 #include "core/analysis.hpp"
 #include "core/context.hpp"
+#include "core/liveness.hpp"
+#include "core/safety.hpp"
 #include "csdf/buffer.hpp"
 #include "graph/builder.hpp"
+#include "graph/view.hpp"
+#include "platform/spec.hpp"
+#include "platform/topology.hpp"
 #include "sched/canonical.hpp"
 #include "sched/list.hpp"
 #include "sched/platform.hpp"
+#include "support/budget.hpp"
 #include "support/error.hpp"
 #include "support/prng.hpp"
 
@@ -438,6 +453,246 @@ TEST(Sweep, AnalysisOnlySkipsMetricsAndFrontier) {
     EXPECT_FALSE(point.pareto);
     EXPECT_FALSE(point.report.has_value());  // keepReports defaults off
   }
+}
+
+// ---- Platform axes: golden document and per-point oracle ----------------
+
+/// The OFDM demodulator (the paper's case study, CSDF projection) over
+/// 32 parameter valuations and 4 platform variants: 128 points.
+SweepSpec ofdmPlatformSpec() {
+  SweepSpec spec;
+  spec.axes.push_back(SweepAxis::parse("b", "1:8"));
+  spec.axes.push_back(SweepAxis::parse("N", "64,256"));
+  spec.axes.push_back(SweepAxis::parse("L", "1:2"));
+  spec.topologies = {"mesh:2x2", "bus:4"};
+  spec.linkBandwidths = {1.0, 16.0};
+  return spec;
+}
+
+constexpr std::size_t kOfdmValuations = 32;
+
+std::string sweepGoldenPath() {
+  return std::string(TPDF_SOURCE_DIR) +
+         "/tests/golden/sweep_ofdm_platform.json";
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return {};
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+/// Checkpoints a point spends before its list schedule, and in total.
+using WorkSplit = std::pair<std::uint64_t, std::uint64_t>;
+
+/// One point analyzed on its own, the long way: rate table, liveness,
+/// minimum buffers, canonical period and list schedule, under a private
+/// budget capped at `maxWork` (0 = unlimited).  `work`, when non-null,
+/// receives the checkpoints spent before the list schedule and in total.
+SweepPoint oraclePoint(const AnalysisContext& ctx, const SweepSpec& spec,
+                       const Environment& bindings, const std::string& label,
+                       std::uint64_t maxWork, WorkSplit* work = nullptr) {
+  const Graph& g = ctx.graph();
+  SweepPoint point;
+  point.bindings = bindings;
+  point.platform = label;
+  support::Budget budget;
+  if (maxWork != 0) budget.setMaxWork(maxWork);
+  support::Budget* b = maxWork != 0 ? &budget : nullptr;
+  try {
+    const graph::EvaluatedRates rates(ctx.view(), bindings);
+    AnalysisReport report;
+    report.repetition = ctx.repetition();
+    report.safety = checkRateSafety(ctx);
+    report.liveness = checkLiveness(ctx, bindings, 2, rates, b);
+    point.consistent = report.consistent();
+    point.rateSafe = report.rateSafe();
+    point.live = report.live();
+    point.bounded = report.bounded();
+    if (!point.live) point.diagnostic = report.liveness.diagnostic;
+    if (point.bounded) {
+      const csdf::BufferReport buffers =
+          csdf::minimumBuffers(ctx.view(), ctx.repetition(), bindings,
+                               spec.bufferPolicy, &rates, b);
+      if (!buffers.ok) ADD_FAILURE() << buffers.diagnostic;
+      point.buffersComputed = true;
+      point.bufferTotal = buffers.total();
+      point.dataBufferTotal = buffers.dataTotal(g);
+      point.controlBufferTotal = buffers.controlTotal(g);
+
+      const sched::CanonicalPeriod period(ctx.view(), ctx.repetition(), rates,
+                                          bindings, b);
+      if (work != nullptr) work->first = budget.work();
+      const platform::PlatformSpec ps =
+          platform::parsePlatformSpec(label).spec;
+      const platform::Topology topo = ps.build(spec.pes);
+      sched::Platform plat{.peCount = topo.peCount()};
+      if (!topo.ideal()) {
+        plat.linkLatency = ps.latency;
+        plat.topology = &topo;
+      }
+      const sched::ListSchedule schedule =
+          sched::listSchedule(period, plat, {}, b);
+      if (work != nullptr) work->second = budget.work();
+      point.periodComputed = true;
+      point.period = schedule.makespan;
+      point.throughput =
+          schedule.makespan > 0.0 ? 1.0 / schedule.makespan : 0.0;
+    }
+    point.ok = true;
+  } catch (const support::BudgetExceeded& e) {
+    point.resourceLimited = true;
+    point.error = e.what();
+  }
+  return point;
+}
+
+/// Every point of `result` equals its oracle point (Pareto membership
+/// is a whole-sweep property, so it is taken from the sweep).
+void expectMatchesOracle(const Graph& g, const SweepSpec& spec,
+                         const SweepResult& result) {
+  const AnalysisContext ctx(g);
+  for (std::size_t i = 0; i < result.points.size(); ++i) {
+    const SweepPoint& point = result.points[i];
+    SweepPoint oracle =
+        oraclePoint(ctx, spec, point.bindings, point.platform,
+                    static_cast<std::uint64_t>(spec.pointMaxWork));
+    oracle.pareto = point.pareto;
+    EXPECT_EQ(point.toJson().dump(), oracle.toJson().dump()) << "point " << i;
+    EXPECT_EQ(point.resourceLimited, oracle.resourceLimited) << "point " << i;
+  }
+}
+
+TEST(SweepPlatformAxes, GoldenDocumentAtOneAndFourJobs) {
+  const Graph g = apps::ofdmCsdfGraph();
+  SweepSpec spec = ofdmPlatformSpec();
+  spec.jobs = 1;
+  const std::string serial = sweep(g, spec).toJson().pretty() + "\n";
+  if (std::getenv("TPDF_WRITE_GOLDEN") != nullptr) {
+    std::ofstream out(sweepGoldenPath(), std::ios::binary);
+    ASSERT_TRUE(out.good()) << "cannot write " << sweepGoldenPath();
+    out << serial;
+    return;
+  }
+  const std::string expected = slurp(sweepGoldenPath());
+  ASSERT_FALSE(expected.empty()) << "missing golden file " << sweepGoldenPath();
+  EXPECT_EQ(expected, serial);
+  spec.jobs = 4;
+  EXPECT_EQ(expected, sweep(g, spec).toJson().pretty() + "\n");
+}
+
+TEST(SweepPlatformAxes, EveryPointMatchesTheOracle) {
+  const Graph g = apps::ofdmCsdfGraph();
+  SweepSpec spec = ofdmPlatformSpec();
+  spec.jobs = 4;
+  const SweepResult result = sweep(g, spec);
+  ASSERT_EQ(result.points.size(), kOfdmValuations * 4);
+  EXPECT_EQ(result.analyzed(), result.points.size());
+  expectMatchesOracle(g, spec, result);
+}
+
+TEST(SweepPlatformAxes, EveryVariantKeepsItsOwnReport) {
+  const Graph g = apps::fig2Tpdf();
+  SweepSpec spec;
+  spec.axes.push_back(SweepAxis::range("p", 1, 4));
+  spec.topologies = {"crossbar:4", "bus:4,bw=1,lat=1"};
+  spec.keepReports = true;
+  const SweepResult result = sweep(g, spec);
+  ASSERT_EQ(result.points.size(), 8u);
+  for (const SweepPoint& point : result.points) {
+    ASSERT_TRUE(point.ok) << point.error;
+    ASSERT_TRUE(point.report.has_value());
+    EXPECT_EQ(point.report->toJson(g).pretty(),
+              analyze(g, point.bindings).toJson(g).pretty());
+  }
+}
+
+TEST(SweepPlatformAxes, CapInsideAVariantKeepsThePrefixAndItsLabels) {
+  const Graph g = apps::ofdmCsdfGraph();
+  SweepSpec spec = ofdmPlatformSpec();
+  spec.jobs = 4;
+  const SweepResult full = sweep(g, spec);
+  spec.maxPoints = 2 * kOfdmValuations + 5;  // 5 points into variant 2
+  const SweepResult cut = sweep(g, spec);
+  EXPECT_EQ(cut.gridSize, full.points.size());
+  EXPECT_TRUE(cut.truncated);
+  ASSERT_EQ(cut.points.size(), spec.maxPoints);
+  for (std::size_t i = 0; i < cut.points.size(); ++i) {
+    SweepPoint expected = full.points[i];
+    expected.pareto = cut.points[i].pareto;
+    EXPECT_EQ(cut.points[i].toJson().dump(), expected.toJson().dump())
+        << "point " << i;
+    EXPECT_EQ(cut.points[i].platform, expected.platform) << "point " << i;
+  }
+  EXPECT_EQ(cut.points.back().platform, "bus:4,bw=1");
+  EXPECT_EQ(cut.points.back().bindings.lookup("b"), 2);
+}
+
+struct CapOutcome {
+  std::size_t ok = 0;
+  std::size_t inShared = 0;  // tripped before the list schedule
+  std::size_t inList = 0;    // tripped in the list schedule
+};
+
+/// Caps every point's work halfway into the list schedule of point
+/// `probe` and checks the sweep against the oracle at 1 and 4 jobs.
+CapOutcome sweepWithWorkCap(const Graph& g, SweepSpec spec, std::size_t probe) {
+  const SweepResult unlimited = sweep(g, spec);
+  const AnalysisContext ctx(g);
+  const auto workOf = [&](const SweepPoint& point) {
+    WorkSplit work;
+    oraclePoint(ctx, spec, point.bindings, point.platform,
+                std::numeric_limits<std::uint64_t>::max(), &work);
+    return work;
+  };
+  const auto [shared, total] = workOf(unlimited.points.at(probe));
+  EXPECT_LT(shared, total);
+  spec.pointMaxWork = static_cast<std::int64_t>(shared + (total - shared) / 2);
+
+  CapOutcome outcome;
+  for (const std::size_t jobs : {1u, 4u}) {
+    spec.jobs = jobs;
+    const SweepResult result = sweep(g, spec);
+    EXPECT_EQ(result.points.size(), unlimited.points.size());
+    expectMatchesOracle(g, spec, result);
+    outcome = CapOutcome{};
+    for (const SweepPoint& point : result.points) {
+      if (point.ok) {
+        ++outcome.ok;
+        continue;
+      }
+      EXPECT_TRUE(point.resourceLimited) << point.error;
+      const bool fitsShared =
+          workOf(point).first <= static_cast<std::uint64_t>(spec.pointMaxWork);
+      ++(fitsShared ? outcome.inList : outcome.inShared);
+    }
+  }
+  return outcome;
+}
+
+TEST(SweepPlatformAxes, WorkCapTripsWhereTheOracleDoes) {
+  // fig2's repetition vector grows with p, so one cap splits the grid:
+  // small p fits, the probe's valuation trips in its list schedules,
+  // large p trips in the shared analyses.
+  SweepSpec spec;
+  spec.axes.push_back(SweepAxis::range("p", 1, 8));
+  spec.topologies = {"mesh:2x2", "bus:4"};
+  spec.linkBandwidths = {1.0, 16.0};
+  const CapOutcome outcome = sweepWithWorkCap(apps::fig2Tpdf(), spec, 3);
+  EXPECT_GT(outcome.ok, 0u);
+  EXPECT_GT(outcome.inShared, 0u);
+  EXPECT_GT(outcome.inList, 0u);
+}
+
+TEST(SweepPlatformAxes, OfdmWorkCapTripsInEveryListSchedule) {
+  // Every OFDM actor fires once per iteration at any valuation, so all
+  // points spend the same work and the cap lands in every list schedule:
+  // the valuation's work must be charged to each point's budget.
+  const CapOutcome outcome =
+      sweepWithWorkCap(apps::ofdmCsdfGraph(), ofdmPlatformSpec(), 0);
+  EXPECT_EQ(outcome.inList, kOfdmValuations * 4);
 }
 
 }  // namespace

@@ -208,11 +208,13 @@ void emitDiagnostics(const api::Response& response) {
 }
 
 /// Renders a response whose text payload was already printed (or that
-/// has none), returning the documented exit code.
-int finish(const Cli& cli, const api::Response& response,
-           support::json::Value doc) {
+/// has none), returning the documented exit code.  `toJson` builds the
+/// response document and runs only under --json: text mode never builds
+/// a document it would not print.
+template <typename ToJson>
+int finish(const Cli& cli, const api::Response& response, ToJson&& toJson) {
   if (cli.json) {
-    emitJson(cli, std::move(doc));
+    emitJson(cli, toJson());
   } else {
     emitDiagnostics(response);
   }
@@ -474,7 +476,7 @@ int runSweep(const Cli& cli, api::Session& session, const std::string& id) {
       }
     }
   }
-  return finish(cli, response, response.toJson());
+  return finish(cli, response, [&] { return response.toJson(); });
 }
 
 int runAnalyze(const Cli& cli, api::Session& session, const std::string& id) {
@@ -491,7 +493,8 @@ int runAnalyze(const Cli& cli, api::Session& session, const std::string& id) {
   if (!cli.json && response.analysisRan) {
     std::printf("%s", response.report.toString(*session.graph(id)).c_str());
   }
-  return finish(cli, response, response.toJson(session.graph(id)));
+  return finish(cli, response,
+                [&] { return response.toJson(session.graph(id)); });
 }
 
 int runSchedule(const Cli& cli, api::Session& session, const std::string& id) {
@@ -523,7 +526,8 @@ int runSchedule(const Cli& cli, api::Session& session, const std::string& id) {
       std::printf("no schedule: %s\n", response.result.diagnostic.c_str());
     }
   }
-  return finish(cli, response, response.toJson(session.graph(id)));
+  return finish(cli, response,
+                [&] { return response.toJson(session.graph(id)); });
 }
 
 int runMap(const Cli& cli, api::Session& session, const std::string& id) {
@@ -544,7 +548,7 @@ int runMap(const Cli& cli, api::Session& session, const std::string& id) {
                 response.period->size());
     std::printf("%s", response.schedule.toString(*response.period).c_str());
   }
-  return finish(cli, response, response.toJson());
+  return finish(cli, response, [&] { return response.toJson(); });
 }
 
 int runSim(const Cli& cli, api::Session& session, const std::string& id) {
@@ -571,7 +575,8 @@ int runSim(const Cli& cli, api::Session& session, const std::string& id) {
       std::printf("%s", r.renderTrace(*session.graph(id)).c_str());
     }
   }
-  return finish(cli, response, response.toJson(session.graph(id)));
+  return finish(cli, response,
+                [&] { return response.toJson(session.graph(id)); });
 }
 
 int runDot(const Cli& cli, api::Session& session, const std::string& id) {
@@ -914,7 +919,7 @@ int runLoadtest(const Cli& cli) {
                 hotAnalysisUs,
                 analysisSum / static_cast<double>(samples.size()));
   }
-  return finish(cli, response, std::move(doc));
+  return finish(cli, response, [&] { return std::move(doc); });
 }
 
 int runConnect(const Cli& cli) {
@@ -958,7 +963,7 @@ int run(const Cli& cli) {
   loadRequest.path = cli.input;
   const api::LoadResponse loaded = session.load(loadRequest);
   if (!loaded.ok()) {
-    return finish(cli, loaded, loaded.toJson());
+    return finish(cli, loaded, [&] { return loaded.toJson(); });
   }
 
   if (cli.command == "analyze") return runAnalyze(cli, session, loaded.id);
