@@ -87,7 +87,8 @@ Graph paramChain(int n) {
 void BM_LivenessOnChain(benchmark::State& state) {
   const Graph g = randomChain(static_cast<int>(state.range(0)), 42);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(csdf::findSchedule(g));
+    benchmark::DoNotOptimize(
+        csdf::findSchedule(g, csdf::computeRepetitionVector(g)));
   }
   state.SetComplexityN(state.range(0));
 }
@@ -101,7 +102,8 @@ void BM_LivenessOnChainBudgeted(benchmark::State& state) {
   for (auto _ : state) {
     support::Budget budget(3'600'000, 1'000'000'000);
     benchmark::DoNotOptimize(
-        csdf::findSchedule(g, {}, csdf::SchedulePolicy::Eager, &budget));
+        csdf::findSchedule(g, csdf::computeRepetitionVector(g), {},
+                           csdf::SchedulePolicy::Eager, nullptr, &budget));
   }
   state.SetComplexityN(state.range(0));
 }
@@ -132,7 +134,8 @@ BENCHMARK(BM_RepetitionVectorOnChainHuge)
 void BM_LivenessOnChainHuge(benchmark::State& state) {
   const Graph g = randomChain(static_cast<int>(state.range(0)), 42);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(csdf::findSchedule(g));
+    benchmark::DoNotOptimize(
+        csdf::findSchedule(g, csdf::computeRepetitionVector(g)));
   }
   state.counters["actors"] = static_cast<double>(g.actorCount());
 }
@@ -143,7 +146,8 @@ void BM_ScheduleMinOccupancyOnChain(benchmark::State& state) {
   const Graph g = randomChain(static_cast<int>(state.range(0)), 42);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        csdf::findSchedule(g, {}, csdf::SchedulePolicy::MinOccupancy));
+        csdf::findSchedule(g, csdf::computeRepetitionVector(g), {},
+                           csdf::SchedulePolicy::MinOccupancy));
   }
 }
 BENCHMARK(BM_ScheduleMinOccupancyOnChain)->Arg(10)->Arg(100)->Arg(1000);
@@ -151,7 +155,8 @@ BENCHMARK(BM_ScheduleMinOccupancyOnChain)->Arg(10)->Arg(100)->Arg(1000);
 void BM_LivenessOnTree(benchmark::State& state) {
   const Graph g = tree(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(csdf::findSchedule(g));
+    benchmark::DoNotOptimize(
+        csdf::findSchedule(g, csdf::computeRepetitionVector(g)));
   }
 }
 BENCHMARK(BM_LivenessOnTree)->Arg(8);
@@ -160,7 +165,8 @@ void BM_ScheduleParamChain(benchmark::State& state) {
   const Graph g = paramChain(64);
   const symbolic::Environment env{{"p", state.range(0)}};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(csdf::findSchedule(g, env));
+    benchmark::DoNotOptimize(
+        csdf::findSchedule(g, csdf::computeRepetitionVector(g), env));
   }
 }
 BENCHMARK(BM_ScheduleParamChain)->Arg(16)->Arg(256);
@@ -170,7 +176,8 @@ void BM_ScheduleOfdmEffective(benchmark::State& state) {
   const symbolic::Environment env{
       {"b", state.range(0)}, {"N", 512}, {"L", 1}};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(csdf::findSchedule(g, env));
+    benchmark::DoNotOptimize(
+        csdf::findSchedule(g, csdf::computeRepetitionVector(g), env));
   }
 }
 BENCHMARK(BM_ScheduleOfdmEffective)->Arg(10)->Arg(100);
@@ -407,7 +414,8 @@ void BM_BufferSizingOfdm(benchmark::State& state) {
   const symbolic::Environment env{
       {"b", state.range(0)}, {"N", 512}, {"L", 1}};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(csdf::minimumBuffers(g, env));
+    benchmark::DoNotOptimize(
+        csdf::minimumBuffers(g, csdf::computeRepetitionVector(g), env));
   }
 }
 BENCHMARK(BM_BufferSizingOfdm)->Arg(10)->Arg(100);

@@ -17,7 +17,7 @@ using namespace tpdf;
 void printReproduction() {
   const graph::Graph g = apps::fig1Csdf();
   const csdf::RepetitionVector rv = csdf::computeRepetitionVector(g);
-  const csdf::LivenessResult live = csdf::findSchedule(g);
+  const csdf::LivenessResult live = csdf::findSchedule(g, rv);
 
   std::printf("=== Figure 1 (Section II-A): CSDF example ===\n");
   support::Table table({"quantity", "paper", "measured"});
@@ -40,7 +40,8 @@ BENCHMARK(BM_Fig1RepetitionVector);
 void BM_Fig1ScheduleConstruction(benchmark::State& state) {
   const graph::Graph g = apps::fig1Csdf();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(csdf::findSchedule(g));
+    benchmark::DoNotOptimize(
+        csdf::findSchedule(g, csdf::computeRepetitionVector(g)));
   }
 }
 BENCHMARK(BM_Fig1ScheduleConstruction);

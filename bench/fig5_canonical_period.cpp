@@ -20,7 +20,8 @@ using symbolic::Environment;
 
 void printCanonicalPeriod() {
   const graph::Graph g = apps::fig2Tpdf();
-  const sched::CanonicalPeriod cp(g, Environment{{"p", 1}});
+  const sched::CanonicalPeriod cp(core::AnalysisContext(g),
+                                  Environment{{"p", 1}});
 
   std::printf("=== Figure 5: canonical period of Figure 2 at p = 1 ===\n");
   support::Table table({"occurrence", "depends on"});
@@ -45,7 +46,8 @@ void printMakespanSweep() {
       "=== Makespan sweep (Section III-D heuristic, unit exec times) ===\n");
   support::Table table({"p", "PEs", "occurrences", "makespan"});
   for (std::int64_t p : {1, 2, 4, 8}) {
-    const sched::CanonicalPeriod cp(g, Environment{{"p", p}});
+    const sched::CanonicalPeriod cp(core::AnalysisContext(g),
+                                    Environment{{"p", p}});
     for (std::size_t pes : {1u, 2u, 4u, 8u}) {
       const sched::ListSchedule ls =
           sched::listSchedule(cp, sched::Platform{.peCount = pes});
@@ -61,14 +63,16 @@ void BM_CanonicalPeriodConstruction(benchmark::State& state) {
   const graph::Graph g = apps::fig2Tpdf();
   const Environment env{{"p", state.range(0)}};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sched::CanonicalPeriod(g, env));
+    benchmark::DoNotOptimize(
+        sched::CanonicalPeriod(g, csdf::computeRepetitionVector(g),
+                               graph::EvaluatedRates(g, env), env));
   }
 }
 BENCHMARK(BM_CanonicalPeriodConstruction)->Arg(1)->Arg(16)->Arg(256);
 
 void BM_ListScheduling(benchmark::State& state) {
   const graph::Graph g = apps::fig2Tpdf();
-  const sched::CanonicalPeriod cp(g,
+  const sched::CanonicalPeriod cp(core::AnalysisContext(g),
                                   Environment{{"p", state.range(0)}});
   const sched::Platform platform{.peCount = 4};
   for (auto _ : state) {

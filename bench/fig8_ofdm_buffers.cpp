@@ -32,8 +32,10 @@ void sweep(std::int64_t N) {
 
   for (std::int64_t beta = 10; beta <= 100; beta += 10) {
     const Environment env{{"b", beta}, {"N", N}, {"L", L}};
-    const csdf::BufferReport tpdf = csdf::minimumBuffers(tpdfGraph, env);
-    const csdf::BufferReport csdf = csdf::minimumBuffers(csdfGraph, env);
+    const csdf::BufferReport tpdf = csdf::minimumBuffers(
+        tpdfGraph, csdf::computeRepetitionVector(tpdfGraph), env);
+    const csdf::BufferReport csdf = csdf::minimumBuffers(
+        csdfGraph, csdf::computeRepetitionVector(csdfGraph), env);
     if (!tpdf.ok || !csdf.ok) {
       std::printf("buffer analysis failed: %s%s\n",
                   tpdf.diagnostic.c_str(), csdf.diagnostic.c_str());

@@ -24,7 +24,7 @@ using symbolic::Environment;
 void ablate(const std::string& name, const graph::Graph& g,
             const Environment& env) {
   std::printf("--- %s ---\n", name.c_str());
-  const sched::CanonicalPeriod cp(g, env);
+  const sched::CanonicalPeriod cp(core::AnalysisContext(g), env);
 
   support::Table table({"PEs", "link latency", "ctl priority ON",
                         "ctl priority OFF", "dedicated ctl PE"});

@@ -80,7 +80,8 @@ int main(int argc, char** argv) {
               "allowing dynamic topology changes\", Section V).\n",
               active, apps::kFmBands, apps::kFmBands);
 
-  const csdf::BufferReport csdfBuffers = csdf::minimumBuffers(csdfGraph);
+  const csdf::BufferReport csdfBuffers = csdf::minimumBuffers(
+      csdfGraph, csdf::computeRepetitionVector(csdfGraph));
   if (csdfBuffers.ok) {
     std::printf("CSDF per-iteration buffer total: %lld tokens; TPDF saves "
                 "the %d unused band paths (32 tokens each).\n",

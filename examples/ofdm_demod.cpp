@@ -184,7 +184,8 @@ int main(int argc, char** argv) {
   // Compare the dynamic footprint with the static Figure 8 analysis.
   const graph::Graph effective = apps::ofdmTpdfEffective(constellation);
   const csdf::BufferReport buffers = csdf::minimumBuffers(
-      effective, symbolic::Environment{{"b", beta}, {"N", N}, {"L", L}});
+      effective, csdf::computeRepetitionVector(effective),
+      symbolic::Environment{{"b", beta}, {"N", N}, {"L", L}});
   std::int64_t dynamicTotal = 0;
   for (const auto& ch : result.channels) dynamicTotal += ch.maxOccupancy;
   std::printf("buffer demand: dynamic (full graph) %lld tokens, static "

@@ -42,7 +42,8 @@ int main() {
 
   // 3. Buffer sizing for a concrete parameter value.
   const symbolic::Environment env{{"p", 4}};
-  const csdf::BufferReport buffers = csdf::minimumBuffers(g, env);
+  const csdf::BufferReport buffers =
+      csdf::minimumBuffers(g, report.repetition, env);
   if (buffers.ok) {
     std::printf("minimum buffers at p=4: total %lld tokens (%lld data, "
                 "%lld control)\n\n",

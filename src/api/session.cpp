@@ -372,18 +372,15 @@ MapContention contentionReport(const core::TpdfGraph& model,
   }
   out.idealPeriod = schedule.makespan;
 
-  // Steady-state periods: simulated time between completing `warmup`
-  // and `warmup + window` iterations, divided by the window.  Skipped
-  // (block stays static-only) when the firing budget would be blown or
-  // the graph cannot simulate unattended (clock actors).
+  // Steady-state periods (sim::measureSteadyState), contended and not.
+  // Skipped (block stays static-only) when the firing budget would be
+  // blown or the graph cannot simulate unattended (clock actors).
   const graph::Graph& g = model.graph();
-  const std::int64_t warmup =
-      2 * static_cast<std::int64_t>(g.actorCount()) + 4;
-  constexpr std::int64_t kWindow = 8;
+  const std::int64_t iterations =
+      sim::SteadyState::warmupFor(g.actorCount()) + sim::SteadyState::kWindow;
   const auto perIteration = static_cast<std::int64_t>(cp.size());
   const sim::SimOptions defaults;
-  if (perIteration <= 0 ||
-      warmup + kWindow > defaults.maxFirings / perIteration) {
+  if (perIteration <= 0 || iterations > defaults.maxFirings / perIteration) {
     return out;
   }
   // Placement: round-robin over the fabric, the same distribution the
@@ -396,31 +393,34 @@ MapContention contentionReport(const core::TpdfGraph& model,
   for (std::size_t i = 0; i < actorPe.size(); ++i) {
     actorPe[i] = i % plat.peCount;
   }
-  const auto measure = [&](bool contended, std::int64_t iterations) {
-    sim::Simulator simulator(model, env, &ctx);
-    sim::SimOptions o;
-    o.budget = budget;
-    o.iterations = iterations;
-    if (contended) {
-      o.fabric = &topo;
-      o.actorPe = actorPe;
-    }
-    return simulator.run(o);
+  const auto measure = [&](bool contended) {
+    return sim::measureSteadyState(g.actorCount(), [&](std::int64_t n) {
+      sim::Simulator simulator(model, env, &ctx);
+      sim::SimOptions o;
+      o.budget = budget;
+      o.iterations = n;
+      if (contended) {
+        o.fabric = &topo;
+        o.actorPe = actorPe;
+      }
+      return simulator.run(o);
+    });
   };
-  const sim::SimResult c1 = measure(true, warmup);
-  if (!c1.ok) return out;
-  const sim::SimResult c2 = measure(true, warmup + kWindow);
-  const sim::SimResult u1 = measure(false, warmup);
-  const sim::SimResult u2 = measure(false, warmup + kWindow);
-  if (!c2.ok || !u1.ok || !u2.ok) return out;
-  out.simulatedPeriod = (c2.endTime - c1.endTime) / kWindow;
-  out.uncontendedPeriod = (u2.endTime - u1.endTime) / kWindow;
+  const sim::SteadyState onFabric = measure(true);
+  if (!onFabric.warm.ok) return out;
+  const sim::SteadyState ideal = measure(false);
+  if (!onFabric.windowed.ok || !ideal.warm.ok || !ideal.windowed.ok) {
+    return out;
+  }
+  out.simulatedPeriod = onFabric.period;
+  out.uncontendedPeriod = ideal.period;
   if (out.uncontendedPeriod > 0.0) {
     out.slowdown = out.simulatedPeriod / out.uncontendedPeriod;
   }
   // With a measured run in hand, report the links as the simulation
   // actually used them (real token volumes, steady-state occupancy)
   // instead of the static unit-token estimate.
+  const sim::SimResult& c2 = onFabric.windowed;
   if (c2.links.size() == out.links.size() && c2.endTime > 0.0) {
     double measuredMax = -1.0;
     for (std::size_t l = 0; l < out.links.size(); ++l) {

@@ -50,8 +50,8 @@ AnalysisReport analyze(const graph::Graph& g,
                        support::Budget* budget = nullptr);
 
 /// Staged-pass variant: consistency, safety and liveness all consume the
-/// context's shared intermediates (view, memoized repetition vector,
-/// per-valuation rate tables).  Re-analyzing through the same context
+/// context's shared intermediates (frozen graph, memoized repetition
+/// vector, per-valuation rate tables).  Re-analyzing through the same context
 /// re-derives nothing structural; reports are identical to the Graph
 /// overloads.
 AnalysisReport analyze(const AnalysisContext& ctx,

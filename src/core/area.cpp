@@ -9,10 +9,7 @@ using graph::Graph;
 
 namespace {
 
-// Shared over Graph and GraphView: both expose outChannels/inChannels
-// (vector vs span) and the channel->actor maps under the same names.
-template <class G>
-std::set<ActorId> successorsOf(const G& g, const std::set<ActorId>& from) {
+std::set<ActorId> successorsOf(const Graph& g, const std::set<ActorId>& from) {
   std::set<ActorId> out;
   for (ActorId a : from) {
     for (graph::ChannelId c : g.outChannels(a)) {
@@ -22,8 +19,8 @@ std::set<ActorId> successorsOf(const G& g, const std::set<ActorId>& from) {
   return out;
 }
 
-template <class G>
-std::set<ActorId> predecessorsOf(const G& g, const std::set<ActorId>& from) {
+std::set<ActorId> predecessorsOf(const Graph& g,
+                                 const std::set<ActorId>& from) {
   std::set<ActorId> out;
   for (ActorId a : from) {
     for (graph::ChannelId c : g.inChannels(a)) {
@@ -33,8 +30,9 @@ std::set<ActorId> predecessorsOf(const G& g, const std::set<ActorId>& from) {
   return out;
 }
 
-template <class G>
-ControlArea controlAreaImpl(const G& g, ActorId ctl) {
+}  // namespace
+
+ControlArea controlArea(const Graph& g, ActorId ctl) {
   ControlArea area;
   area.control = ctl;
   area.prec = predecessorsOf(g, {ctl});
@@ -53,16 +51,6 @@ ControlArea controlAreaImpl(const G& g, ActorId ctl) {
   area.all.insert(area.infl.begin(), area.infl.end());
   area.all.erase(ctl);
   return area;
-}
-
-}  // namespace
-
-ControlArea controlArea(const Graph& g, ActorId ctl) {
-  return controlAreaImpl(g, ctl);
-}
-
-ControlArea controlArea(const graph::GraphView& view, ActorId ctl) {
-  return controlAreaImpl(view, ctl);
 }
 
 std::string ControlArea::toString(const Graph& g) const {

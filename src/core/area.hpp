@@ -10,7 +10,6 @@
 #include <string>
 
 #include "graph/graph.hpp"
-#include "graph/view.hpp"
 
 namespace tpdf::core {
 
@@ -26,10 +25,7 @@ struct ControlArea {
   std::string toString(const graph::Graph& g) const;
 };
 
-/// Computes Area(ctl) per Definition 3.
+/// Computes Area(ctl) per Definition 3 over the frozen CSR adjacency.
 ControlArea controlArea(const graph::Graph& g, graph::ActorId ctl);
-
-/// Same over a precomputed view (CSR adjacency, no per-call vectors).
-ControlArea controlArea(const graph::GraphView& view, graph::ActorId ctl);
 
 }  // namespace tpdf::core

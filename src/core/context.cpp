@@ -11,10 +11,11 @@ using graph::Graph;
 
 AnalysisContext::AnalysisContext(const Graph& g)
     : g_(&g),
-      view_(g),
       syncedRevision_(g.revision()),
       syncedShapeRevision_(g.shapeRevision()),
-      syncedActorCount_(g.actorCount()) {}
+      syncedActorCount_(g.actorCount()) {
+  g.freeze();
+}
 
 std::string AnalysisContext::cacheKey(const symbolic::Environment& env) {
   std::string key;
@@ -42,8 +43,8 @@ void AnalysisContext::computeComponents() const {
     return x;
   };
   for (const graph::Channel& c : g_->channels()) {
-    const std::uint32_t a = find(view_.sourceActor(c.id).index());
-    const std::uint32_t b = find(view_.destActor(c.id).index());
+    const std::uint32_t a = find(g_->sourceActor(c.id).index());
+    const std::uint32_t b = find(g_->destActor(c.id).index());
     // Union by index keeps the root the lowest member, so component ids
     // come out ordered by their minimum actor.
     if (a < b) {
@@ -75,7 +76,7 @@ void AnalysisContext::sync() const {
   ++stats_.syncs;
   std::vector<Graph::Touch> touches;
   const bool tracked = g_->touchesSince(syncedRevision_, touches);
-  view_.refresh();
+  g_->freeze();
   const std::uint64_t shapeRev = g_->shapeRevision();
   const std::size_t n = g_->actorCount();
 
@@ -144,11 +145,11 @@ void AnalysisContext::sync() const {
             }
           }
           csdf::RepetitionVector partial =
-              csdf::computeRepetitionVector(view_, mask);
+              csdf::computeRepetitionVector(*g_, mask);
           if (!partial.consistent) {
             // Fall back to the full solve so the diagnostic is the
             // canonical (first-failure-in-id-order) one.
-            repetition_ = csdf::computeRepetitionVector(view_);
+            repetition_ = csdf::computeRepetitionVector(*g_);
           } else {
             repetition_.r.resize(n);
             repetition_.q.resize(n);
@@ -187,7 +188,7 @@ void AnalysisContext::sync() const {
 const csdf::RepetitionVector& AnalysisContext::repetition() const {
   sync();
   if (!repetitionComputed_) {
-    repetition_ = csdf::computeRepetitionVector(view_);
+    repetition_ = csdf::computeRepetitionVector(*g_);
     repetitionComputed_ = true;
   }
   return repetition_;
@@ -199,7 +200,7 @@ const graph::EvaluatedRates& AnalysisContext::rates(
   std::string key = cacheKey(env);
   const auto it = rateCache_.find(key);
   if (it != rateCache_.end()) return it->second;
-  return rateCache_.emplace(std::move(key), graph::EvaluatedRates(view_, env))
+  return rateCache_.emplace(std::move(key), graph::EvaluatedRates(*g_, env))
       .first->second;
 }
 
@@ -228,7 +229,7 @@ bool AnalysisContext::live(const symbolic::Environment& env,
         if (componentOf_[i] == c) mask[i] = 1;
       }
       it = byComp
-               .emplace(sig, csdf::findSchedule(view_, rv, env, policy,
+               .emplace(sig, csdf::findSchedule(*g_, rv, env, policy,
                                                 &rates(env), nullptr, mask))
                .first;
       ++stats_.livenessComponentsComputed;

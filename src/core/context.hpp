@@ -2,11 +2,11 @@
 //
 // The chain (consistency -> safety -> liveness -> boundedness), the
 // canonical/ADF/list schedulers and the simulator all need the same
-// derived facts about one graph: the structural GraphView, the symbolic
-// repetition vector, and the integer rate tables of each parameter
-// valuation they run under.  An AnalysisContext computes each of those
-// once and hands out references, so staged passes consume one set of
-// intermediates instead of re-traversing the Graph per pass.
+// derived facts about one graph: its frozen structure (Graph::freeze),
+// the symbolic repetition vector, and the integer rate tables of each
+// parameter valuation they run under.  An AnalysisContext computes each
+// of those once and hands out references, so staged passes consume one
+// set of intermediates instead of re-deriving them per pass.
 //
 // Revision awareness: the context is tied to a Graph *revision*, not to
 // an immutable Graph.  Every accessor first sync()s against
@@ -15,8 +15,8 @@
 // affect, at connected-component granularity:
 //
 //   * repetition(): the balance system decomposes per component, so only
-//     components containing a touched actor are re-solved (through the
-//     masked computeRepetitionVector overload); untouched components
+//     components containing a touched actor are re-solved (through
+//     computeRepetitionVector's actor mask); untouched components
 //     keep their normalized sub-vectors verbatim.
 //   * rates(env): tables survive edits that keep the rate-table layout
 //     (setExecTime, addChannel, addParam — tracked by
@@ -43,7 +43,7 @@
 #include "csdf/liveness.hpp"
 #include "csdf/repetition.hpp"
 #include "graph/graph.hpp"
-#include "graph/view.hpp"
+#include "graph/rates.hpp"
 #include "symbolic/env.hpp"
 
 namespace tpdf::core {
@@ -53,9 +53,11 @@ class AnalysisContext {
   explicit AnalysisContext(const graph::Graph& g);
 
   const graph::Graph& graph() const { return *g_; }
-  const graph::GraphView& view() const {
+  /// The graph after sync(): caches are current and its derived storage
+  /// is frozen, so concurrent readers of an unedited graph only read.
+  const graph::Graph& view() const {
     sync();
-    return view_;
+    return *g_;
   }
 
   /// The symbolic repetition vector (Theorem 1), computed on first use
@@ -118,7 +120,6 @@ class AnalysisContext {
   static std::string cacheKey(const symbolic::Environment& env);
 
   const graph::Graph* g_;
-  mutable graph::GraphView view_;
   mutable std::uint64_t syncedRevision_;
   mutable std::uint64_t syncedShapeRevision_;
   mutable std::size_t syncedActorCount_;

@@ -328,8 +328,10 @@ void checkBuffers(CheckContext& cc, const AnalysisReport& analysis) {
     cc.skip("buffers", "repetition vector exceeds the firing budget");
     return;
   }
-  const csdf::BufferReport buffers = csdf::minimumBuffers(
-      g, cc.env, csdf::SchedulePolicy::MinOccupancy, cc.options.budget);
+  const csdf::BufferReport buffers =
+      csdf::minimumBuffers(g, analysis.repetition, cc.env,
+                           csdf::SchedulePolicy::MinOccupancy, nullptr,
+                           cc.options.budget);
   if (!buffers.ok) {
     cc.skip("buffers", "minimumBuffers failed: " + buffers.diagnostic);
     return;
@@ -407,43 +409,56 @@ void checkBuffers(CheckContext& cc, const AnalysisReport& analysis) {
                  firstShrunk);
 }
 
+/// Both steady-state runs completed and drained back to the initial
+/// token distribution.
+bool cleanRun(const sim::SteadyState& s) {
+  return s.warm.ok && s.warm.returnedToInitialState && s.windowed.ok &&
+         s.windowed.returnedToInitialState;
+}
+
+/// The busiest actor's workload per iteration over the measurement
+/// window: no steady-state period can undercut it, since every actor
+/// fires serially.
+double workloadLowerBound(const CheckContext& cc, std::int64_t warmup) {
+  constexpr std::int64_t kWindow = sim::SteadyState::kWindow;
+  double bound = 0.0;
+  for (const graph::Actor& a : cc.model.graph().actors()) {
+    const double w = actorWorkload(a, cc.q[a.id.index()], warmup,
+                                   warmup + kWindow) /
+                     static_cast<double>(kWindow);
+    bound = std::max(bound, w);
+  }
+  return bound;
+}
+
 void checkThroughput(CheckContext& cc, const AnalysisReport& analysis) {
   const Graph& g = cc.model.graph();
   if (!analysis.bounded()) {
     cc.skip("throughput", "graph is not bounded");
     return;
   }
-  const std::int64_t warmup =
-      2 * static_cast<std::int64_t>(g.actorCount()) + 4;
-  constexpr std::int64_t kWindow = 8;
-  if (!cc.withinBudget(warmup + kWindow)) {
+  const std::int64_t warmup = sim::SteadyState::warmupFor(g.actorCount());
+  if (!cc.withinBudget(warmup + sim::SteadyState::kWindow)) {
     cc.skip("throughput", "repetition vector exceeds the firing budget");
     return;
   }
-  const sim::SimResult first = cc.simulate(cc.model, warmup);
-  const sim::SimResult second = cc.simulate(cc.model, warmup + kWindow);
+  const sim::SteadyState steady =
+      sim::measureSteadyState(g.actorCount(), [&](std::int64_t iterations) {
+        return cc.simulate(cc.model, iterations);
+      });
   cc.verdict.checksRun.push_back("throughput");
-  if (!first.ok || !first.returnedToInitialState || !second.ok ||
-      !second.returnedToInitialState) {
+  if (!cleanRun(steady)) {
     cc.discrepancy("throughput",
                    "warmup/window simulations of a bounded graph did not "
                    "complete cleanly",
                    g);
     return;
   }
-  // Both runs end with the same drain transient, so the difference over
-  // the window isolates the steady-state iteration period.
-  const double measured =
-      (second.endTime - first.endTime) / static_cast<double>(kWindow);
-
-  double workloadBound = 0.0;
-  for (const graph::Actor& a : g.actors()) {
-    const double w = actorWorkload(a, cc.q[a.id.index()], warmup,
-                                   warmup + kWindow) /
-                     static_cast<double>(kWindow);
-    workloadBound = std::max(workloadBound, w);
-  }
-  const sched::CanonicalPeriod period(g, cc.env, cc.options.budget);
+  const double measured = steady.period;
+  const double workloadBound = workloadLowerBound(cc, warmup);
+  const sched::CanonicalPeriod period(
+      g, analysis.repetition, graph::EvaluatedRates(g, cc.env), cc.env,
+      cc.options.budget);
   const double pathBound = criticalPath(period);
 
   const double tol = cc.options.throughputTolerance;
@@ -483,10 +498,8 @@ void checkContention(CheckContext& cc, const AnalysisReport& analysis) {
     cc.skip("contention", "graph is not bounded");
     return;
   }
-  const std::int64_t warmup =
-      2 * static_cast<std::int64_t>(g.actorCount()) + 4;
-  constexpr std::int64_t kWindow = 8;
-  if (!cc.withinBudget(warmup + kWindow)) {
+  const std::int64_t warmup = sim::SteadyState::warmupFor(g.actorCount());
+  if (!cc.withinBudget(warmup + sim::SteadyState::kWindow)) {
     cc.skip("contention", "repetition vector exceeds the firing budget");
     return;
   }
@@ -497,33 +510,25 @@ void checkContention(CheckContext& cc, const AnalysisReport& analysis) {
   for (const graph::Actor& a : g.actors()) {
     actorPe[a.id.index()] = a.id.index() % pes;
   }
-  const sim::SimResult c1 = cc.simulateOn(cc.model, warmup, fabric, actorPe);
-  const sim::SimResult c2 =
-      cc.simulateOn(cc.model, warmup + kWindow, fabric, actorPe);
-  const sim::SimResult u1 = cc.simulate(cc.model, warmup);
-  const sim::SimResult u2 = cc.simulate(cc.model, warmup + kWindow);
+  const sim::SteadyState onBus =
+      sim::measureSteadyState(g.actorCount(), [&](std::int64_t iterations) {
+        return cc.simulateOn(cc.model, iterations, fabric, actorPe);
+      });
+  const sim::SteadyState ideal =
+      sim::measureSteadyState(g.actorCount(), [&](std::int64_t iterations) {
+        return cc.simulate(cc.model, iterations);
+      });
   cc.verdict.checksRun.push_back("contention");
-  if (!c1.ok || !c1.returnedToInitialState || !c2.ok ||
-      !c2.returnedToInitialState || !u1.ok || !u1.returnedToInitialState ||
-      !u2.ok || !u2.returnedToInitialState) {
+  if (!cleanRun(onBus) || !cleanRun(ideal)) {
     cc.discrepancy("contention",
                    "contended/uncontended simulations of a bounded graph "
                    "did not complete cleanly",
                    g);
     return;
   }
-  const double contended =
-      (c2.endTime - c1.endTime) / static_cast<double>(kWindow);
-  const double uncontended =
-      (u2.endTime - u1.endTime) / static_cast<double>(kWindow);
-
-  double workloadBound = 0.0;
-  for (const graph::Actor& a : g.actors()) {
-    const double w = actorWorkload(a, cc.q[a.id.index()], warmup,
-                                   warmup + kWindow) /
-                     static_cast<double>(kWindow);
-    workloadBound = std::max(workloadBound, w);
-  }
+  const double contended = onBus.period;
+  const double uncontended = ideal.period;
+  const double workloadBound = workloadLowerBound(cc, warmup);
 
   const double tol = cc.options.throughputTolerance;
   const double eps = 1e-9;

@@ -22,7 +22,7 @@ namespace {
 /// assumed live, which is the clustering abstraction of Section III-C.
 /// Rates come pre-evaluated from the shared context tables.
 struct CycleSim {
-  const graph::GraphView& view;
+  const Graph& g;
   const graph::EvaluatedRates& rates;
   std::vector<ActorId> actors;                   // cycle members
   std::vector<std::int64_t> target;              // qL per member
@@ -30,15 +30,15 @@ struct CycleSim {
   std::vector<ChannelId> internalChannels;
   std::vector<std::int64_t> occupancy;           // per internal channel
 
-  CycleSim(const graph::GraphView& v, const graph::EvaluatedRates& er,
+  CycleSim(const Graph& source, const graph::EvaluatedRates& er,
            const std::vector<ActorId>& members,
            const std::vector<std::int64_t>& localCounts)
-      : view(v), rates(er), actors(members), target(localCounts),
+      : g(source), rates(er), actors(members), target(localCounts),
         fired(members.size(), 0) {
     std::set<ActorId> memberSet(members.begin(), members.end());
-    for (const graph::Channel& c : view.graph().channels()) {
-      if (memberSet.count(view.sourceActor(c.id)) != 0 &&
-          memberSet.count(view.destActor(c.id)) != 0) {
+    for (const graph::Channel& c : g.channels()) {
+      if (memberSet.count(g.sourceActor(c.id)) != 0 &&
+          memberSet.count(g.destActor(c.id)) != 0) {
         internalChannels.push_back(c.id);
         occupancy.push_back(c.initialTokens);
       }
@@ -59,7 +59,6 @@ struct CycleSim {
   bool enabled(std::size_t mi) const {
     if (fired[mi] >= target[mi]) return false;
     const ActorId a = actors[mi];
-    const Graph& g = view.graph();
     for (graph::PortId pid : g.actor(a).ports) {
       const graph::Port& p = g.port(pid);
       if (!graph::isInput(p.kind)) continue;
@@ -73,7 +72,6 @@ struct CycleSim {
 
   void fire(std::size_t mi, csdf::Schedule* schedule) {
     const ActorId a = actors[mi];
-    const Graph& g = view.graph();
     for (graph::PortId pid : g.actor(a).ports) {
       const graph::Port& p = g.port(pid);
       const std::size_t ci = internalIndex(p.channel);
@@ -100,12 +98,12 @@ struct CycleSim {
 /// Strict clustering: does some single-appearance order of whole blocks
 /// a^{qL_a} execute?  Greedy: commit any actor whose entire remaining
 /// block can fire in one run.
-bool strictBlockSchedule(const graph::GraphView& view,
+bool strictBlockSchedule(const Graph& g,
                          const graph::EvaluatedRates& rates,
                          const std::vector<ActorId>& members,
                          const std::vector<std::int64_t>& counts,
                          support::Budget* budget) {
-  CycleSim sim(view, rates, members, counts);
+  CycleSim sim(g, rates, members, counts);
   while (!sim.done()) {
     bool progressed = false;
     for (std::size_t mi = 0; mi < sim.actors.size() && !progressed; ++mi) {
@@ -135,12 +133,12 @@ bool strictBlockSchedule(const graph::GraphView& view,
 }
 
 /// Late schedule: greedy per-firing interleaving (subsumes ref. [8]).
-bool lateSchedule(const graph::GraphView& view,
+bool lateSchedule(const Graph& g,
                   const graph::EvaluatedRates& rates,
                   const std::vector<ActorId>& members,
                   const std::vector<std::int64_t>& counts,
                   csdf::Schedule* out, support::Budget* budget) {
-  CycleSim sim(view, rates, members, counts);
+  CycleSim sim(g, rates, members, counts);
   while (!sim.done()) {
     support::Budget::checkpoint(budget);
     bool progressed = false;
@@ -172,8 +170,7 @@ LivenessReport checkLivenessOver(const AnalysisContext& ctx,
                                  std::int64_t sampleValue,
                                  const graph::EvaluatedRates* providedRates,
                                  support::Budget* budget) {
-  const Graph& g = ctx.graph();
-  const graph::GraphView& view = ctx.view();
+  const Graph& g = ctx.view();
   LivenessReport report;
   if (!rv.consistent) {
     report.diagnostic = "graph is not rate consistent: " + rv.diagnostic;
@@ -192,7 +189,7 @@ LivenessReport checkLivenessOver(const AnalysisContext& ctx,
       providedRates != nullptr ? *providedRates
                                : ctx.rates(report.sampleEnv);
 
-  const SccResult scc = stronglyConnectedComponents(view);
+  const SccResult scc = stronglyConnectedComponents(g);
 
   bool allCyclesLive = true;
   for (std::size_t c : scc.nonTrivial) {
@@ -215,8 +212,8 @@ LivenessReport checkLivenessOver(const AnalysisContext& ctx,
     }
 
     cycle.strictClusterable =
-        strictBlockSchedule(view, sampleRates, cycle.actors, counts, budget);
-    cycle.lateSchedulable = lateSchedule(view, sampleRates, cycle.actors,
+        strictBlockSchedule(g, sampleRates, cycle.actors, counts, budget);
+    cycle.lateSchedulable = lateSchedule(g, sampleRates, cycle.actors,
                                          counts, &cycle.localSchedule, budget);
     if (!cycle.lateSchedulable) {
       std::string names;
@@ -233,9 +230,9 @@ LivenessReport checkLivenessOver(const AnalysisContext& ctx,
   }
 
   // Whole-graph symbolic execution at the sample valuation, over the
-  // shared view and integer rate tables.
+  // shared integer rate tables.
   csdf::LivenessResult global =
-      csdf::findSchedule(view, rv, report.sampleEnv,
+      csdf::findSchedule(g, rv, report.sampleEnv,
                          csdf::SchedulePolicy::Eager, &sampleRates, budget);
   report.sampleSchedule = std::move(global.schedule);
 

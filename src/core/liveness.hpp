@@ -68,10 +68,9 @@ LivenessReport checkLiveness(const graph::Graph& g,
                              std::int64_t sampleValue = 2,
                              support::Budget* budget = nullptr);
 
-/// Same through a shared context: SCCs and cycle simulations read the
-/// view's adjacency, the repetition vector is the memoized one, and the
-/// sample-valuation integer rate tables are shared with the global
-/// schedule search instead of re-evaluated per cycle.
+/// Same through a shared context: the repetition vector is the memoized
+/// one, and the sample-valuation integer rate tables are shared with the
+/// global schedule search instead of re-evaluated per cycle.
 LivenessReport checkLiveness(const AnalysisContext& ctx,
                              const symbolic::Environment& env = {},
                              std::int64_t sampleValue = 2,
@@ -80,7 +79,7 @@ LivenessReport checkLiveness(const AnalysisContext& ctx,
 /// Race-free variant for concurrent callers (the sweep driver): the
 /// caller supplies the integer rate tables instead of going through the
 /// context's mutable rate cache, so many threads can share one context
-/// read-only.  `sampleRates` must have been built over ctx.view() under
+/// read-only.  `sampleRates` must have been built over ctx.graph() under
 /// `env` completed with `sampleValue` for every unbound parameter (the
 /// same environment checkLiveness would build internally); reports are
 /// identical to the cached overload.

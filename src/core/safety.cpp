@@ -12,16 +12,16 @@ namespace {
 
 /// Checks Equation 9 on one channel between the control actor and a
 /// neighbour.  Returns an empty string on success, a diagnostic otherwise.
-std::string checkChannel(const graph::GraphView& view,
+std::string checkChannel(const Graph& g,
                          const graph::Channel& c, bool controlIsProducer,
                          const Expr& qLNeighbour) {
   const graph::PortId ctlPort = controlIsProducer ? c.src : c.dst;
   const graph::PortId actorPort = controlIsProducer ? c.dst : c.src;
   try {
     const Expr ctlSide =
-        view.effectiveRates(ctlPort).cumulative(std::int64_t{1});
+        g.effectiveRates(ctlPort).cumulative(std::int64_t{1});
     const Expr actorSide =
-        view.effectiveRates(actorPort).cumulative(qLNeighbour);
+        g.effectiveRates(actorPort).cumulative(qLNeighbour);
     if (ctlSide != actorSide) {
       return "channel '" + c.name + "': control transfers " +
              ctlSide.toString() + " token(s) per firing but its area " +
@@ -33,9 +33,10 @@ std::string checkChannel(const graph::GraphView& view,
   return "";
 }
 
-RateSafetyReport checkRateSafetyOver(const graph::GraphView& view,
-                                     const csdf::RepetitionVector& rv) {
-  const Graph& g = view.graph();
+}  // namespace
+
+RateSafetyReport checkRateSafety(const Graph& g,
+                                 const csdf::RepetitionVector& rv) {
   RateSafetyReport report;
   if (!rv.consistent) {
     report.diagnostic = "graph is not rate consistent: " + rv.diagnostic;
@@ -48,7 +49,7 @@ RateSafetyReport checkRateSafetyOver(const graph::GraphView& view,
 
     ControlSafety cs;
     cs.control = actor.id;
-    cs.area = controlArea(view, actor.id);
+    cs.area = controlArea(g, actor.id);
     cs.local = localSolution(g, rv, cs.area.all);
     if (!cs.local.ok) {
       cs.diagnostic = cs.local.diagnostic;
@@ -78,12 +79,12 @@ RateSafetyReport checkRateSafetyOver(const graph::GraphView& view,
     // Equation 9 on every channel between the control actor and its
     // predecessors / successors.
     if (ok) {
-      for (graph::ChannelId cid : view.outChannels(actor.id)) {
+      for (graph::ChannelId cid : g.outChannels(actor.id)) {
         const graph::Channel& c = g.channel(cid);
-        const ActorId neighbour = view.destActor(cid);
+        const ActorId neighbour = g.destActor(cid);
         if (neighbour == actor.id) continue;  // self-loop: no Eq. 9 form
         const std::string err =
-            checkChannel(view, c, /*controlIsProducer=*/true,
+            checkChannel(g, c, /*controlIsProducer=*/true,
                          cs.local.of(neighbour));
         if (!err.empty()) {
           cs.diagnostic = err;
@@ -93,12 +94,12 @@ RateSafetyReport checkRateSafetyOver(const graph::GraphView& view,
       }
     }
     if (ok) {
-      for (graph::ChannelId cid : view.inChannels(actor.id)) {
+      for (graph::ChannelId cid : g.inChannels(actor.id)) {
         const graph::Channel& c = g.channel(cid);
-        const ActorId neighbour = view.sourceActor(cid);
+        const ActorId neighbour = g.sourceActor(cid);
         if (neighbour == actor.id) continue;  // self-loop: no Eq. 9 form
         const std::string err =
-            checkChannel(view, c, /*controlIsProducer=*/false,
+            checkChannel(g, c, /*controlIsProducer=*/false,
                          cs.local.of(neighbour));
         if (!err.empty()) {
           cs.diagnostic = err;
@@ -118,15 +119,8 @@ RateSafetyReport checkRateSafetyOver(const graph::GraphView& view,
   return report;
 }
 
-}  // namespace
-
-RateSafetyReport checkRateSafety(const Graph& g,
-                                 const csdf::RepetitionVector& rv) {
-  return checkRateSafetyOver(graph::GraphView(g), rv);
-}
-
 RateSafetyReport checkRateSafety(const AnalysisContext& ctx) {
-  return checkRateSafetyOver(ctx.view(), ctx.repetition());
+  return checkRateSafety(ctx.view(), ctx.repetition());
 }
 
 support::json::Value RateSafetyReport::toJson(const Graph& g) const {

@@ -48,8 +48,7 @@ struct RateSafetyReport {
 RateSafetyReport checkRateSafety(const graph::Graph& g,
                                  const csdf::RepetitionVector& rv);
 
-/// Same through a shared context (view adjacency + memoized repetition
-/// vector).
+/// Same through a shared context (its memoized repetition vector).
 RateSafetyReport checkRateSafety(const AnalysisContext& ctx);
 
 }  // namespace tpdf::core

@@ -90,28 +90,9 @@ struct TarjanState {
   }
 };
 
-/// Shared tail: runs Tarjan over a prebuilt successor list and marks the
-/// non-trivial components.
-SccResult sccOverSuccessors(std::size_t actorCount,
-                            std::vector<std::vector<std::size_t>> successors,
-                            const std::vector<bool>& selfLoop) {
-  TarjanState state(actorCount, std::move(successors));
-  state.run();
-  SccResult result = std::move(state.result);
-  for (std::size_t c = 0; c < result.members.size(); ++c) {
-    if (result.members[c].size() > 1 ||
-        selfLoop[result.members[c][0].index()]) {
-      result.nonTrivial.push_back(c);
-    }
-  }
-  return result;
-}
+}  // namespace
 
-/// Shared front-end over Graph and GraphView: both expose actorCount,
-/// channelCount and the channel->actor endpoint maps under the same
-/// names (the area.cpp pattern).
-template <class G>
-SccResult sccOver(const G& g) {
+SccResult stronglyConnectedComponents(const Graph& g) {
   std::vector<std::vector<std::size_t>> successors(g.actorCount());
   std::vector<bool> selfLoop(g.actorCount(), false);
   for (std::size_t c = 0; c < g.channelCount(); ++c) {
@@ -121,15 +102,16 @@ SccResult sccOver(const G& g) {
     successors[src].push_back(dst);
     if (src == dst) selfLoop[src] = true;
   }
-  return sccOverSuccessors(g.actorCount(), std::move(successors), selfLoop);
-}
-
-}  // namespace
-
-SccResult stronglyConnectedComponents(const Graph& g) { return sccOver(g); }
-
-SccResult stronglyConnectedComponents(const graph::GraphView& view) {
-  return sccOver(view);
+  TarjanState state(g.actorCount(), std::move(successors));
+  state.run();
+  SccResult result = std::move(state.result);
+  for (std::size_t c = 0; c < result.members.size(); ++c) {
+    if (result.members[c].size() > 1 ||
+        selfLoop[result.members[c][0].index()]) {
+      result.nonTrivial.push_back(c);
+    }
+  }
+  return result;
 }
 
 }  // namespace tpdf::core

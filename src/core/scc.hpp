@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "graph/view.hpp"
 
 namespace tpdf::core {
 
@@ -23,10 +22,7 @@ struct SccResult {
   std::vector<std::size_t> nonTrivial;
 };
 
+/// Tarjan over the frozen channel->actor endpoint arrays.
 SccResult stronglyConnectedComponents(const graph::Graph& g);
-
-/// Same decomposition over a precomputed view (flat channel->actor maps,
-/// no adjacency re-derivation).
-SccResult stronglyConnectedComponents(const graph::GraphView& view);
 
 }  // namespace tpdf::core

@@ -536,7 +536,7 @@ SweepResult sweep(const AnalysisContext& ctx, const SweepSpec& spec) {
         for (const std::string& param : g.params()) {
           if (!completed.has(param)) completed.bind(param, 2);
         }
-        const graph::EvaluatedRates rates(ctx.view(), completed);
+        const graph::EvaluatedRates rates(g, completed);
 
         report.repetition = rv;
         report.safety = safety;
@@ -556,7 +556,7 @@ SweepResult sweep(const AnalysisContext& ctx, const SweepSpec& spec) {
 
         if (shared.bounded && spec.computeBuffers) {
           const csdf::BufferReport buffers = csdf::minimumBuffers(
-              ctx.view(), rv, completed, spec.bufferPolicy, &rates, budget);
+              g, rv, completed, spec.bufferPolicy, &rates, budget);
           if (buffers.ok) {
             shared.buffersComputed = true;
             shared.bufferTotal = buffers.total();
@@ -567,7 +567,7 @@ SweepResult sweep(const AnalysisContext& ctx, const SweepSpec& spec) {
           }
         }
         if (shared.bounded && spec.computePeriod) {
-          period.emplace(ctx.view(), rv, rates, completed, budget);
+          period.emplace(g, rv, rates, completed, budget);
         }
       });
       const std::uint64_t sharedWork = sharedBudget.work();

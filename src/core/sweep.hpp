@@ -8,7 +8,7 @@
 // cut) and fans the parameter valuations over a thread pool while
 // sharing a single read-only AnalysisContext:
 //
-//   * the structural GraphView and the symbolic repetition vector are
+//   * the frozen graph structure and the symbolic repetition vector are
 //     computed once for the whole sweep (not once per point);
 //   * rate safety is parameter-independent, so its report is computed
 //     once and replicated into every point's AnalysisReport;

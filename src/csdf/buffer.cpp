@@ -55,40 +55,27 @@ support::json::Value BufferReport::toJson(const graph::Graph& g) const {
 }
 
 BufferReport minimumBuffers(const graph::Graph& g,
-                            const symbolic::Environment& env,
-                            SchedulePolicy policy, support::Budget* budget) {
-  const graph::GraphView view(g);
-  return minimumBuffers(view, computeRepetitionVector(view), env, policy,
-                        nullptr, budget);
-}
-
-BufferReport minimumBuffers(const graph::GraphView& view,
                             const RepetitionVector& rv,
                             const symbolic::Environment& env,
                             SchedulePolicy policy,
                             const graph::EvaluatedRates* rates,
                             support::Budget* budget) {
   BufferReport report;
-  LivenessResult live = findSchedule(view, rv, env, policy, rates, budget);
+  LivenessResult live = findSchedule(g, rv, env, policy, rates, budget);
   if (!live.live) {
     report.diagnostic = live.diagnostic;
     return report;
   }
-  return buffersForSchedule(view, std::move(live.schedule), env, rates,
+  return buffersForSchedule(g, std::move(live.schedule), env, rates,
                             budget);
 }
 
 BufferReport buffersForSchedule(const graph::Graph& g, Schedule s,
-                                const symbolic::Environment& env) {
-  return buffersForSchedule(graph::GraphView(g), std::move(s), env);
-}
-
-BufferReport buffersForSchedule(const graph::GraphView& view, Schedule s,
                                 const symbolic::Environment& env,
                                 const graph::EvaluatedRates* rates,
                                 support::Budget* budget) {
   BufferReport report;
-  const ScheduleCheck check = validateSchedule(view, s, env, rates, budget);
+  const ScheduleCheck check = validateSchedule(g, s, env, rates, budget);
   if (!check.ok) {
     report.diagnostic = check.diagnostic;
     return report;

@@ -44,19 +44,12 @@ struct BufferReport {
 };
 
 /// Computes per-channel minimum buffer sizes for one iteration of `g`
-/// under `env`.  A non-null `budget` is checkpointed once per firing of
-/// the schedule search and replay and may abort with
+/// under `env`: the schedule search and its replay both reuse `rv` (and
+/// `rates`, when non-null — built from `g` under `env`) instead of
+/// recomputing them.  A non-null `budget` is checkpointed once per
+/// firing of the schedule search and replay and may abort with
 /// support::BudgetExceeded.
-BufferReport minimumBuffers(const graph::Graph& g,
-                            const symbolic::Environment& env = {},
-                            SchedulePolicy policy = SchedulePolicy::MinOccupancy,
-                            support::Budget* budget = nullptr);
-
-/// Shared-intermediate variant: schedule search and validation both run
-/// over `view`, reusing `rv` (and `rates`, when non-null) instead of
-/// recomputing them.
-BufferReport minimumBuffers(const graph::GraphView& view,
-                            const RepetitionVector& rv,
+BufferReport minimumBuffers(const graph::Graph& g, const RepetitionVector& rv,
                             const symbolic::Environment& env = {},
                             SchedulePolicy policy = SchedulePolicy::MinOccupancy,
                             const graph::EvaluatedRates* rates = nullptr,
@@ -64,9 +57,8 @@ BufferReport minimumBuffers(const graph::GraphView& view,
 
 /// Buffer sizes for a caller-provided schedule, which the report keeps
 /// (taken by value: move a schedule in that is not needed afterwards).
+/// `rates` and `budget` as for validateSchedule.
 BufferReport buffersForSchedule(const graph::Graph& g, Schedule s,
-                                const symbolic::Environment& env = {});
-BufferReport buffersForSchedule(const graph::GraphView& view, Schedule s,
                                 const symbolic::Environment& env = {},
                                 const graph::EvaluatedRates* rates = nullptr,
                                 support::Budget* budget = nullptr);

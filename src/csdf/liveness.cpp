@@ -35,12 +35,11 @@ struct EvalActor {
   std::vector<std::int64_t> delta;
 };
 
-std::vector<EvalActor> buildEvalActors(const graph::GraphView& view,
+std::vector<EvalActor> buildEvalActors(const Graph& g,
                                        const graph::EvaluatedRates& er) {
-  const Graph& g = view.graph();
   std::vector<EvalActor> actors(g.actorCount());
   for (const graph::Actor& a : g.actors()) {
-    const std::int64_t tau = view.phases(a.id);
+    const std::int64_t tau = g.phases(a.id);
     EvalActor& ea = actors[a.id.index()];
     ea.delta.assign(static_cast<std::size_t>(tau), 0);
     for (graph::PortId pid : a.ports) {
@@ -48,8 +47,7 @@ std::vector<EvalActor> buildEvalActors(const graph::GraphView& view,
       EvalPort ep;
       ep.channel = p.channel.index();
       const bool input = graph::isInput(p.kind);
-      ep.dstActor =
-          input ? a.id.index() : view.destActor(p.channel).index();
+      ep.dstActor = input ? a.id.index() : g.destActor(p.channel).index();
       ep.rates = er.of(pid);
       for (std::int64_t i = 0; i < tau; ++i) {
         ea.delta[static_cast<std::size_t>(i)] +=
@@ -64,27 +62,18 @@ std::vector<EvalActor> buildEvalActors(const graph::GraphView& view,
 
 }  // namespace
 
-LivenessResult findSchedule(const Graph& g, const symbolic::Environment& env,
-                            SchedulePolicy policy, support::Budget* budget) {
-  const graph::GraphView view(g);
-  return findSchedule(view, computeRepetitionVector(view), env, policy,
-                      nullptr, budget);
-}
-
 LivenessResult findSchedule(const Graph& g, const RepetitionVector& rv,
-                            const symbolic::Environment& env,
-                            SchedulePolicy policy, support::Budget* budget) {
-  return findSchedule(graph::GraphView(g), rv, env, policy, nullptr, budget);
-}
-
-LivenessResult findSchedule(const graph::GraphView& view,
-                            const RepetitionVector& rv,
                             const symbolic::Environment& env,
                             SchedulePolicy policy,
                             const graph::EvaluatedRates* rates,
                             support::Budget* budget,
                             std::span<const char> actorMask) {
-  const Graph& g = view.graph();
+  if (!actorMask.empty() && actorMask.size() != g.actorCount()) {
+    throw support::Error("actor mask has " +
+                         std::to_string(actorMask.size()) +
+                         " entries for " + std::to_string(g.actorCount()) +
+                         " actors");
+  }
   LivenessResult out;
   if (!rv.consistent) {
     out.diagnostic = "graph is not rate consistent: " + rv.diagnostic;
@@ -105,8 +94,8 @@ LivenessResult findSchedule(const graph::GraphView& view,
   }
 
   std::optional<graph::EvaluatedRates> localRates;
-  if (rates == nullptr) rates = &localRates.emplace(view, env);
-  const std::vector<EvalActor> eval = buildEvalActors(view, *rates);
+  if (rates == nullptr) rates = &localRates.emplace(g, env);
+  const std::vector<EvalActor> eval = buildEvalActors(g, *rates);
   std::vector<std::int64_t> occupancy(g.channelCount());
   for (const graph::Channel& c : g.channels()) {
     occupancy[c.id.index()] = c.initialTokens;

@@ -24,7 +24,7 @@
 #include "csdf/repetition.hpp"
 #include "csdf/schedule.hpp"
 #include "graph/graph.hpp"
-#include "graph/view.hpp"
+#include "graph/rates.hpp"
 #include "support/budget.hpp"
 #include "symbolic/env.hpp"
 
@@ -47,42 +47,29 @@ struct LivenessResult {
   std::vector<std::int64_t> q;
 };
 
-/// Simulates one iteration of `g` with parameters bound by `env`.
-/// Control channels and ports participate like data (the conservative
-/// all-ports-required rule sound for deadlock detection: token selection
-/// by control actors removes no dependencies that could cure a deadlock).
+/// Simulates one iteration of `g` with parameters bound by `env`, given
+/// its repetition vector `rv` (an inconsistent `rv` yields a non-live
+/// result carrying its diagnostic).  Control channels and ports
+/// participate like data (the conservative all-ports-required rule sound
+/// for deadlock detection: token selection by control actors removes no
+/// dependencies that could cure a deadlock).  When `rates` is non-null
+/// the integer rate tables are reused instead of re-evaluating every
+/// rate expression (`rates` must have been built from `g` under `env`).
 /// A non-null `budget` is checkpointed once per firing and may abort the
 /// search with support::BudgetExceeded.
-LivenessResult findSchedule(const graph::Graph& g,
-                            const symbolic::Environment& env = {},
-                            SchedulePolicy policy = SchedulePolicy::Eager,
-                            support::Budget* budget = nullptr);
-
-/// Variant reusing an already-computed repetition vector.
-LivenessResult findSchedule(const graph::Graph& g,
-                            const RepetitionVector& rv,
-                            const symbolic::Environment& env,
-                            SchedulePolicy policy,
-                            support::Budget* budget = nullptr);
-
-/// Fully shared-intermediate variant: adjacency and phase counts come
-/// from `view`, and when `rates` is non-null the integer rate tables are
-/// reused instead of re-evaluating every rate expression (`rates` must
-/// have been built from `view` under `env`).  Firing orders are identical
-/// to the Graph overloads.
 ///
-/// A non-empty `actorMask` restricts the simulation to the masked-in
-/// actors: everything else gets q = 0 and never fires.  Masking whole
-/// connected components is exact — components share no channels, so a
-/// component is live in the full graph iff it is live alone — which is
-/// how core::AnalysisContext re-checks only the components an edit
-/// touched.  The masked schedule covers only masked actors (it is the
+/// A non-empty `actorMask` (one entry per actor; any other size throws
+/// support::Error) restricts the simulation to the masked-in actors:
+/// everything else gets q = 0 and never fires.  Masking whole connected
+/// components is exact — components share no channels, so a component is
+/// live in the full graph iff it is live alone — which is how
+/// core::AnalysisContext re-checks only the components an edit touched.
+/// The masked schedule covers only masked actors (it is the
 /// eager/min-occupancy order of that subgraph, not a slice of the full
 /// schedule).
-LivenessResult findSchedule(const graph::GraphView& view,
-                            const RepetitionVector& rv,
-                            const symbolic::Environment& env,
-                            SchedulePolicy policy,
+LivenessResult findSchedule(const graph::Graph& g, const RepetitionVector& rv,
+                            const symbolic::Environment& env = {},
+                            SchedulePolicy policy = SchedulePolicy::Eager,
                             const graph::EvaluatedRates* rates = nullptr,
                             support::Budget* budget = nullptr,
                             std::span<const char> actorMask = {});

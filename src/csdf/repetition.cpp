@@ -38,23 +38,18 @@ support::json::Value RepetitionVector::toJson(const Graph& g) const {
   return doc;
 }
 
-std::vector<std::vector<Expr>> topologyMatrix(const graph::GraphView& view) {
-  const Graph& g = view.graph();
+std::vector<std::vector<Expr>> topologyMatrix(const Graph& g) {
   std::vector<std::vector<Expr>> gamma(
       g.channelCount(), std::vector<Expr>(g.actorCount()));
   for (const graph::Channel& c : g.channels()) {
     // Gamma_{u,j} += X_j(tau_j) for the producer, -Y_j(tau_j) for the
     // consumer; += handles self-loops correctly.
-    gamma[c.id.index()][view.sourceActor(c.id).index()] +=
-        view.periodSum(c.src);
-    gamma[c.id.index()][view.destActor(c.id).index()] -=
-        view.periodSum(c.dst);
+    gamma[c.id.index()][g.sourceActor(c.id).index()] +=
+        g.effectiveRates(c.src).periodSum();
+    gamma[c.id.index()][g.destActor(c.id).index()] -=
+        g.effectiveRates(c.dst).periodSum();
   }
   return gamma;
-}
-
-std::vector<std::vector<Expr>> topologyMatrix(const Graph& g) {
-  return topologyMatrix(graph::GraphView(g));
 }
 
 namespace {
@@ -70,17 +65,14 @@ struct Balance {
 
 }  // namespace
 
-RepetitionVector computeRepetitionVector(const Graph& g) {
-  return computeRepetitionVector(graph::GraphView(g));
-}
-
-RepetitionVector computeRepetitionVector(const graph::GraphView& view) {
-  return computeRepetitionVector(view, {});
-}
-
-RepetitionVector computeRepetitionVector(const graph::GraphView& view,
+RepetitionVector computeRepetitionVector(const Graph& g,
                                          std::span<const char> actorMask) {
-  const Graph& g = view.graph();
+  if (!actorMask.empty() && actorMask.size() != g.actorCount()) {
+    throw support::Error("actor mask has " +
+                         std::to_string(actorMask.size()) +
+                         " entries for " + std::to_string(g.actorCount()) +
+                         " actors");
+  }
   RepetitionVector out;
   const auto included = [&](std::size_t actor) {
     return actorMask.empty() || actorMask[actor] != 0;
@@ -91,8 +83,8 @@ RepetitionVector computeRepetitionVector(const graph::GraphView& view,
   std::vector<std::vector<std::size_t>> adjacency(g.actorCount());
   for (const graph::Channel& c : g.channels()) {
     Balance b;
-    b.prod = view.sourceActor(c.id);
-    b.cons = view.destActor(c.id);
+    b.prod = g.sourceActor(c.id);
+    b.cons = g.destActor(c.id);
     if (!included(b.prod.index()) || !included(b.cons.index())) {
       if (included(b.prod.index()) != included(b.cons.index())) {
         throw support::Error("actor mask splits a connected component at "
@@ -100,8 +92,8 @@ RepetitionVector computeRepetitionVector(const graph::GraphView& view,
       }
       continue;
     }
-    b.prodTotal = view.periodSum(c.src);
-    b.consTotal = view.periodSum(c.dst);
+    b.prodTotal = g.effectiveRates(c.src).periodSum();
+    b.consTotal = g.effectiveRates(c.dst).periodSum();
     b.channel = c.id;
     adjacency[b.prod.index()].push_back(balances.size());
     adjacency[b.cons.index()].push_back(balances.size());
@@ -235,8 +227,7 @@ RepetitionVector computeRepetitionVector(const graph::GraphView& view,
       out.q.emplace_back();
       continue;
     }
-    const std::int64_t tau =
-        view.phases(ActorId(static_cast<std::uint32_t>(i)));
+    const std::int64_t tau = g.phases(ActorId(static_cast<std::uint32_t>(i)));
     out.q.push_back(rs[i] * Expr(tau));
   }
   return out;

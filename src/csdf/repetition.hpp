@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "graph/view.hpp"
 #include "support/json.hpp"
 #include "symbolic/expr.hpp"
 
@@ -43,32 +42,26 @@ struct RepetitionVector {
 
 /// Computes the symbolic repetition vector of `g` (all channels present,
 /// control channels included — the paper checks consistency on the fully
-/// connected graph).
-RepetitionVector computeRepetitionVector(const graph::Graph& g);
-
-/// Same, reading period sums and phase counts from a precomputed view
-/// (no per-channel RateSeq copies).  The Graph overload builds a
-/// temporary view and forwards here.
-RepetitionVector computeRepetitionVector(const graph::GraphView& view);
-
-/// Restricted solve over a subset of actors: only actors with
-/// `actorMask[i] != 0` (and the channels between them) participate; r/q
-/// entries of excluded actors are left default-constructed.  Because the
-/// balance system decomposes per connected component and each component
-/// is seeded and normalized independently, solving a union of whole
-/// components through this overload yields exactly the entries the full
-/// solve would — which is what core::AnalysisContext relies on to
-/// re-solve only the components an edit touched.  `actorMask` must cover
-/// whole components (a channel with exactly one masked-in endpoint is an
-/// error).
-RepetitionVector computeRepetitionVector(const graph::GraphView& view,
-                                         std::span<const char> actorMask);
+/// connected graph).  Period sums and phase counts come from the frozen
+/// graph (no per-channel RateSeq copies).
+///
+/// A non-empty `actorMask` (one entry per actor; any other size throws
+/// support::Error) restricts the solve to a subset of actors: only
+/// actors with `actorMask[i] != 0` (and the channels between them)
+/// participate; r/q entries of excluded actors are left
+/// default-constructed.  Because the balance system decomposes per
+/// connected component and each component is seeded and normalized
+/// independently, solving a union of whole components this way yields
+/// exactly the entries the full solve would — which is what
+/// core::AnalysisContext relies on to re-solve only the components an
+/// edit touched.  The mask must cover whole components (a channel with
+/// exactly one masked-in endpoint is an error).
+RepetitionVector computeRepetitionVector(const graph::Graph& g,
+                                         std::span<const char> actorMask = {});
 
 /// The topology matrix Gamma of Equation (3): one row per channel, one
 /// column per actor; entry = total period production (positive) or
 /// consumption (negative) of that actor on that channel.
 std::vector<std::vector<symbolic::Expr>> topologyMatrix(const graph::Graph& g);
-std::vector<std::vector<symbolic::Expr>> topologyMatrix(
-    const graph::GraphView& view);
 
 }  // namespace tpdf::csdf

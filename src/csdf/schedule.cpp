@@ -69,15 +69,9 @@ support::json::Value Schedule::toJson(const Graph& g) const {
 }
 
 ScheduleCheck validateSchedule(const Graph& g, const Schedule& s,
-                               const symbolic::Environment& env) {
-  return validateSchedule(graph::GraphView(g), s, env);
-}
-
-ScheduleCheck validateSchedule(const graph::GraphView& view, const Schedule& s,
                                const symbolic::Environment& env,
                                const graph::EvaluatedRates* rates,
                                support::Budget* budget) {
-  const Graph& g = view.graph();
   // Without caller-provided tables, rates are evaluated lazily per
   // event (the legacy behaviour): a partial schedule must stay
   // checkable even when actors it never fires have unbound or
@@ -85,7 +79,7 @@ ScheduleCheck validateSchedule(const graph::GraphView& view, const Schedule& s,
   const auto rateAt = [&](graph::PortId pid, std::int64_t k) {
     return rates != nullptr
                ? rates->at(pid, k)
-               : view.effectiveRates(pid).at(k).evaluateInt(env);
+               : g.effectiveRates(pid).at(k).evaluateInt(env);
   };
 
   ScheduleCheck check;

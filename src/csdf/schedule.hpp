@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "graph/view.hpp"
+#include "graph/rates.hpp"
 #include "support/budget.hpp"
 #include "support/json.hpp"
 #include "symbolic/env.hpp"
@@ -95,17 +95,13 @@ struct ScheduleCheck {
 
 /// Executes `s` token-accurately under `env` and checks that no channel
 /// ever goes negative.  All ports of an actor are treated as required
-/// (the conservative dataflow rule used by the static analyses).
+/// (the conservative dataflow rule used by the static analyses).  When
+/// `rates` is non-null (built from `g` under `env`) no rate expression is
+/// re-evaluated at all.  Without `rates`, rates are evaluated lazily per
+/// firing event, so a partial schedule stays checkable even when actors
+/// it never fires have unbound parameters under `env`.  A non-null
+/// `budget` is checkpointed once per replayed firing.
 ScheduleCheck validateSchedule(const graph::Graph& g, const Schedule& s,
-                               const symbolic::Environment& env = {});
-
-/// Same, over a precomputed view; when `rates` is non-null (built from
-/// `view` under `env`) no rate expression is re-evaluated at all.
-/// Without `rates`, rates are evaluated lazily per firing event, so a
-/// partial schedule stays checkable even when actors it never fires
-/// have unbound parameters under `env`.  A non-null `budget` is
-/// checkpointed once per replayed firing.
-ScheduleCheck validateSchedule(const graph::GraphView& view, const Schedule& s,
                                const symbolic::Environment& env = {},
                                const graph::EvaluatedRates* rates = nullptr,
                                support::Budget* budget = nullptr);

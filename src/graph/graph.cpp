@@ -216,31 +216,7 @@ std::optional<PortId> Graph::findPort(std::string_view qualifiedName) const {
   return std::nullopt;
 }
 
-std::int64_t Graph::phases(ActorId a) const {
-  std::int64_t tau = 1;
-  for (PortId p : actor(a).ports) {
-    tau = support::lcm64(tau,
-                         static_cast<std::int64_t>(port(p).rates.length()));
-  }
-  return tau;
-}
-
-RateSeq Graph::effectiveRates(PortId p) const {
-  const Port& pt = port(p);
-  const std::int64_t tau = phases(pt.actor);
-  const std::size_t len = pt.rates.length();
-  if (static_cast<std::int64_t>(len) == tau) return pt.rates;
-  std::vector<symbolic::Expr> entries;
-  entries.reserve(static_cast<std::size_t>(tau));
-  for (std::int64_t i = 0; i < tau; ++i) {
-    entries.push_back(pt.rates.at(i));
-  }
-  return RateSeq(std::move(entries));
-}
-
-const Graph::Frozen& Graph::freeze() const {
-  if (frozenRevision_ == revision_) return frozen_;
-
+void Graph::refreeze() const {
   const std::size_t nActors = actors_.size();
   const std::size_t nPorts = ports_.size();
   const std::size_t nChannels = channels_.size();
@@ -258,7 +234,7 @@ const Graph::Frozen& Graph::freeze() const {
   auto* effective = frozenArena_.allocateArray<const RateSeq*>(nPorts);
   auto* rateOffset = frozenArena_.allocateArray<std::uint32_t>(nPorts);
 
-  // Per-actor phase counts (the LCM phases() computes per query).
+  // Per-actor phase counts: the LCM of the port sequence lengths.
   for (const Actor& a : actors_) {
     std::int64_t t = 1;
     for (PortId pid : a.ports) {
@@ -341,7 +317,6 @@ const Graph::Frozen& Graph::freeze() const {
   frozen_.rateOffset = {rateOffset, nPorts};
   frozen_.rateTableSize = offset;
   frozenRevision_ = revision_;
-  return frozen_;
 }
 
 }  // namespace tpdf::graph

@@ -29,7 +29,7 @@
 #include "graph/rates.hpp"
 #include "support/arena.hpp"
 #include "support/error.hpp"
-#include "support/smallvec.hpp"
+#include "support/inlinevec.hpp"
 
 namespace tpdf::graph {
 
@@ -70,7 +70,7 @@ struct Actor {
   /// Worst-case execution time per phase (defaults to a single 1.0);
   /// consumed by the scheduler and the simulator.  Two inline slots cover
   /// the default and every committed example without a heap allocation.
-  support::SmallVec<double, 2> execTime{1.0};
+  support::InlineVec<double, 2> execTime{1.0};
 
   double execTimeOfPhase(std::int64_t n) const {
     // A negative index would wrap through the size_t cast into a huge
@@ -166,10 +166,13 @@ class Graph {
                            f.inOffset[a.index() + 1] - f.inOffset[a.index()]);
   }
 
+  /// Channel endpoint actors, read from the frozen per-channel arrays.
   ActorId sourceActor(ChannelId c) const {
-    return port(channel(c).src).actor;
+    return freeze().srcActor[c.index()];
   }
-  ActorId destActor(ChannelId c) const { return port(channel(c).dst).actor; }
+  ActorId destActor(ChannelId c) const {
+    return freeze().dstActor[c.index()];
+  }
 
   bool isControlChannel(ChannelId c) const {
     return isControl(port(channel(c).src).kind) ||
@@ -177,14 +180,26 @@ class Graph {
   }
 
   /// Number of phases tau of the actor: the least common multiple of its
-  /// port sequence lengths (equals the common length for classic CSDF).
-  /// Computed directly (cheap) so it stays usable mid-construction;
-  /// GraphView serves the frozen per-actor cache.
-  std::int64_t phases(ActorId a) const;
+  /// port sequence lengths (equals the common length for classic CSDF),
+  /// read from the frozen per-actor table.
+  std::int64_t phases(ActorId a) const { return freeze().tau[a.index()]; }
 
   /// The rate sequence of `p`, cyclically extended to the actor's phase
-  /// count (identity when lengths already match).
-  RateSeq effectiveRates(PortId p) const;
+  /// count.  When the port's own sequence already has tau entries (the
+  /// common case) this is the port's sequence itself; shorter ones are
+  /// materialized at freeze time.  Valid until the next mutation.
+  const RateSeq& effectiveRates(PortId p) const {
+    return *freeze().effective[p.index()];
+  }
+
+  /// Offset of port `p` in an EvaluatedRates table (graph/rates.hpp);
+  /// the port's slice has length phases(port's actor).  Ports are laid
+  /// out in id order, so the layout changes only with shapeRevision().
+  std::uint32_t rateOffset(PortId p) const {
+    return freeze().rateOffset[p.index()];
+  }
+  /// Total length of an EvaluatedRates table.
+  std::size_t rateTableSize() const { return freeze().rateTableSize; }
 
   // ---- Frozen storage and revision tracking ------------------------
 
@@ -210,7 +225,10 @@ class Graph {
   /// if the graph changed since the last freeze.  O(1) when current.
   /// Not synchronized: freeze once (any accessor does) before sharing
   /// the graph across threads.
-  const Frozen& freeze() const;
+  const Frozen& freeze() const {
+    if (frozenRevision_ != revision_) [[unlikely]] refreeze();
+    return frozen_;
+  }
 
   /// Bumped by every mutator.  Analysis caches compare this to decide
   /// whether their memoized results are current.
@@ -259,6 +277,7 @@ class Graph {
   Name intern(std::string_view s) { return Name(interner_.intern(s)); }
   void touch(Touch::Kind kind, std::uint32_t index);
   void reindexAfterCopy();
+  void refreeze() const;
 
   std::string name_;
   support::StringInterner interner_;

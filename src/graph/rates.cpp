@@ -3,6 +3,7 @@
 #include <cctype>
 #include <utility>
 
+#include "graph/graph.hpp"
 #include "support/error.hpp"
 #include "support/strings.hpp"
 
@@ -143,6 +144,33 @@ RateSeq RateSeq::parse(const std::string& text) {
     fieldStart = i + 1;
   }
   return RateSeq(std::move(entries));
+}
+
+EvaluatedRates::EvaluatedRates(const Graph& g,
+                               const symbolic::Environment& env) {
+  offset_.resize(g.portCount() + 1);
+  table_.resize(g.rateTableSize());
+  offset_[g.portCount()] = static_cast<std::uint32_t>(table_.size());
+  // Actor-then-port order matches the pre-table scheduler's evaluation
+  // order, so the first negative rate reported is the same one.
+  for (const Actor& a : g.actors()) {
+    const std::int64_t tau = g.phases(a.id);
+    for (PortId pid : a.ports) {
+      const Port& p = g.port(pid);
+      const RateSeq& rates = g.effectiveRates(pid);
+      offset_[pid.index()] = g.rateOffset(pid);
+      std::int64_t* slot = table_.data() + offset_[pid.index()];
+      for (std::int64_t i = 0; i < tau; ++i) {
+        const std::int64_t v = rates.at(i).evaluateInt(env);
+        if (v < 0) {
+          throw support::Error("port '" + a.name + "." + p.name +
+                               "' has negative rate " + std::to_string(v) +
+                               " under the given environment");
+        }
+        slot[i] = v;
+      }
+    }
+  }
 }
 
 }  // namespace tpdf::graph

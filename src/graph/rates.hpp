@@ -4,13 +4,22 @@
 // produced/consumed by each firing phase (CSDF semantics, Section II-A);
 // entries are symbolic expressions so the same type serves SDF (length 1,
 // constant), CSDF (length tau, constant) and TPDF (parametric).
+//
+// EvaluatedRates complements the symbolic sequences with per-environment
+// integer rates (one flat table laid out like Graph::rateOffset), which
+// is what the schedulers and the simulator consume in their hot loops.
+// core::AnalysisContext (core/context.hpp) memoizes one per valuation.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "graph/ids.hpp"
+#include "support/error.hpp"
 #include "support/inlinevec.hpp"
+#include "symbolic/env.hpp"
 #include "symbolic/expr.hpp"
 
 namespace tpdf::graph {
@@ -70,6 +79,41 @@ class RateSeq {
 
  private:
   EntryVec entries_;
+};
+
+class Graph;
+
+/// All port rates of one graph evaluated to integers under one
+/// environment, in the flat layout of Graph::rateOffset.  The table keeps
+/// its own copy of that layout, so it stays valid across edits that
+/// leave Graph::shapeRevision alone.  Negative evaluated rates are
+/// rejected at construction (they would corrupt every occupancy
+/// computation downstream).
+class EvaluatedRates {
+ public:
+  EvaluatedRates(const Graph& g, const symbolic::Environment& env);
+
+  /// The port's integer rates, one entry per phase.
+  std::span<const std::int64_t> of(PortId p) const {
+    const std::uint32_t begin = offset_[p.index()];
+    return {table_.data() + begin, offset_[p.index() + 1] - begin};
+  }
+
+  /// Rate of the port's n-th firing (n mod tau).  A negative index
+  /// would wrap through the size_t cast into a huge modulus and pick an
+  /// arbitrary phase, so it is rejected.
+  std::int64_t at(PortId p, std::int64_t firing) const {
+    if (firing < 0) {
+      throw support::Error("negative firing index " +
+                           std::to_string(firing) + " in rate lookup");
+    }
+    const auto rates = of(p);
+    return rates[static_cast<std::size_t>(firing) % rates.size()];
+  }
+
+ private:
+  std::vector<std::uint32_t> offset_;  // per port, plus the table size
+  std::vector<std::int64_t> table_;
 };
 
 }  // namespace tpdf::graph

@@ -12,14 +12,6 @@ using graph::Graph;
 std::vector<bool> unnecessaryFirings(const CanonicalPeriod& cp,
                                      const Graph& g, ActorId kernel,
                                      const core::ModeSpec& mode) {
-  return unnecessaryFirings(cp, graph::GraphView(g), kernel, mode);
-}
-
-std::vector<bool> unnecessaryFirings(const CanonicalPeriod& cp,
-                                     const graph::GraphView& view,
-                                     ActorId kernel,
-                                     const core::ModeSpec& mode) {
-  const Graph& g = view.graph();
   const std::size_t n = cp.size();
 
   // Rejected input ports of the kernel: data inputs not listed as active
@@ -44,8 +36,8 @@ std::vector<bool> unnecessaryFirings(const CanonicalPeriod& cp,
     if (cp.node(v).actor != kernel) return false;
     if (cp.node(u).actor == kernel) return false;  // sequential self-edge
     bool feedsRejected = false;
-    for (graph::ChannelId cid : view.outChannels(cp.node(u).actor)) {
-      if (view.destActor(cid) != kernel) continue;
+    for (graph::ChannelId cid : g.outChannels(cp.node(u).actor)) {
+      if (g.destActor(cid) != kernel) continue;
       if (rejectedChannels.count(cid) != 0) {
         feedsRejected = true;
       } else {
@@ -61,7 +53,7 @@ std::vector<bool> unnecessaryFirings(const CanonicalPeriod& cp,
   std::deque<std::size_t> queue;
   for (std::size_t i = 0; i < n; ++i) {
     const ActorId a = cp.node(i).actor;
-    if (a == kernel || view.outChannels(a).empty()) {
+    if (a == kernel || g.outChannels(a).empty()) {
       useful[i] = true;
       queue.push_back(i);
     }

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "core/model.hpp"
-#include "graph/view.hpp"
+#include "graph/graph.hpp"
 #include "sched/canonical.hpp"
 
 namespace tpdf::sched {
@@ -19,17 +19,10 @@ namespace tpdf::sched {
 /// unnecessary when `kernel` fires in mode `mode` for the whole
 /// iteration.  A firing is necessary iff some dependency path that does
 /// not cross a rejected input port of `kernel` leads from it to an
-/// occurrence of `kernel` itself or of any graph sink.
+/// occurrence of `kernel` itself or of any graph sink.  Per-edge
+/// rejection tests read the frozen CSR adjacency.
 std::vector<bool> unnecessaryFirings(const CanonicalPeriod& cp,
                                      const graph::Graph& g,
-                                     graph::ActorId kernel,
-                                     const core::ModeSpec& mode);
-
-/// Same over a precomputed view (the Graph overload builds a temporary
-/// one): per-edge rejection tests read the CSR adjacency instead of
-/// allocating an outChannels vector per edge.
-std::vector<bool> unnecessaryFirings(const CanonicalPeriod& cp,
-                                     const graph::GraphView& view,
                                      graph::ActorId kernel,
                                      const core::ModeSpec& mode);
 

@@ -10,18 +10,6 @@ namespace tpdf::sched {
 using graph::ActorId;
 using graph::Graph;
 
-CanonicalPeriod::CanonicalPeriod(const Graph& g,
-                                 const symbolic::Environment& env,
-                                 support::Budget* budget)
-    : graph_(&g) {
-  const graph::GraphView view(g);
-  const csdf::RepetitionVector rv = csdf::computeRepetitionVector(view);
-  if (!rv.consistent) {
-    throw support::Error("cannot build canonical period: " + rv.diagnostic);
-  }
-  build(view, rv, graph::EvaluatedRates(view, env), env, budget);
-}
-
 CanonicalPeriod::CanonicalPeriod(const core::AnalysisContext& ctx,
                                  const symbolic::Environment& env,
                                  support::Budget* budget)
@@ -30,23 +18,22 @@ CanonicalPeriod::CanonicalPeriod(const core::AnalysisContext& ctx,
   if (!rv.consistent) {
     throw support::Error("cannot build canonical period: " + rv.diagnostic);
   }
-  build(ctx.view(), rv, ctx.rates(env), env, budget);
+  build(rv, ctx.rates(env), env, budget);
 }
 
-CanonicalPeriod::CanonicalPeriod(const graph::GraphView& view,
+CanonicalPeriod::CanonicalPeriod(const Graph& g,
                                  const csdf::RepetitionVector& rv,
                                  const graph::EvaluatedRates& rates,
                                  const symbolic::Environment& env,
                                  support::Budget* budget)
-    : graph_(&view.graph()) {
+    : graph_(&g) {
   if (!rv.consistent) {
     throw support::Error("cannot build canonical period: " + rv.diagnostic);
   }
-  build(view, rv, rates, env, budget);
+  build(rv, rates, env, budget);
 }
 
-void CanonicalPeriod::build(const graph::GraphView& view,
-                            const csdf::RepetitionVector& rv,
+void CanonicalPeriod::build(const csdf::RepetitionVector& rv,
                             const graph::EvaluatedRates& rates,
                             const symbolic::Environment& env,
                             support::Budget* budget) {
@@ -80,8 +67,8 @@ void CanonicalPeriod::build(const graph::GraphView& view,
   // (ii) Token dependencies per channel, over the precomputed integer
   // rate tables (no RateSeq copies, no symbolic evaluation).
   for (const graph::Channel& c : g.channels()) {
-    const ActorId src = view.sourceActor(c.id);
-    const ActorId dst = view.destActor(c.id);
+    const ActorId src = g.sourceActor(c.id);
+    const ActorId dst = g.destActor(c.id);
     if (src == dst) continue;  // self-loops order firings sequentially anyway
 
     std::int64_t produced = 0;   // X_src(m)

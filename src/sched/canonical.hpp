@@ -16,7 +16,7 @@
 #include "core/context.hpp"
 #include "csdf/repetition.hpp"
 #include "graph/graph.hpp"
-#include "graph/view.hpp"
+#include "graph/rates.hpp"
 #include "support/budget.hpp"
 #include "support/json.hpp"
 #include "symbolic/env.hpp"
@@ -36,28 +36,24 @@ struct Occurrence {
 
 class CanonicalPeriod {
  public:
-  /// Builds the canonical period of one iteration of `g` under `env`.
-  /// Throws support::Error when the graph is not consistent.  A non-null
-  /// `budget` is checkpointed once per occurrence node and per
-  /// dependency-scan step during construction and may abort with
-  /// support::BudgetExceeded.
-  CanonicalPeriod(const graph::Graph& g, const symbolic::Environment& env,
-                  support::Budget* budget = nullptr);
-
-  /// Same through a shared context: reuses the memoized repetition
-  /// vector and the valuation's integer rate tables instead of
-  /// recomputing them.  The context (and its Graph) must outlive the
-  /// period.
+  /// Builds the canonical period of one iteration of the context's
+  /// graph under `env`, reusing the memoized repetition vector and the
+  /// valuation's integer rate tables.  Throws support::Error when the
+  /// graph is not consistent.  A non-null `budget` is checkpointed once
+  /// per occurrence node and per dependency-scan step during
+  /// construction and may abort with support::BudgetExceeded.  The
+  /// context's Graph must outlive the period; the context itself need
+  /// not (a temporary one serves a one-off period).
   CanonicalPeriod(const core::AnalysisContext& ctx,
                   const symbolic::Environment& env,
                   support::Budget* budget = nullptr);
 
   /// Fully caller-provided intermediates (race-free: never touches a
   /// context's mutable caches, which is what the concurrent sweep driver
-  /// needs).  `rv` must be consistent and `rates` built over `view`
-  /// under `env`; the view's Graph must outlive the period.
-  CanonicalPeriod(const graph::GraphView& view,
-                  const csdf::RepetitionVector& rv,
+  /// needs).  `rates` must be built over `g` under `env`; an
+  /// inconsistent `rv` throws support::Error.  `g` must outlive the
+  /// period.
+  CanonicalPeriod(const graph::Graph& g, const csdf::RepetitionVector& rv,
                   const graph::EvaluatedRates& rates,
                   const symbolic::Environment& env,
                   support::Budget* budget = nullptr);
@@ -100,7 +96,7 @@ class CanonicalPeriod {
   support::json::Value toJson() const;
 
  private:
-  void build(const graph::GraphView& view, const csdf::RepetitionVector& rv,
+  void build(const csdf::RepetitionVector& rv,
              const graph::EvaluatedRates& rates,
              const symbolic::Environment& env, support::Budget* budget);
   void addEdge(std::size_t from, std::size_t to);

@@ -278,12 +278,9 @@ SimResult Simulator::run(const SimOptions& options) {
     return portRates.at(pid, firing);
   };
 
-  // Channel -> consuming actor, for the adjacency-driven wakeup: a token
-  // arrival can only change the startability of the channel's one
-  // consumer, so that is the only actor worth re-examining.
-  const graph::GraphView& view = ctx.view();
-
-  // Actors to (re-)try starting at the current instant, in id order.
+  // Actors to (re-)try starting at the current instant, in id order.  A
+  // token arrival can only change the startability of the channel's one
+  // consumer (Graph::destActor), so that is the only actor it wakes.
   std::set<std::size_t> wake;
   for (std::size_t i = 0; i < g.actorCount(); ++i) wake.insert(i);
 
@@ -480,7 +477,7 @@ SimResult Simulator::run(const SimOptions& options) {
     ActorState& st = actors[a.id.index()];
     for (auto& [c, tokens] : st.pending.outputs) {
       const std::size_t dst =
-          view.destActor(ChannelId(static_cast<std::uint32_t>(c))).index();
+          g.destActor(ChannelId(static_cast<std::uint32_t>(c))).index();
       if (fabric != nullptr && !tokens.empty() &&
           a.kind != ActorKind::Control) {
         const std::size_t srcPe = options.actorPe[a.id.index()];
@@ -534,7 +531,7 @@ SimResult Simulator::run(const SimOptions& options) {
       tokens.resize(static_cast<std::size_t>(std::max<std::int64_t>(
           rate, static_cast<std::int64_t>(tokens.size()))));
       for (Token& t : tokens) state.push(p.channel.index(), std::move(t));
-      if (!tokens.empty()) wake.insert(view.destActor(p.channel).index());
+      if (!tokens.empty()) wake.insert(g.destActor(p.channel).index());
     }
     if (options.recordTrace) {
       result.trace.push_back({a.id, st.fired, 0, now, now});
@@ -588,7 +585,7 @@ SimResult Simulator::run(const SimOptions& options) {
       const std::size_t c = node.mapped().first;
       for (Token& t : node.mapped().second) state.push(c, std::move(t));
       wake.insert(
-          view.destActor(ChannelId(static_cast<std::uint32_t>(c))).index());
+          g.destActor(ChannelId(static_cast<std::uint32_t>(c))).index());
     }
     due.clear();
     while (!events.empty() && events.top().first <= now) {

@@ -212,4 +212,37 @@ class Simulator {
   std::map<std::uint32_t, Behaviour> behaviours_;
 };
 
+/// A steady-state period measurement: the simulated time between
+/// completing `warmup` and `warmup + kWindow` iterations, divided by the
+/// window.  Both runs end with the same drain transient, so their
+/// difference isolates the steady-state iteration period.
+struct SteadyState {
+  /// Iterations of the warm-up run for a graph of `actorCount` actors:
+  /// 2N + 4.
+  static std::int64_t warmupFor(std::size_t actorCount) {
+    return 2 * static_cast<std::int64_t>(actorCount) + 4;
+  }
+  static constexpr std::int64_t kWindow = 8;
+
+  SimResult warm;      ///< after warmupFor(actorCount) iterations
+  SimResult windowed;  ///< after kWindow more; not run when !warm.ok
+  double period = 0.0;
+};
+
+/// Measures the steady-state period through `run(iterations)`, which
+/// simulates that many iterations and returns the SimResult.  Callers
+/// judge validity themselves (which of ok / returnedToInitialState they
+/// require); only a failed warm-up run skips the windowed one.
+template <typename Run>
+SteadyState measureSteadyState(std::size_t actorCount, Run&& run) {
+  SteadyState s;
+  const std::int64_t warmup = SteadyState::warmupFor(actorCount);
+  s.warm = run(warmup);
+  if (!s.warm.ok) return s;
+  s.windowed = run(warmup + SteadyState::kWindow);
+  s.period = (s.windowed.endTime - s.warm.endTime) /
+             static_cast<double>(SteadyState::kWindow);
+  return s;
+}
+
 }  // namespace tpdf::sim

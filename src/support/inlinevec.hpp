@@ -1,64 +1,55 @@
-// A small-buffer vector for arbitrary (non-trivial) element types.
+// A small-buffer vector: `N` elements of inline storage, heap beyond.
 //
-// SmallVec (smallvec.hpp) covers trivially copyable payloads with pure
-// memcpy growth; InlineVec is its sibling for real C++ objects — the
-// symbolic kernel keeps Expr term lists and RateSeq entries in these.
-// Almost every rate expression in a real graph is a single constant or a
-// single monomial, so one inline slot removes the per-expression heap
-// allocation that a std::vector representation pays on every construction
-// and copy in the graph-build and repetition-solve loops.
+// The symbolic kernel keeps Expr term lists, RateSeq entries, monomial
+// exponent lists and evaluation caches in these, and Actor keeps its
+// per-phase execution times.  Almost every rate expression in a real
+// graph is a single constant or a single monomial mentioning at most two
+// parameters, so the inline slots remove the per-node heap allocation
+// that a std::vector (or std::map) representation pays on every
+// construction and copy in the graph-build and analysis loops.
+//
+// Any element type works (full construct/destroy bookkeeping, move-aware
+// growth); trivially copyable payloads take plain memcpy paths for
+// growth and copies, with no per-element lifetime calls.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
+#include <cstring>
 #include <initializer_list>
 #include <new>
+#include <type_traits>
 #include <utility>
 
 namespace tpdf::support {
 
-/// Contiguous dynamic array with `N` elements of inline storage and full
-/// object lifetime management (construct/destroy, move-aware growth).
+/// Contiguous dynamic array with `N` elements of inline storage.
 template <typename T, std::size_t N>
 class InlineVec {
   static_assert(N > 0, "inline capacity must be positive");
+  static constexpr bool kTrivial = std::is_trivially_copyable_v<T>;
 
  public:
   using value_type = T;
   using iterator = T*;
   using const_iterator = const T*;
 
+  // User-provided (not defaulted) so const-qualified default-initialized
+  // instances remain legal; the inline bytes need no initialization.
   InlineVec() {}
 
   InlineVec(std::initializer_list<T> init) {
-    reserve(init.size());
-    for (const T& v : init) ::new (data_ + size_++) T(v);
+    assignCopy(init.begin(), init.size());
   }
 
-  InlineVec(const InlineVec& o) {
-    reserve(o.size_);
-    for (std::size_t i = 0; i < o.size_; ++i) {
-      ::new (data_ + i) T(o.data_[i]);
-    }
-    size_ = o.size_;
+  InlineVec& operator=(std::initializer_list<T> init) {
+    assignCopy(init.begin(), init.size());
+    return *this;
   }
 
-  InlineVec(InlineVec&& o) noexcept {
-    if (o.onHeap()) {
-      data_ = o.data_;
-      cap_ = o.cap_;
-      size_ = o.size_;
-      o.data_ = o.inlineData();
-      o.cap_ = N;
-      o.size_ = 0;
-    } else {
-      for (std::size_t i = 0; i < o.size_; ++i) {
-        ::new (data_ + i) T(std::move(o.data_[i]));
-      }
-      size_ = o.size_;
-      o.destroyAll();
-    }
-  }
+  InlineVec(const InlineVec& o) { assignCopy(o.data_, o.size_); }
+
+  InlineVec(InlineVec&& o) noexcept { takeFrom(o); }
 
   InlineVec& operator=(const InlineVec& o) {
     if (this != &o) assignCopy(o.data_, o.size_);
@@ -68,21 +59,12 @@ class InlineVec {
   InlineVec& operator=(InlineVec&& o) noexcept {
     if (this == &o) return *this;
     destroyAll();
-    if (o.onHeap()) {
-      if (onHeap()) ::operator delete(data_);
-      data_ = o.data_;
-      cap_ = o.cap_;
-      size_ = o.size_;
-      o.data_ = o.inlineData();
-      o.cap_ = N;
-      o.size_ = 0;
-    } else {
-      for (std::size_t i = 0; i < o.size_; ++i) {
-        ::new (data_ + i) T(std::move(o.data_[i]));
-      }
-      size_ = o.size_;
-      o.destroyAll();
+    if (o.onHeap() && onHeap()) {
+      ::operator delete(data_);
+      data_ = inlineData();
+      cap_ = N;
     }
+    takeFrom(o);
     return *this;
   }
 
@@ -172,25 +154,65 @@ class InlineVec {
   }
 
   void destroyAll() {
-    while (size_ > 0) data_[--size_].~T();
+    if constexpr (kTrivial) {
+      size_ = 0;
+    } else {
+      while (size_ > 0) data_[--size_].~T();
+    }
   }
 
+  /// Copies `n` elements from `src` into this vector's storage after
+  /// destroying the current ones.  `src` must not alias that storage.
   void assignCopy(const T* src, std::size_t n) {
     destroyAll();
     reserve(n);
-    for (std::size_t i = 0; i < n; ++i) ::new (data_ + i) T(src[i]);
+    if constexpr (kTrivial) {
+      if (n != 0) std::memcpy(data_, src, n * sizeof(T));
+    } else {
+      for (std::size_t i = 0; i < n; ++i) ::new (data_ + i) T(src[i]);
+    }
     size_ = n;
+  }
+
+  /// Takes `o`'s elements into this empty vector: steals `o`'s heap
+  /// buffer (this one must then hold no heap buffer of its own), or moves
+  /// `o`'s inline elements into the current storage.  Leaves `o` empty
+  /// and inline.
+  void takeFrom(InlineVec& o) noexcept {
+    if (o.onHeap()) {
+      data_ = o.data_;
+      cap_ = o.cap_;
+      size_ = o.size_;
+      o.data_ = o.inlineData();
+      o.cap_ = N;
+      o.size_ = 0;
+      return;
+    }
+    relocate(o.data_, o.size_);
+    size_ = o.size_;
+    o.destroyAll();
+  }
+
+  /// Move-constructs `n` elements from `src` into data_[0, n).
+  void relocate(T* src, std::size_t n) {
+    if constexpr (kTrivial) {
+      if (n != 0) std::memcpy(data_, src, n * sizeof(T));
+    } else {
+      for (std::size_t i = 0; i < n; ++i) {
+        ::new (data_ + i) T(std::move(src[i]));
+      }
+    }
   }
 
   void grow(std::size_t n) {
     const std::size_t cap = std::max<std::size_t>(n, 2 * N);
-    T* p = static_cast<T*>(::operator new(cap * sizeof(T)));
-    for (std::size_t i = 0; i < size_; ++i) {
-      ::new (p + i) T(std::move(data_[i]));
-      data_[i].~T();
+    T* old = data_;
+    data_ = static_cast<T*>(::operator new(cap * sizeof(T)));
+    relocate(old, size_);
+    if constexpr (!kTrivial) {
+      for (std::size_t i = 0; i < size_; ++i) old[i].~T();
     }
-    if (onHeap()) ::operator delete(data_);
-    data_ = p;
+    if (old != reinterpret_cast<T*>(inline_)) ::operator delete(old);
     cap_ = cap;
   }
 

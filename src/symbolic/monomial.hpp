@@ -17,7 +17,7 @@
 #include <string>
 
 #include "support/rational.hpp"
-#include "support/smallvec.hpp"
+#include "support/inlinevec.hpp"
 #include "symbolic/env.hpp"
 #include "symbolic/param.hpp"
 
@@ -36,7 +36,7 @@ struct ParamExp {
 
 /// Exponent list sorted by parameter name; inline up to four parameters
 /// (no real graph in the paper exceeds two).
-using ExpVec = support::SmallVec<ParamExp, 4>;
+using ExpVec = support::InlineVec<ParamExp, 4>;
 
 /// Memo of parameter powers computed while evaluating one expression;
 /// avoids re-walking the environment and re-exponentiating when the same
@@ -53,7 +53,7 @@ class PowerCache {
     std::int32_t exp;
     support::Rational value;
   };
-  support::SmallVec<Entry, 8> entries_;
+  support::InlineVec<Entry, 8> entries_;
 };
 
 /// coeff * prod(param_i ^ exp_i) with nonzero exponents only and, for the

@@ -64,7 +64,8 @@ TEST(ApiJsonGolden, Fig2RepetitionVector) {
 
 TEST(ApiJsonGolden, Fig1EagerSchedule) {
   const graph::Graph g = apps::fig1Csdf();
-  const csdf::LivenessResult live = csdf::findSchedule(g);
+  const csdf::LivenessResult live =
+      csdf::findSchedule(g, csdf::computeRepetitionVector(g));
   ASSERT_TRUE(live.live);
   EXPECT_EQ(live.schedule.toJson(g).dump(),
             "{\"firings\":7,\"runs\":["
@@ -118,7 +119,8 @@ TEST(ApiJsonCorpus, AnalyzeReportsRoundTrip) {
 TEST(ApiJsonCorpus, BufferReportRoundTrips) {
   const graph::Graph g = apps::ofdmTpdfEffective(apps::Constellation::Qam16);
   const symbolic::Environment env{{"b", 2}, {"N", 8}, {"L", 1}};
-  const csdf::BufferReport report = csdf::minimumBuffers(g, env);
+  const csdf::BufferReport report =
+      csdf::minimumBuffers(g, csdf::computeRepetitionVector(g), env);
   ASSERT_TRUE(report.ok);
   const Value doc = report.toJson(g);
   expectRoundTrip(doc);
@@ -129,7 +131,7 @@ TEST(ApiJsonCorpus, BufferReportRoundTrips) {
 TEST(ApiJsonCorpus, CanonicalPeriodAndListScheduleRoundTrip) {
   const graph::Graph g = apps::fig2Tpdf();
   const symbolic::Environment env{{"p", 2}};
-  const sched::CanonicalPeriod cp(g, env);
+  const sched::CanonicalPeriod cp(core::AnalysisContext(g), env);
   const Value periodDoc = cp.toJson();
   expectRoundTrip(periodDoc);
   EXPECT_EQ(periodDoc.find("size")->asInt(),

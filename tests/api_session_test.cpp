@@ -287,7 +287,8 @@ TEST(ApiSchedule, AgreesWithDirectFindSchedule) {
   request.graphId = "fig1_csdf";
   const ScheduleResponse response = session.schedule(request);
   ASSERT_EQ(response.status, Status::Ok);
-  const csdf::LivenessResult direct = csdf::findSchedule(g);
+  const csdf::LivenessResult direct =
+      csdf::findSchedule(g, csdf::computeRepetitionVector(g));
   EXPECT_EQ(csdf::expandFirings(response.result.schedule),
             csdf::expandFirings(direct.schedule));
   EXPECT_EQ(response.result.q, direct.q);
@@ -303,7 +304,8 @@ TEST(ApiBuffers, MatchesDirectMinimumBuffers) {
   const BufferResponse response = session.buffers(request);
   ASSERT_EQ(response.status, Status::Ok);
   const csdf::BufferReport direct =
-      csdf::minimumBuffers(g, symbolic::Environment{{"p", 2}});
+      csdf::minimumBuffers(g, csdf::computeRepetitionVector(g),
+                           symbolic::Environment{{"p", 2}});
   EXPECT_EQ(response.report.perChannel, direct.perChannel);
   EXPECT_EQ(response.report.total(), direct.total());
 }

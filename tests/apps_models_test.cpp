@@ -11,6 +11,12 @@
 namespace tpdf::apps {
 namespace {
 
+/// Minimum buffers of `g` under `env`, from a fresh repetition vector.
+csdf::BufferReport buffersOf(const graph::Graph& g,
+                             const symbolic::Environment& env = {}) {
+  return csdf::minimumBuffers(g, csdf::computeRepetitionVector(g), env);
+}
+
 using symbolic::Environment;
 
 Environment ofdmEnv(std::int64_t beta, std::int64_t N, std::int64_t L,
@@ -60,7 +66,7 @@ class OfdmBuffers
 TEST_P(OfdmBuffers, MeasuredTpdfTotalMatchesFormula) {
   const auto [beta, N] = GetParam();
   const std::int64_t L = 1;
-  const csdf::BufferReport report = csdf::minimumBuffers(
+  const csdf::BufferReport report = buffersOf(
       ofdmTpdfEffective(Constellation::Qam16), ofdmEnv(beta, N, L));
   ASSERT_TRUE(report.ok) << report.diagnostic;
   EXPECT_EQ(report.total(), paperTpdfBufferFormula(beta, N, L));
@@ -70,7 +76,7 @@ TEST_P(OfdmBuffers, MeasuredCsdfTotalMatchesFormula) {
   const auto [beta, N] = GetParam();
   const std::int64_t L = 1;
   const csdf::BufferReport report =
-      csdf::minimumBuffers(ofdmCsdfGraph(), ofdmEnv(beta, N, L));
+      buffersOf(ofdmCsdfGraph(), ofdmEnv(beta, N, L));
   ASSERT_TRUE(report.ok) << report.diagnostic;
   EXPECT_EQ(report.total(), paperCsdfBufferFormula(beta, N, L));
 }
@@ -79,11 +85,11 @@ TEST_P(OfdmBuffers, TpdfImprovementIsAboutTwentyNinePercent) {
   const auto [beta, N] = GetParam();
   const std::int64_t L = 1;
   const double tpdf = static_cast<double>(
-      csdf::minimumBuffers(ofdmTpdfEffective(Constellation::Qam16),
+      buffersOf(ofdmTpdfEffective(Constellation::Qam16),
                            ofdmEnv(beta, N, L))
           .total());
   const double csdf = static_cast<double>(
-      csdf::minimumBuffers(ofdmCsdfGraph(), ofdmEnv(beta, N, L)).total());
+      buffersOf(ofdmCsdfGraph(), ofdmEnv(beta, N, L)).total());
   const double improvement = (csdf - tpdf) / csdf;
   // The paper reports 29%; exactly (17-12)/17 = 29.4% asymptotically.
   EXPECT_NEAR(improvement, 0.294, 0.01);
@@ -95,7 +101,7 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values<std::int64_t>(512, 1024)));
 
 TEST(OfdmBuffersDetail, ControlChannelsCostExactlyThreeTokens) {
-  const csdf::BufferReport report = csdf::minimumBuffers(
+  const csdf::BufferReport report = buffersOf(
       ofdmTpdfEffective(Constellation::Qam16), ofdmEnv(10, 512, 1));
   ASSERT_TRUE(report.ok);
   const graph::Graph g = ofdmTpdfEffective(Constellation::Qam16);
@@ -108,7 +114,7 @@ TEST(OfdmBuffersDetail, QpskModeNeedsEvenLess) {
   // (N+L) + N + N + N + 2N + 2N = 8N + L, plus the 3 control tokens.
   const std::int64_t beta = 10;
   const std::int64_t N = 512;
-  const csdf::BufferReport report = csdf::minimumBuffers(
+  const csdf::BufferReport report = buffersOf(
       ofdmTpdfEffective(Constellation::Qpsk), ofdmEnv(beta, N, 1));
   ASSERT_TRUE(report.ok);
   EXPECT_EQ(report.total(), 3 + beta * (8 * N + 1));
@@ -175,7 +181,7 @@ TEST(FmModel, DynamicTopologySavesBufferSpace) {
   // TPDF with only 2 of 6 bands active vs CSDF with all bands: compare
   // the per-iteration buffer demand of the effective topologies.
   const csdf::BufferReport full =
-      csdf::minimumBuffers(fmRadioCsdfGraph());
+      buffersOf(fmRadioCsdfGraph());
   ASSERT_TRUE(full.ok) << full.diagnostic;
 
   // Effective TPDF topology = CSDF graph minus 4 unused band paths; here

@@ -1,13 +1,17 @@
-// GraphView / AnalysisContext equivalence suite: every precomputed fact
-// of the view (CSR adjacency, phase counts, effective-rate tables,
-// channel endpoint maps, evaluated integer rates) must be element-wise
-// identical to the legacy Graph queries, and every analysis routed
-// through a shared context must produce byte-identical answers, on the
-// paper graphs and on randomized chains.
-#include "graph/view.hpp"
+// The frozen Graph and the AnalysisContext built over it.
+//
+// Graph serves its derived facts (CSR adjacency, phase counts, cyclic
+// rate extensions, channel endpoints, rate-table layout) from a block
+// frozen once per revision; these must match a direct walk of the
+// actors, ports and channels, and follow an edit to the next revision.
+// Every analysis routed through a shared AnalysisContext must produce
+// byte-identical answers to a fresh computation, on the paper graphs and
+// on randomized chains.
+#include "core/context.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -16,12 +20,13 @@
 #include "apps/papergraphs.hpp"
 #include "apps/randomgraphs.hpp"
 #include "core/analysis.hpp"
-#include "core/context.hpp"
 #include "csdf/buffer.hpp"
 #include "csdf/liveness.hpp"
 #include "graph/builder.hpp"
+#include "graph/rates.hpp"
 #include "sched/canonical.hpp"
 #include "sim/simulator.hpp"
+#include "support/checked.hpp"
 #include "support/error.hpp"
 #include "support/prng.hpp"
 
@@ -53,84 +58,129 @@ std::vector<CorpusEntry> corpus() {
   return out;
 }
 
-/// The shared bench/test generator: random consistent chain with
-/// repetition counts steered back into [1, 1024].
-Graph randomChain(int n, std::uint64_t seed) {
-  return apps::randomConsistentChain(n, seed);
+// ---- Reference walks over the unfrozen actors, ports and channels ------
+
+std::int64_t referencePhases(const Graph& g, ActorId a) {
+  std::int64_t tau = 1;
+  for (PortId p : g.actor(a).ports) {
+    tau = support::lcm64(tau,
+                         static_cast<std::int64_t>(g.port(p).rates.length()));
+  }
+  return tau;
 }
 
-void expectViewMatchesGraph(const Graph& g, const Environment& env) {
-  const GraphView view(g);
-  ASSERT_EQ(view.actorCount(), g.actorCount()) << g.name();
-  ASSERT_EQ(view.channelCount(), g.channelCount()) << g.name();
-  ASSERT_EQ(view.portCount(), g.portCount()) << g.name();
+RateSeq referenceEffectiveRates(const Graph& g, PortId p) {
+  const Port& pt = g.port(p);
+  std::vector<symbolic::Expr> entries;
+  for (std::int64_t i = 0; i < referencePhases(g, pt.actor); ++i) {
+    entries.push_back(pt.rates.at(i));
+  }
+  return RateSeq(std::move(entries));
+}
 
+std::vector<ChannelId> referenceChannels(const Graph& g, ActorId a,
+                                         bool inputs) {
+  std::vector<ChannelId> out;
+  for (PortId p : g.actor(a).ports) {
+    const Port& pt = g.port(p);
+    if (pt.channel.valid() && isInput(pt.kind) == inputs) {
+      out.push_back(pt.channel);
+    }
+  }
+  return out;
+}
+
+void expectFrozenMatchesReference(const Graph& g, const Environment& env) {
   for (const Actor& a : g.actors()) {
-    // CSR adjacency: the view serves the same Graph-owned block the
-    // direct queries do, element-wise.
-    const auto gOut = g.outChannels(a.id);
-    const std::vector<ChannelId> out(gOut.begin(), gOut.end());
-    const auto gIn = g.inChannels(a.id);
-    const std::vector<ChannelId> in(gIn.begin(), gIn.end());
-    const auto outSpan = view.outChannels(a.id);
-    const auto inSpan = view.inChannels(a.id);
-    ASSERT_EQ(std::vector<ChannelId>(outSpan.begin(), outSpan.end()), out)
+    const auto out = g.outChannels(a.id);
+    const auto in = g.inChannels(a.id);
+    EXPECT_EQ(std::vector<ChannelId>(out.begin(), out.end()),
+              referenceChannels(g, a.id, /*inputs=*/false))
         << g.name() << " actor " << a.name;
-    ASSERT_EQ(std::vector<ChannelId>(inSpan.begin(), inSpan.end()), in)
+    EXPECT_EQ(std::vector<ChannelId>(in.begin(), in.end()),
+              referenceChannels(g, a.id, /*inputs=*/true))
         << g.name() << " actor " << a.name;
-    EXPECT_EQ(view.phases(a.id), g.phases(a.id))
+    EXPECT_EQ(g.phases(a.id), referencePhases(g, a.id))
         << g.name() << " actor " << a.name;
   }
 
   for (const Channel& c : g.channels()) {
-    EXPECT_EQ(view.sourceActor(c.id), g.sourceActor(c.id)) << g.name();
-    EXPECT_EQ(view.destActor(c.id), g.destActor(c.id)) << g.name();
+    EXPECT_EQ(g.sourceActor(c.id), g.port(c.src).actor) << g.name();
+    EXPECT_EQ(g.destActor(c.id), g.port(c.dst).actor) << g.name();
   }
 
-  const EvaluatedRates er(view, env);
+  // Rate tables are laid out port by port, each port's slice one period
+  // of its actor long.
+  const EvaluatedRates er(g, env);
+  std::size_t offset = 0;
   for (const Port& p : g.ports()) {
-    const RateSeq legacy = g.effectiveRates(p.id);
-    EXPECT_EQ(view.effectiveRates(p.id), legacy)
+    const RateSeq reference = referenceEffectiveRates(g, p.id);
+    EXPECT_EQ(g.effectiveRates(p.id), reference)
         << g.name() << " port " << p.name;
-    EXPECT_EQ(view.periodSum(p.id), legacy.periodSum())
-        << g.name() << " port " << p.name;
+    EXPECT_EQ(g.rateOffset(p.id), offset) << g.name() << " port " << p.name;
+    offset += reference.length();
     // Evaluated table vs per-entry symbolic evaluation, past one period
     // to cover the cyclic wrap.
-    const std::int64_t tau = view.phases(p.actor);
+    const std::int64_t tau = referencePhases(g, p.actor);
+    EXPECT_EQ(er.of(p.id).size(), static_cast<std::size_t>(tau));
     for (std::int64_t k = 0; k < 2 * tau; ++k) {
-      EXPECT_EQ(er.at(p.id, k), legacy.at(k).evaluateInt(env))
+      EXPECT_EQ(er.at(p.id, k), p.rates.at(k).evaluateInt(env))
           << g.name() << " port " << p.name << " firing " << k;
     }
   }
+  EXPECT_EQ(g.rateTableSize(), offset) << g.name();
 }
 
-TEST(GraphView, MatchesLegacyQueriesOnCorpus) {
+Graph multiphase() {
+  // Port lengths 2 and 3 force tau = 6 on B and a genuine extension.
+  return GraphBuilder("multiphase")
+      .kernel("A").out("o", "[2,1]")
+      .kernel("B").in("i", "[1,0,2]").out("o", "[1,1]")
+      .kernel("C").in("i", "[3]")
+      .channel("e", "A.o", "B.i")
+      .channel("f", "B.o", "C.i")
+      .build();
+}
+
+TEST(FrozenGraph, MatchesReferenceOnCorpus) {
   for (const CorpusEntry& entry : corpus()) {
-    expectViewMatchesGraph(entry.g, entry.env);
+    expectFrozenMatchesReference(entry.g, entry.env);
   }
 }
 
-TEST(GraphView, MatchesLegacyQueriesOnRandomChains) {
+TEST(FrozenGraph, MatchesReferenceOnRandomChains) {
   support::Prng seeds(0xBADC0DE);
   for (int trial = 0; trial < 10; ++trial) {
     const int n = static_cast<int>(seeds.uniform(2, 30));
     const std::uint64_t seed = seeds.next();
-    expectViewMatchesGraph(randomChain(n, seed), {});
+    expectFrozenMatchesReference(apps::randomConsistentChain(n, seed), {});
   }
 }
 
-TEST(GraphView, MultiPhasePortsExtendCyclically) {
-  // Port lengths 2 and 3 force tau = 6 and a genuine cyclic extension.
-  const Graph g = GraphBuilder("multiphase")
-                      .kernel("A").out("o", "[2,1]")
-                      .kernel("B").in("i", "[1,0,2]")
-                      .channel("e", "A.o", "B.i")
-                      .build();
-  expectViewMatchesGraph(g, {});
-  const GraphView view(g);
-  EXPECT_EQ(view.phases(*g.findActor("A")), 2);
-  EXPECT_EQ(view.phases(*g.findActor("B")), 3);
-  EXPECT_EQ(view.effectiveRates(*g.findPort("A.o")).length(), 2u);
+TEST(FrozenGraph, MultiPhasePortsExtendCyclically) {
+  const Graph g = multiphase();
+  expectFrozenMatchesReference(g, {});
+  EXPECT_EQ(g.phases(*g.findActor("A")), 2);
+  EXPECT_EQ(g.phases(*g.findActor("B")), 6);
+  EXPECT_EQ(g.effectiveRates(*g.findPort("A.o")).length(), 2u);
+  EXPECT_EQ(g.effectiveRates(*g.findPort("B.o")).toString(),
+            "[1,1,1,1,1,1]");
+}
+
+TEST(FrozenGraph, AccessorsFollowAnEditToTheNextRevision) {
+  Graph g = multiphase();
+  const ActorId a = *g.findActor("A");
+  ASSERT_EQ(g.phases(a), 2);  // freezes the current revision
+  const std::size_t tableBefore = g.rateTableSize();
+
+  g.addPort(a, "x", PortKind::DataOut, RateSeq::parse("[1,2,3]"));
+  EXPECT_EQ(g.phases(a), 6);
+  EXPECT_EQ(g.effectiveRates(*g.findPort("A.o")).toString(),
+            "[2,1,2,1,2,1]");
+  EXPECT_EQ(g.effectiveRates(*g.findPort("A.x")).toString(),
+            "[1,2,3,1,2,3]");
+  EXPECT_EQ(g.rateTableSize(), tableBefore + 4 + 6);
+  expectFrozenMatchesReference(g, {});
 }
 
 TEST(EvaluatedRates, NegativeRateRejected) {
@@ -141,8 +191,7 @@ TEST(EvaluatedRates, NegativeRateRejected) {
   const ActorId b = g.addActor("B");
   const PortId i = g.addPort(b, "i", PortKind::DataIn, RateSeq::constant(1));
   g.addChannel("e", *g.findPort("A.o"), i);
-  const GraphView view(g);
-  EXPECT_THROW(EvaluatedRates(view, Environment{{"p", 2}}), support::Error);
+  EXPECT_THROW(EvaluatedRates(g, Environment{{"p", 2}}), support::Error);
 }
 
 // ---- AnalysisContext: memoized intermediates stay byte-identical ------
@@ -190,8 +239,8 @@ TEST(AnalysisContext, SchedulesThroughContextAreByteIdentical) {
     if (!ctx.repetition().consistent) continue;
     for (const csdf::SchedulePolicy policy :
          {csdf::SchedulePolicy::Eager, csdf::SchedulePolicy::MinOccupancy}) {
-      const csdf::LivenessResult direct =
-          csdf::findSchedule(entry.g, entry.env, policy);
+      const csdf::LivenessResult direct = csdf::findSchedule(
+          entry.g, csdf::computeRepetitionVector(entry.g), entry.env, policy);
       const csdf::LivenessResult shared =
           csdf::findSchedule(ctx.view(), ctx.repetition(), entry.env, policy,
                              &ctx.rates(entry.env));
@@ -214,7 +263,8 @@ TEST(AnalysisContext, MinimumBuffersThroughContextMatch) {
   const Graph g = apps::ofdmTpdfEffective(apps::Constellation::Qam16);
   const Environment env{{"b", 2}, {"N", 16}, {"L", 4}};
   const core::AnalysisContext ctx(g);
-  const csdf::BufferReport direct = csdf::minimumBuffers(g, env);
+  const csdf::BufferReport direct =
+      csdf::minimumBuffers(g, csdf::computeRepetitionVector(g), env);
   const csdf::BufferReport shared = csdf::minimumBuffers(
       ctx.view(), ctx.repetition(), env, csdf::SchedulePolicy::MinOccupancy,
       &ctx.rates(env));
@@ -226,7 +276,9 @@ TEST(AnalysisContext, CanonicalPeriodThroughContextMatches) {
   for (const CorpusEntry& entry : corpus()) {
     const core::AnalysisContext ctx(entry.g);
     if (!ctx.repetition().consistent) continue;
-    const sched::CanonicalPeriod direct(entry.g, entry.env);
+    const sched::CanonicalPeriod direct(
+        entry.g, csdf::computeRepetitionVector(entry.g),
+        EvaluatedRates(entry.g, entry.env), entry.env);
     const sched::CanonicalPeriod shared(ctx, entry.env);
     ASSERT_EQ(shared.size(), direct.size()) << entry.g.name();
     for (std::size_t i = 0; i < direct.size(); ++i) {

@@ -14,7 +14,6 @@
 #include "csdf/repetition.hpp"
 #include "graph/builder.hpp"
 #include "graph/graph.hpp"
-#include "graph/view.hpp"
 #include "support/error.hpp"
 
 #include "schedule_firings.hpp"
@@ -97,7 +96,8 @@ TEST(IncrementalContext, LivenessVerdictSurvivesEditsToOtherComponents) {
   // the extended component is re-simulated.
   EXPECT_EQ(ctx.stats().livenessComponentsReused, 1u);
   EXPECT_EQ(ctx.stats().livenessComponentsComputed, 3u);
-  EXPECT_EQ(ctx.live({}), csdf::findSchedule(g).live);
+  EXPECT_EQ(ctx.live({}),
+            csdf::findSchedule(g, csdf::computeRepetitionVector(g)).live);
 }
 
 TEST(IncrementalContext, DeadlockedComponentVerdictIsCachedAndReported) {
@@ -116,7 +116,8 @@ TEST(IncrementalContext, DeadlockedComponentVerdictIsCachedAndReported) {
   std::string diag;
   EXPECT_FALSE(ctx.live({}, csdf::SchedulePolicy::Eager, &diag));
   EXPECT_NE(diag.find("deadlock"), std::string::npos) << diag;
-  EXPECT_EQ(ctx.live({}), csdf::findSchedule(g).live);
+  EXPECT_EQ(ctx.live({}),
+            csdf::findSchedule(g, csdf::computeRepetitionVector(g)).live);
 
   // Editing the live chain must not re-simulate the dead cycle.
   const ActorId b = *g.findActor("B");
@@ -171,7 +172,8 @@ TEST(IncrementalContext, ComponentMergeInvalidatesBothSides) {
 
   EXPECT_EQ(ctx.componentCount(), 1u);
   expectRepetitionMatchesFresh(ctx, g);
-  EXPECT_EQ(ctx.live({}), csdf::findSchedule(g).live);
+  EXPECT_EQ(ctx.live({}),
+            csdf::findSchedule(g, csdf::computeRepetitionVector(g)).live);
   // The merged component has a new signature: no stale verdict reuse.
   EXPECT_EQ(ctx.stats().livenessComponentsReused, 0u);
 }
@@ -223,15 +225,14 @@ TEST(IncrementalContext, ManySmallEditsStayIncremental) {
 
 TEST(MaskedRepetition, ComponentEntriesMatchFullSolve) {
   const Graph g = twoChains();
-  const graph::GraphView view(g);
-  const csdf::RepetitionVector full = csdf::computeRepetitionVector(view);
+  const csdf::RepetitionVector full = csdf::computeRepetitionVector(g);
   ASSERT_TRUE(full.consistent);
 
   std::vector<char> mask(g.actorCount(), 0);
   mask[g.findActor("C")->index()] = 1;
   mask[g.findActor("D")->index()] = 1;
   const csdf::RepetitionVector partial =
-      csdf::computeRepetitionVector(view, mask);
+      csdf::computeRepetitionVector(g, mask);
   ASSERT_TRUE(partial.consistent);
   for (std::size_t i = 0; i < g.actorCount(); ++i) {
     if (mask[i]) {
@@ -243,21 +244,25 @@ TEST(MaskedRepetition, ComponentEntriesMatchFullSolve) {
 
 TEST(MaskedRepetition, SplittingAComponentThrows) {
   const Graph g = twoChains();
-  const graph::GraphView view(g);
   std::vector<char> mask(g.actorCount(), 0);
   mask[g.findActor("A")->index()] = 1;  // B left out: e1 is cut
-  EXPECT_THROW(csdf::computeRepetitionVector(view, mask), support::Error);
+  EXPECT_THROW(csdf::computeRepetitionVector(g, mask), support::Error);
+}
+
+TEST(MaskedRepetition, MaskOneEntryShortIsRejected) {
+  const Graph g = twoChains();
+  const std::vector<char> mask(g.actorCount() - 1, 1);
+  EXPECT_THROW(csdf::computeRepetitionVector(g, mask), support::Error);
 }
 
 TEST(MaskedLiveness, ComponentScheduleMatchesStandaloneGraph) {
   const Graph g = twoChains();
-  const graph::GraphView view(g);
-  const csdf::RepetitionVector rv = csdf::computeRepetitionVector(view);
+  const csdf::RepetitionVector rv = csdf::computeRepetitionVector(g);
   std::vector<char> mask(g.actorCount(), 0);
   mask[g.findActor("A")->index()] = 1;
   mask[g.findActor("B")->index()] = 1;
   const csdf::LivenessResult masked = csdf::findSchedule(
-      view, rv, {}, csdf::SchedulePolicy::Eager, nullptr, nullptr, mask);
+      g, rv, {}, csdf::SchedulePolicy::Eager, nullptr, nullptr, mask);
   ASSERT_TRUE(masked.live);
 
   // Same component as its own graph.
@@ -266,7 +271,8 @@ TEST(MaskedLiveness, ComponentScheduleMatchesStandaloneGraph) {
                           .kernel("B").in("i", "[1]")
                           .channel("e1", "A.o", "B.i")
                           .build();
-  const csdf::LivenessResult standalone = csdf::findSchedule(alone);
+  const csdf::LivenessResult standalone =
+      csdf::findSchedule(alone, csdf::computeRepetitionVector(alone));
   ASSERT_TRUE(standalone.live);
   const std::vector<csdf::Firing> maskedOrder =
       csdf::expandFirings(masked.schedule);
@@ -280,6 +286,15 @@ TEST(MaskedLiveness, ComponentScheduleMatchesStandaloneGraph) {
   // Excluded actors never fire and carry q = 0.
   EXPECT_EQ(masked.q[g.findActor("C")->index()], 0);
   EXPECT_EQ(masked.q[g.findActor("D")->index()], 0);
+}
+
+TEST(MaskedLiveness, MaskOneEntryShortIsRejected) {
+  const Graph g = twoChains();
+  const csdf::RepetitionVector rv = csdf::computeRepetitionVector(g);
+  const std::vector<char> mask(g.actorCount() - 1, 1);
+  EXPECT_THROW(csdf::findSchedule(g, rv, {}, csdf::SchedulePolicy::Eager,
+                                  nullptr, nullptr, mask),
+               support::Error);
 }
 
 }  // namespace

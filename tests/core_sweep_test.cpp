@@ -28,7 +28,7 @@
 #include "core/safety.hpp"
 #include "csdf/buffer.hpp"
 #include "graph/builder.hpp"
-#include "graph/view.hpp"
+#include "graph/rates.hpp"
 #include "platform/spec.hpp"
 #include "platform/topology.hpp"
 #include "sched/canonical.hpp"
@@ -374,16 +374,17 @@ TEST(Sweep, MetricsMatchTheStandaloneEntryPoints) {
   SweepSpec spec;
   spec.axes.push_back(SweepAxis::list("p", {1, 3, 7}));
   const SweepResult result = sweep(g, spec);
+  const AnalysisContext ctx(g);
   for (const SweepPoint& point : result.points) {
     ASSERT_TRUE(point.ok);
     ASSERT_TRUE(point.buffersComputed);
     ASSERT_TRUE(point.periodComputed);
     const csdf::BufferReport buffers =
-        csdf::minimumBuffers(g, point.bindings);
+        csdf::minimumBuffers(g, ctx.repetition(), point.bindings);
     EXPECT_EQ(point.bufferTotal, buffers.total());
     EXPECT_EQ(point.dataBufferTotal, buffers.dataTotal(g));
     EXPECT_EQ(point.controlBufferTotal, buffers.controlTotal(g));
-    const sched::CanonicalPeriod period(g, point.bindings);
+    const sched::CanonicalPeriod period(ctx, point.bindings);
     const sched::ListSchedule schedule =
         sched::listSchedule(period, sched::Platform{.peCount = spec.pes});
     EXPECT_DOUBLE_EQ(point.period, schedule.makespan);

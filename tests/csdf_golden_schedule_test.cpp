@@ -134,7 +134,8 @@ void expectIdenticalSchedules(const Graph& g, const Environment& env) {
   for (const SchedulePolicy policy :
        {SchedulePolicy::Eager, SchedulePolicy::MinOccupancy}) {
     const ReferenceResult expected = referenceSchedule(g, env, policy);
-    const LivenessResult actual = findSchedule(g, env, policy);
+    const LivenessResult actual =
+        findSchedule(g, computeRepetitionVector(g), env, policy);
     ASSERT_EQ(actual.live, expected.live) << g.name();
     ASSERT_EQ(actual.q, expected.q) << g.name();
     ASSERT_EQ(renderOrder(g, expandFirings(actual.schedule)),

@@ -18,7 +18,7 @@ using symbolic::Environment;
 
 TEST(Liveness, Figure1EagerScheduleMatchesPaper) {
   const Graph g = apps::fig1Csdf();
-  const LivenessResult live = findSchedule(g);
+  const LivenessResult live = findSchedule(g, computeRepetitionVector(g));
   ASSERT_TRUE(live.live) << live.diagnostic;
   EXPECT_EQ(live.schedule.toString(g), "a3^2 a1^3 a2^2");
   EXPECT_EQ(live.q, (std::vector<std::int64_t>{3, 2, 2}));
@@ -26,7 +26,7 @@ TEST(Liveness, Figure1EagerScheduleMatchesPaper) {
 
 TEST(Liveness, Figure1IterationReturnsToInitialState) {
   const Graph g = apps::fig1Csdf();
-  const LivenessResult live = findSchedule(g);
+  const LivenessResult live = findSchedule(g, computeRepetitionVector(g));
   ASSERT_TRUE(live.live);
   const ScheduleCheck check = validateSchedule(g, live.schedule);
   ASSERT_TRUE(check.ok) << check.diagnostic;
@@ -39,7 +39,8 @@ TEST(Liveness, Figure1IterationReturnsToInitialState) {
 TEST(Liveness, Figure2LiveForSampleParameters) {
   const Graph g = apps::fig2Tpdf();
   for (std::int64_t p : {1, 2, 3, 10}) {
-    const LivenessResult live = findSchedule(g, Environment{{"p", p}});
+    const LivenessResult live =
+        findSchedule(g, computeRepetitionVector(g), Environment{{"p", p}});
     EXPECT_TRUE(live.live) << "p=" << p << ": " << live.diagnostic;
     EXPECT_EQ(static_cast<std::int64_t>(live.schedule.size()),
               2 + 2 * p + p + p + 2 * p + 2 * p);
@@ -74,7 +75,7 @@ TEST(Liveness, DeadlockedCycleDiagnosed) {
       .channel("e1", "A.o", "B.i")
       .channel("e2", "B.o", "A.i")
       .build();
-  const LivenessResult live = findSchedule(g);
+  const LivenessResult live = findSchedule(g, computeRepetitionVector(g));
   EXPECT_FALSE(live.live);
   EXPECT_NE(live.diagnostic.find("deadlock"), std::string::npos);
   EXPECT_NE(live.diagnostic.find("A (0/1)"), std::string::npos);
@@ -88,7 +89,7 @@ TEST(Liveness, InsufficientInitialTokensDeadlock) {
       .channel("e1", "A.o", "B.i")
       .channel("e2", "B.o", "A.i", 1)
       .build();
-  const LivenessResult live = findSchedule(g);
+  const LivenessResult live = findSchedule(g, computeRepetitionVector(g));
   EXPECT_FALSE(live.live);
 }
 
@@ -99,7 +100,7 @@ TEST(Liveness, SelfLoopWithTokensIsLive) {
       .channel("self", "A.o", "A.i", 1)
       .channel("e", "A.x", "B.i")
       .build();
-  const LivenessResult live = findSchedule(g);
+  const LivenessResult live = findSchedule(g, computeRepetitionVector(g));
   EXPECT_TRUE(live.live) << live.diagnostic;
 }
 
@@ -181,7 +182,7 @@ TEST(Schedule, EagerChainScheduleHoldsOneRunPerActor) {
               "A" + std::to_string(i + 1) + ".i");
   }
   const Graph g = b.build();
-  const LivenessResult live = findSchedule(g);
+  const LivenessResult live = findSchedule(g, computeRepetitionVector(g));
   ASSERT_TRUE(live.live) << live.diagnostic;
   EXPECT_EQ(live.schedule.size(), 1111111u);
   EXPECT_LE(live.schedule.runs().size(), g.actorCount());
@@ -191,7 +192,7 @@ TEST(Schedule, EagerChainScheduleHoldsOneRunPerActor) {
 
 TEST(Schedule, CountOf) {
   const Graph g = apps::fig1Csdf();
-  const LivenessResult live = findSchedule(g);
+  const LivenessResult live = findSchedule(g, computeRepetitionVector(g));
   EXPECT_EQ(live.schedule.countOf(*g.findActor("a1")), 3);
   EXPECT_EQ(live.schedule.countOf(*g.findActor("a2")), 2);
 }
@@ -224,7 +225,7 @@ TEST(Buffers, SimpleChainOccupancy) {
       .kernel("B").in("i", "[1]")
       .channel("e", "A.o", "B.i")
       .build();
-  const BufferReport report = minimumBuffers(g);
+  const BufferReport report = minimumBuffers(g, computeRepetitionVector(g));
   ASSERT_TRUE(report.ok) << report.diagnostic;
   EXPECT_EQ(report.of(*g.findChannel("e")), 4);
   EXPECT_EQ(report.total(), 4);
@@ -241,7 +242,8 @@ TEST(Buffers, MinOccupancyBeatsEagerOnDiamond) {
       .channel("e2", "B.o", "C.i")
       .build();
   const BufferReport lazy =
-      minimumBuffers(g, Environment{}, SchedulePolicy::MinOccupancy);
+      minimumBuffers(g, computeRepetitionVector(g), Environment{},
+                     SchedulePolicy::MinOccupancy);
   ASSERT_TRUE(lazy.ok);
   // e2 must accumulate 4 regardless; e1 can stay at 1 when interleaved.
   EXPECT_EQ(lazy.of(*g.findChannel("e1")), 1);
@@ -255,14 +257,15 @@ TEST(Buffers, InitialTokensCountTowardsOccupancy) {
       .channel("fwd", "A.o", "B.i")
       .channel("bwd", "B.o", "A.i", 3)
       .build();
-  const BufferReport report = minimumBuffers(g);
+  const BufferReport report = minimumBuffers(g, computeRepetitionVector(g));
   ASSERT_TRUE(report.ok) << report.diagnostic;
   EXPECT_GE(report.of(*g.findChannel("bwd")), 3);
 }
 
 TEST(Buffers, ControlAndDataTotalsSeparated) {
   const Graph g = apps::fig2Tpdf();
-  const BufferReport report = minimumBuffers(g, Environment{{"p", 2}});
+  const BufferReport report =
+      minimumBuffers(g, computeRepetitionVector(g), Environment{{"p", 2}});
   ASSERT_TRUE(report.ok) << report.diagnostic;
   EXPECT_GT(report.controlTotal(g), 0);
   EXPECT_GT(report.dataTotal(g), 0);
@@ -276,7 +279,7 @@ TEST(Buffers, FailurePropagatesDiagnostic) {
       .channel("e1", "A.o", "B.i")
       .channel("e2", "B.o", "A.i")
       .build();
-  const BufferReport report = minimumBuffers(g);
+  const BufferReport report = minimumBuffers(g, computeRepetitionVector(g));
   EXPECT_FALSE(report.ok);
   EXPECT_FALSE(report.diagnostic.empty());
 }
@@ -291,7 +294,8 @@ TEST_P(BufferProperty, IterationReturnsToInitialStateOnFig2) {
   const Environment env{{"p", p}};
   for (const SchedulePolicy policy :
        {SchedulePolicy::Eager, SchedulePolicy::MinOccupancy}) {
-    const LivenessResult live = findSchedule(g, env, policy);
+    const LivenessResult live =
+        findSchedule(g, computeRepetitionVector(g), env, policy);
     ASSERT_TRUE(live.live) << live.diagnostic;
     const ScheduleCheck check = validateSchedule(g, live.schedule, env);
     ASSERT_TRUE(check.ok);

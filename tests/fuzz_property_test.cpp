@@ -169,7 +169,8 @@ TEST_P(FuzzSweep, ScheduleExecutionReturnsToInitialState) {
   const Graph g = randomLayeredDag(GetParam());
   for (const csdf::SchedulePolicy policy :
        {csdf::SchedulePolicy::Eager, csdf::SchedulePolicy::MinOccupancy}) {
-    const csdf::LivenessResult live = csdf::findSchedule(g, {}, policy);
+    const csdf::LivenessResult live =
+        csdf::findSchedule(g, csdf::computeRepetitionVector(g), {}, policy);
     ASSERT_TRUE(live.live) << live.diagnostic;
     const csdf::ScheduleCheck check = validateSchedule(g, live.schedule);
     ASSERT_TRUE(check.ok) << check.diagnostic;
@@ -182,9 +183,11 @@ TEST_P(FuzzSweep, ScheduleExecutionReturnsToInitialState) {
 TEST_P(FuzzSweep, MinOccupancyNeverBeatenByEager) {
   const Graph g = randomLayeredDag(GetParam());
   const csdf::BufferReport lazy =
-      csdf::minimumBuffers(g, {}, csdf::SchedulePolicy::MinOccupancy);
+      csdf::minimumBuffers(g, csdf::computeRepetitionVector(g), {},
+                           csdf::SchedulePolicy::MinOccupancy);
   const csdf::BufferReport eager =
-      csdf::minimumBuffers(g, {}, csdf::SchedulePolicy::Eager);
+      csdf::minimumBuffers(g, csdf::computeRepetitionVector(g), {},
+                           csdf::SchedulePolicy::Eager);
   ASSERT_TRUE(lazy.ok);
   ASSERT_TRUE(eager.ok);
   EXPECT_LE(lazy.total(), eager.total());
@@ -209,7 +212,7 @@ TEST_P(FuzzSweep, SimulatorAgreesWithStaticIterationCounts) {
 
 TEST_P(FuzzSweep, ListScheduleRespectsDependenciesOnRandomDags) {
   const Graph g = randomLayeredDag(GetParam());
-  const sched::CanonicalPeriod cp(g, Environment{});
+  const sched::CanonicalPeriod cp(core::AnalysisContext(g), Environment{});
   const sched::ListSchedule ls =
       sched::listSchedule(cp, sched::Platform{.peCount = 2});
   ASSERT_EQ(ls.entries.size(), cp.size());

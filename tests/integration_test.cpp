@@ -26,7 +26,8 @@ TEST(Integration, StaticBoundsAndDynamicExecutionAgreeOnFig2) {
   const graph::Graph g = apps::fig2Tpdf();
   const Environment env{{"p", 3}};
 
-  const csdf::BufferReport stat = csdf::minimumBuffers(g, env);
+  const csdf::BufferReport stat =
+      csdf::minimumBuffers(g, csdf::computeRepetitionVector(g), env);
   ASSERT_TRUE(stat.ok);
 
   core::TpdfGraph model(apps::fig2Tpdf());
@@ -69,7 +70,7 @@ TEST(Integration, ListScheduleMakespanBoundsSelfTimedSimulation) {
   // (unbounded PEs) can only be faster or equal.
   const graph::Graph g = apps::fig2Tpdf();
   const Environment env{{"p", 2}};
-  const sched::CanonicalPeriod cp(g, env);
+  const sched::CanonicalPeriod cp(core::AnalysisContext(g), env);
   const sched::ListSchedule serial = sched::listSchedule(
       cp, sched::Platform{.peCount = 1, .dedicatedControlPe = false});
 
@@ -106,9 +107,11 @@ TEST(Integration, OfdmDynamicOccupancyMatchesEffectiveTopologyBound) {
   std::int64_t dynamicTotal = 0;
   for (const auto& ch : dyn.channels) dynamicTotal += ch.maxOccupancy;
 
-  const csdf::BufferReport stat = csdf::minimumBuffers(
-      apps::ofdmTpdfEffective(apps::Constellation::Qam16),
-      Environment{{"b", beta}, {"N", N}, {"L", L}});
+  const graph::Graph effective =
+      apps::ofdmTpdfEffective(apps::Constellation::Qam16);
+  const csdf::BufferReport stat =
+      csdf::minimumBuffers(effective, csdf::computeRepetitionVector(effective),
+                           Environment{{"b", beta}, {"N", N}, {"L", L}});
   ASSERT_TRUE(stat.ok);
   EXPECT_EQ(dynamicTotal, stat.total());
   EXPECT_EQ(stat.total(), apps::paperTpdfBufferFormula(beta, N, L));

@@ -144,5 +144,20 @@ TEST_F(PlatformGoldenTest, ExplicitIdealCrossbarIsByteIdenticalToLegacy) {
   }
 }
 
+// Contended platforms take the steady-state measurement path (two
+// round-robin simulations, the period read off their difference).  These
+// goldens were captured before that measurement moved into sim/, so the
+// shared routine must reproduce the contention block byte for byte.
+TEST_F(PlatformGoldenTest, ContendedOfdmMapReportsAreByteIdentical) {
+  LoadRequest load;
+  load.path = std::string(TPDF_SOURCE_DIR) + "/examples/graphs/ofdm.tpdf";
+  load.id = "ofdm_csdf";
+  ASSERT_EQ(session.load(load).status, Status::Ok) << load.path;
+  const Entry ofdm{"ofdm_csdf", {{"b", 2}, {"N", 16}, {"L", 2}}};
+  checkGolden("platform_map_ofdm_bus4.json", mapJson(ofdm, "bus:4,bw=1"));
+  checkGolden("platform_map_ofdm_mesh2x2.json",
+              mapJson(ofdm, "mesh:2x2,bw=2,lat=1"));
+}
+
 }  // namespace
 }  // namespace tpdf::api

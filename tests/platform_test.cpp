@@ -206,7 +206,7 @@ TEST(PlatformSched, CrossbarWithLatencyMatchesLegacyLinkLatency) {
   // the exact schedule the legacy uniform-linkLatency arithmetic did.
   const graph::Graph g = apps::fig1Csdf();
   const symbolic::Environment env;
-  const sched::CanonicalPeriod cp(g, env);
+  const sched::CanonicalPeriod cp(core::AnalysisContext(g), env);
 
   const sched::ListSchedule legacy = sched::listSchedule(
       cp, sched::Platform{.peCount = 3, .linkLatency = 2.0});
@@ -221,7 +221,8 @@ TEST(PlatformSched, CrossbarWithLatencyMatchesLegacyLinkLatency) {
 
 TEST(PlatformSched, TopologyPeCountMustMatchThePlatform) {
   const graph::Graph g = apps::fig1Csdf();
-  const sched::CanonicalPeriod cp(g, symbolic::Environment{});
+  const sched::CanonicalPeriod cp(core::AnalysisContext(g),
+                                  symbolic::Environment{});
   const Topology fabric = Topology::bus(2);
   sched::Platform plat{.peCount = 4};
   plat.topology = &fabric;
@@ -239,7 +240,8 @@ TEST(PlatformSched, LinkLoadAccountsCrossPeDependencies) {
       .channel("ea", "A.o", "S.a")
       .channel("eb", "B.o", "S.b")
       .build();
-  const sched::CanonicalPeriod cp(g, symbolic::Environment{});
+  const sched::CanonicalPeriod cp(core::AnalysisContext(g),
+                                  symbolic::Environment{});
   const Topology fabric = Topology::bus(2, 1.0, 1.0);
   sched::Platform plat{.peCount = 2};
   plat.topology = &fabric;

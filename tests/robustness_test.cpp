@@ -385,7 +385,8 @@ TEST(OverflowHardening, HugeRatesFailTypedInsteadOfWrapping) {
   } catch (const support::Error&) {
     // Typed failure: also acceptable, and what the checked paths throw.
   }
-  EXPECT_THROW(csdf::minimumBuffers(g), support::Error);
+  EXPECT_THROW(csdf::minimumBuffers(g, csdf::computeRepetitionVector(g)),
+               support::Error);
 }
 
 TEST(ParserDepth, DeepRateExpressionNestingIsRejectedWithALimit) {

@@ -19,7 +19,9 @@ using symbolic::Environment;
 
 class Figure5 : public ::testing::Test {
  protected:
-  Figure5() : g_(apps::fig2Tpdf()), cp_(g_, Environment{{"p", 1}}) {}
+  Figure5()
+      : g_(apps::fig2Tpdf()),
+        cp_(core::AnalysisContext(g_), Environment{{"p", 1}}) {}
 
   std::size_t node(const std::string& actor, std::int64_t k) const {
     return cp_.indexOf(*g_.findActor(actor), k);
@@ -88,7 +90,7 @@ TEST_F(Figure5, TopologicalOrderRespectsAllEdges) {
 
 TEST(CanonicalPeriod, ScalesWithParameter) {
   const Graph g = apps::fig2Tpdf();
-  const CanonicalPeriod cp(g, Environment{{"p", 4}});
+  const CanonicalPeriod cp(core::AnalysisContext(g), Environment{{"p", 4}});
   EXPECT_EQ(cp.size(), 2u + 8u + 4u + 4u + 8u + 8u);
 }
 
@@ -100,13 +102,13 @@ TEST(CanonicalPeriod, InitialTokensRemoveDependencies) {
       .kernel("B").in("i", "[1]")
       .channel("e", "A.o", "B.i", 1)
       .build();
-  const CanonicalPeriod cp(g, Environment{});
+  const CanonicalPeriod cp(core::AnalysisContext(g), Environment{});
   EXPECT_TRUE(cp.predecessors(cp.indexOf(*g.findActor("B"), 0)).empty());
 }
 
 TEST(CanonicalPeriod, Figure1Structure) {
   const Graph g = apps::fig1Csdf();
-  const CanonicalPeriod cp(g, Environment{});
+  const CanonicalPeriod cp(core::AnalysisContext(g), Environment{});
   EXPECT_EQ(cp.size(), 7u);  // 3 + 2 + 2
   // a1's first firing consumes 2 tokens from e3, produced by a3's two
   // firings: depends on a3#2.
@@ -123,7 +125,8 @@ TEST(CanonicalPeriod, InconsistentGraphRejected) {
       .channel("e1", "A.o", "B.i")
       .channel("e2", "B.o", "A.i", 1)
       .build();
-  EXPECT_THROW(CanonicalPeriod(g, Environment{}), support::Error);
+  EXPECT_THROW(CanonicalPeriod(core::AnalysisContext(g), Environment{}),
+               support::Error);
 }
 
 TEST(CanonicalPeriod, ExecTimesFollowPhases) {
@@ -132,7 +135,7 @@ TEST(CanonicalPeriod, ExecTimesFollowPhases) {
       .kernel("B").in("i", "[1]")
       .channel("e", "A.o", "B.i")
       .build();
-  const CanonicalPeriod cp(g, Environment{});
+  const CanonicalPeriod cp(core::AnalysisContext(g), Environment{});
   EXPECT_EQ(cp.execTime(cp.indexOf(*g.findActor("A"), 0)), 2.0);
   EXPECT_EQ(cp.execTime(cp.indexOf(*g.findActor("A"), 1)), 5.0);
 }

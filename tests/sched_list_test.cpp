@@ -45,7 +45,7 @@ void expectValidSchedule(const CanonicalPeriod& cp, const Platform& platform,
 
 TEST(ListSchedule, Figure2ValidOnFourPes) {
   const Graph g = apps::fig2Tpdf();
-  const CanonicalPeriod cp(g, Environment{{"p", 2}});
+  const CanonicalPeriod cp(core::AnalysisContext(g), Environment{{"p", 2}});
   const Platform platform{.peCount = 4};
   const ListSchedule ls = listSchedule(cp, platform);
   expectValidSchedule(cp, platform, ls);
@@ -54,7 +54,7 @@ TEST(ListSchedule, Figure2ValidOnFourPes) {
 
 TEST(ListSchedule, ControlActorOnDedicatedPe) {
   const Graph g = apps::fig2Tpdf();
-  const CanonicalPeriod cp(g, Environment{{"p", 1}});
+  const CanonicalPeriod cp(core::AnalysisContext(g), Environment{{"p", 1}});
   const Platform platform{.peCount = 2, .dedicatedControlPe = true};
   const ListSchedule ls = listSchedule(cp, platform);
   // C1 (the only control occurrence) sits on the extra PE, index 2,
@@ -70,7 +70,7 @@ TEST(ListSchedule, ControlActorOnDedicatedPe) {
 
 TEST(ListSchedule, MoreProcessorsNeverHurtMakespan) {
   const Graph g = apps::fig2Tpdf();
-  const CanonicalPeriod cp(g, Environment{{"p", 4}});
+  const CanonicalPeriod cp(core::AnalysisContext(g), Environment{{"p", 4}});
   double previous = std::numeric_limits<double>::infinity();
   for (std::size_t pes : {1u, 2u, 4u, 8u}) {
     const ListSchedule ls = listSchedule(cp, Platform{.peCount = pes});
@@ -81,7 +81,7 @@ TEST(ListSchedule, MoreProcessorsNeverHurtMakespan) {
 
 TEST(ListSchedule, SinglePeMakespanIsSerialTime) {
   const Graph g = apps::fig1Csdf();
-  const CanonicalPeriod cp(g, Environment{});
+  const CanonicalPeriod cp(core::AnalysisContext(g), Environment{});
   const ListSchedule ls = listSchedule(
       cp, Platform{.peCount = 1, .dedicatedControlPe = false});
   // All execution times default to 1.0; 7 occurrences → makespan 7.
@@ -99,7 +99,7 @@ TEST(ListSchedule, ControlPriorityPrefersControlActors) {
       .channel("trig", "S.t", "C.i")
       .channel("ctl", "C.o", "K.c")
       .build();
-  const CanonicalPeriod cp(g, Environment{});
+  const CanonicalPeriod cp(core::AnalysisContext(g), Environment{});
   const Platform oneWorker{.peCount = 1, .dedicatedControlPe = false};
   const ListSchedule ls = listSchedule(cp, oneWorker);
   const std::size_t c = cp.indexOf(*g.findActor("C"), 0);
@@ -116,7 +116,7 @@ TEST(ListSchedule, ControlEdgesCarryNoLinkLatency) {
       .channel("trig", "S.t", "C.i")
       .channel("ctl", "C.o", "K.c")
       .build();
-  const CanonicalPeriod cp(g, Environment{});
+  const CanonicalPeriod cp(core::AnalysisContext(g), Environment{});
   const Platform platform{.peCount = 2, .linkLatency = 10.0,
                           .dedicatedControlPe = true};
   const ListSchedule ls = listSchedule(cp, platform);
@@ -133,13 +133,13 @@ TEST(ListSchedule, ControlEdgesCarryNoLinkLatency) {
 
 TEST(ListSchedule, ZeroPesRejected) {
   const Graph g = apps::fig1Csdf();
-  const CanonicalPeriod cp(g, Environment{});
+  const CanonicalPeriod cp(core::AnalysisContext(g), Environment{});
   EXPECT_THROW(listSchedule(cp, Platform{.peCount = 0}), support::Error);
 }
 
 TEST(ListSchedule, GanttRenderingMentionsEveryPe) {
   const Graph g = apps::fig1Csdf();
-  const CanonicalPeriod cp(g, Environment{});
+  const CanonicalPeriod cp(core::AnalysisContext(g), Environment{});
   const ListSchedule ls =
       listSchedule(cp, Platform{.peCount = 2, .dedicatedControlPe = false});
   const std::string text = ls.toString(cp);
@@ -153,7 +153,7 @@ TEST(ListSchedule, GanttRenderingMentionsEveryPe) {
 TEST(Adf, RejectedBranchFiringsAreUnnecessary) {
   // Figure 2 with F selecting only e6 (from D): E's firings serve no one.
   const Graph g = apps::fig2Tpdf();
-  const CanonicalPeriod cp(g, Environment{{"p", 1}});
+  const CanonicalPeriod cp(core::AnalysisContext(g), Environment{{"p", 1}});
   const core::ModeSpec takeD{"take_D", core::Mode::SelectOne,
                              {*g.findPort("F.iD")}, {}};
   const std::vector<bool> unnecessary =
@@ -171,7 +171,7 @@ TEST(Adf, RejectedBranchFiringsAreUnnecessary) {
 
 TEST(Adf, OtherModeCancelsOtherBranch) {
   const Graph g = apps::fig2Tpdf();
-  const CanonicalPeriod cp(g, Environment{{"p", 1}});
+  const CanonicalPeriod cp(core::AnalysisContext(g), Environment{{"p", 1}});
   const core::ModeSpec takeE{"take_E", core::Mode::SelectOne,
                              {*g.findPort("F.iE")}, {}};
   const std::vector<bool> unnecessary =
@@ -184,7 +184,7 @@ TEST(Adf, OtherModeCancelsOtherBranch) {
 
 TEST(Adf, EmptyActiveListKeepsEverything) {
   const Graph g = apps::fig2Tpdf();
-  const CanonicalPeriod cp(g, Environment{{"p", 1}});
+  const CanonicalPeriod cp(core::AnalysisContext(g), Environment{{"p", 1}});
   const core::ModeSpec waitAll{"all", core::Mode::WaitAll, {}, {}};
   const std::vector<bool> unnecessary =
       unnecessaryFirings(cp, g, *g.findActor("F"), waitAll);

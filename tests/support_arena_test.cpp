@@ -5,11 +5,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "support/arena.hpp"
 #include "support/inlinevec.hpp"
-#include "support/smallvec.hpp"
 
 namespace tpdf::support {
 namespace {
@@ -141,86 +141,191 @@ struct Probe {
 };
 int Probe::live = 0;
 
-TEST(InlineVec, GrowthPreservesElementsAndLifetimes) {
-  {
-    InlineVec<Probe, 2> v;
-    for (int i = 0; i < 100; ++i) v.push_back(Probe(i));
-    ASSERT_EQ(v.size(), 100u);
-    for (int i = 0; i < 100; ++i) {
-      EXPECT_EQ(v[static_cast<std::size_t>(i)].value, i);
-    }
-    EXPECT_EQ(Probe::live, 100);
+// Every InlineVec case runs over Probe (constructor/destructor paths)
+// and over int (the memcpy paths trivially copyable payloads take).
+template <typename T>
+T make(int v) {
+  if constexpr (std::is_same_v<T, int>) {
+    return v;
+  } else {
+    return T(v);
   }
-  EXPECT_EQ(Probe::live, 0);  // everything destroyed exactly once
+}
+int valueOf(int v) { return v; }
+int valueOf(const Probe& p) { return p.value; }
+
+/// Live Probe count; ints have no lifetime to observe.
+template <typename T>
+int liveCount() {
+  return std::is_same_v<T, Probe> ? Probe::live : 0;
+}
+
+template <typename T, std::size_t N>
+InlineVec<T, N> iota(int n) {
+  InlineVec<T, N> v;
+  for (int i = 0; i < n; ++i) v.push_back(make<T>(i));
+  return v;
+}
+
+template <typename T>
+void growthPreservesElements() {
+  {
+    InlineVec<T, 2> v;
+    for (int i = 0; i < 100; ++i) {
+      v.push_back(make<T>(i));
+      ASSERT_EQ(v.size(), static_cast<std::size_t>(i + 1));
+      ASSERT_EQ(valueOf(v.back()), i);
+    }
+    EXPECT_GE(v.capacity(), 100u);
+    for (int i = 0; i < 100; ++i) {
+      EXPECT_EQ(valueOf(v[static_cast<std::size_t>(i)]), i);
+    }
+    if constexpr (std::is_same_v<T, Probe>) {
+      EXPECT_EQ(Probe::live, 100);
+    }
+  }
+  EXPECT_EQ(liveCount<T>(), 0);  // everything destroyed exactly once
+}
+
+TEST(InlineVec, GrowthPreservesElementsAndLifetimes) {
+  growthPreservesElements<Probe>();
+  growthPreservesElements<int>();
+}
+
+template <typename T>
+void copyAndMove() {
+  using Vec = InlineVec<T, 2>;
+  {
+    const Vec small = iota<T, 2>(2);
+    const Vec big = iota<T, 2>(10);
+
+    Vec copy = small;  // inline -> inline
+    EXPECT_EQ(copy, small);
+    copy = big;  // grows to heap
+    EXPECT_EQ(copy, big);
+    copy = small;  // heap storage reused for a small payload
+    EXPECT_EQ(copy, small);
+    Vec& self = copy;  // launder: -Wself-assign-overloaded under Clang
+    copy = self;
+    EXPECT_EQ(copy, small);
+
+    Vec a = big;
+    Vec c = std::move(a);  // steals the heap buffer
+    EXPECT_EQ(c, big);
+    EXPECT_EQ(a.size(), 0u);  // NOLINT(bugprone-use-after-move)
+    a = iota<T, 2>(1);        // a moved-from vector is reusable
+    EXPECT_EQ(a, (iota<T, 2>(1)));
+
+    // Inline-state move (no heap buffer to steal).
+    InlineVec<T, 4> d;
+    d.push_back(make<T>(7));
+    InlineVec<T, 4> e = std::move(d);
+    ASSERT_EQ(e.size(), 1u);
+    EXPECT_EQ(valueOf(e[0]), 7);
+
+    Vec b = small;
+    b = c;  // copy assign over non-empty
+    EXPECT_EQ(b, c);
+    b = std::move(c);  // move assign heap over heap
+    EXPECT_EQ(b, big);
+    Vec inlineOnly = small;
+    inlineOnly = std::move(b);  // move assign heap over inline
+    EXPECT_EQ(inlineOnly, big);
+    Vec heapOnly = big;
+    heapOnly = iota<T, 2>(2);  // move assign inline over heap
+    EXPECT_EQ(heapOnly, small);
+  }
+  EXPECT_EQ(liveCount<T>(), 0);
 }
 
 TEST(InlineVec, CopyAndMoveSemantics) {
-  InlineVec<Probe, 2> a;
-  for (int i = 0; i < 10; ++i) a.push_back(Probe(i));
-  InlineVec<Probe, 2> b = a;  // copy
-  EXPECT_EQ(a, b);
-  InlineVec<Probe, 2> c = std::move(a);  // steals the heap buffer
-  EXPECT_EQ(c, b);
-  EXPECT_EQ(a.size(), 0u);  // NOLINT(bugprone-use-after-move)
-
-  // Inline-state move (no heap buffer to steal).
-  InlineVec<Probe, 4> d;
-  d.push_back(Probe(7));
-  InlineVec<Probe, 4> e = std::move(d);
-  ASSERT_EQ(e.size(), 1u);
-  EXPECT_EQ(e[0].value, 7);
-
-  b = c;             // copy assign over non-empty
-  EXPECT_EQ(b, c);
-  b = std::move(c);  // move assign over non-empty
-  EXPECT_EQ(b.size(), 10u);
+  copyAndMove<Probe>();
+  copyAndMove<int>();
 }
 
-TEST(InlineVec, PushBackAliasingAnElementSurvivesGrowth) {
-  InlineVec<Probe, 1> v;
-  v.push_back(Probe(41));
+template <typename T>
+void pushBackAliasing() {
+  InlineVec<T, 1> v;
+  v.push_back(make<T>(41));
   // v is exactly full: pushing v[0] grows and frees the old buffer
   // while the argument still points into it.
   for (int i = 0; i < 20; ++i) v.push_back(v[0]);
-  for (const Probe& p : v) EXPECT_EQ(p.value, 41);
+  for (const T& x : v) EXPECT_EQ(valueOf(x), 41);
+  // Same through the front, at every capacity from inline to heap.
+  InlineVec<T, 4> w;
+  w.push_back(make<T>(7));
+  for (int i = 0; i < 63; ++i) w.push_back(w.front());
+  for (const T& x : w) EXPECT_EQ(valueOf(x), 7);
+}
+
+TEST(InlineVec, PushBackAliasingAnElementSurvivesGrowth) {
+  pushBackAliasing<Probe>();
+  pushBackAliasing<int>();
+}
+
+template <typename T>
+void resizeShrinksAndValueInitializes() {
+  InlineVec<T, 2> v = iota<T, 2>(8);
+  v.reserve(50);
+  EXPECT_GE(v.capacity(), 50u);
+  EXPECT_EQ(v, (iota<T, 2>(8)));
+  v.resize(3);
+  if constexpr (std::is_same_v<T, Probe>) {
+    EXPECT_EQ(Probe::live, 3);
+  }
+  EXPECT_EQ(v, (iota<T, 2>(3)));
+  v.resize(5);
+  EXPECT_EQ(valueOf(v[3]), 0);  // value-initialized
+  EXPECT_EQ(valueOf(v[4]), 0);
+  v.clear();
+  EXPECT_TRUE(v.empty());
+  EXPECT_EQ(liveCount<T>(), 0);
 }
 
 TEST(InlineVec, ResizeShrinksAndValueInitializes) {
-  InlineVec<Probe, 2> v;
-  for (int i = 0; i < 8; ++i) v.push_back(Probe(i));
-  v.resize(3);
-  EXPECT_EQ(Probe::live, 3);
-  ASSERT_EQ(v.size(), 3u);
-  EXPECT_EQ(v[2].value, 2);
-  v.resize(5);
-  EXPECT_EQ(v[4].value, 0);  // value-initialized
-  v.clear();
-  EXPECT_EQ(Probe::live, 0);
+  resizeShrinksAndValueInitializes<Probe>();
+  resizeShrinksAndValueInitializes<int>();
+}
+
+template <typename T>
+void sortAndInplaceMerge() {
+  const auto less = [](const T& a, const T& b) {
+    return valueOf(a) < valueOf(b);
+  };
+  InlineVec<T, 1> v;
+  for (int x : {5, 9, 1}) v.push_back(make<T>(x));
+  std::sort(v.begin(), v.end(), less);
+  const std::size_t mid = v.size();
+  for (int x : {0, 7}) v.push_back(make<T>(x));
+  std::inplace_merge(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(mid),
+                     v.end(), less);
+  std::vector<int> got;
+  for (const T& x : v) got.push_back(valueOf(x));
+  EXPECT_EQ(got, (std::vector<int>{0, 1, 5, 7, 9}));
 }
 
 TEST(InlineVec, WorksWithSortAndInplaceMerge) {
   // The exact shape Expr::mergeAccumulate relies on.
-  InlineVec<Probe, 1> v;
-  for (int x : {5, 9, 1}) v.push_back(Probe(x));
-  std::sort(v.begin(), v.end(),
-            [](const Probe& a, const Probe& b) { return a.value < b.value; });
-  const std::size_t mid = v.size();
-  for (int x : {0, 7}) v.push_back(Probe(x));
-  std::inplace_merge(
-      v.begin(), v.begin() + static_cast<std::ptrdiff_t>(mid), v.end(),
-      [](const Probe& a, const Probe& b) { return a.value < b.value; });
-  const std::vector<int> got = {v[0].value, v[1].value, v[2].value,
-                                v[3].value, v[4].value};
-  EXPECT_EQ(got, (std::vector<int>{0, 1, 5, 7, 9}));
+  sortAndInplaceMerge<Probe>();
+  sortAndInplaceMerge<int>();
 }
 
-TEST(SmallVec, InitializerListConstructionAndAssignment) {
-  SmallVec<double, 2> v{1.0};
+TEST(InlineVec, InitializerListConstructionAndAssignment) {
+  // Actor::execTime's shape: one inline default, reassigned per phase.
+  InlineVec<double, 2> v{1.0};
   ASSERT_EQ(v.size(), 1u);
   EXPECT_EQ(v[0], 1.0);
   v = {2.5, 4.0, 8.0};
   ASSERT_EQ(v.size(), 3u);
   EXPECT_EQ(v[2], 8.0);
+  v = {3.0};
+  ASSERT_EQ(v.size(), 1u);
+  EXPECT_EQ(v[0], 3.0);
+
+  InlineVec<Probe, 1> p{Probe(1), Probe(2)};
+  p = {Probe(5)};
+  ASSERT_EQ(p.size(), 1u);
+  EXPECT_EQ(p[0].value, 5);
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 
 #include "support/checked.hpp"
 #include "support/error.hpp"
+#include "support/inlinevec.hpp"
 #include "support/prng.hpp"
-#include "support/smallvec.hpp"
 #include "support/strings.hpp"
 #include "support/table.hpp"
 
@@ -133,7 +133,9 @@ TEST(Prng, GaussianHasReasonableMoments) {
   EXPECT_NEAR(var, 1.0, 0.1);
 }
 
-using IntVec = SmallVec<int, 4>;
+// The SmallVec cases from before InlineVec absorbed it, kept under their
+// original names and run on InlineVec's trivially copyable (memcpy) path.
+using IntVec = InlineVec<int, 4>;
 
 IntVec iota(int n) {
   IntVec v;
