@@ -16,11 +16,13 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
-#include <string>
-#include <vector>
-
 #include <cstdint>
+#include <optional>
+#include <span>
+#include <string>
+#include <string_view>
+#include <variant>
+#include <vector>
 
 #include "api/diagnostics.hpp"
 #include "core/analysis.hpp"
@@ -370,5 +372,73 @@ struct VerifyResponse : Response {
 
   support::json::Value toJson() const;
 };
+
+// ---- the request schema (requests.cpp) ----------------------------------
+//
+// Every field of the requests above that a front end can set is one
+// table row in requests.cpp: wire key, tpdfc spelling, type, default and
+// rule.  The wire parser, the document `tpdfc --connect` sends and
+// tpdfc's argv mapping are all derived from those rows, so the CLI and
+// the tpdfd wire accept the same fields with the same rules.  Members no
+// front end sets have no row: graphId (tpdfc's loaded file or the
+// daemon's graph reference), SweepRequest::keepReports,
+// MapRequest::options, the SimOptions/DiffOptions members without a row
+// and ResourceLimits::cancelParent.
+
+/// A request by command; the alternatives follow the wire command names
+/// analyze, schedule, buffers, map, simulate, sweep, batch, verify.
+using Request =
+    std::variant<AnalyzeRequest, ScheduleRequest, BufferRequest, MapRequest,
+                 SimulateRequest, SweepRequest, BatchRequest, VerifyRequest>;
+
+/// The default request of wire command `command`; nullopt when the
+/// command has no request table (load, erase, ping, stats, dot, ...).
+std::optional<Request> requestFor(std::string_view command);
+
+/// Reads a wire document into `request`, whose alternative selects the
+/// table.  "command" and the keys in `passThrough` (the daemon's graph
+/// reference) are skipped; any other key the table does not declare, a
+/// wrong type or a value outside the rule is an invalid-request failure
+/// on `bad` naming the key.
+void fromJson(const support::json::Value& doc, Request& request,
+              Response& bad,
+              std::span<const std::string_view> passThrough = {});
+
+/// {"command": ..., every declared field with its value, defaults
+/// included}; fromJson(toJson(r)) reproduces r field for field.
+support::json::Value toJson(const Request& request);
+
+/// One row of a command's table, as the argv mapping and tests see it.
+struct FieldInfo {
+  /// Wire key; "limits.timeout-ms" is a member of the "limits" object.
+  std::string key;
+  /// tpdfc spelling: "--iterations N", a bare switch ("--trace", which
+  /// flips the default), a positional form ("name=value", "<dir>"), or
+  /// "" when the field is set on the wire only.
+  std::string cli;
+  /// JSON type: "integer", "boolean", "string", "string array",
+  /// "number array" or "object".
+  std::string type;
+  support::json::Value defaultValue;
+};
+
+/// The rows of wire command `command`, in table order (none when the
+/// command has no table).
+std::vector<FieldInfo> fieldsOf(std::string_view command);
+
+/// True when some command's table spells `flag` with a value
+/// ("--iterations N"); false for switches and unknown flags.
+bool flagTakesValue(std::string_view flag);
+
+/// tpdfc's request words (flags with their values and the name=value
+/// words after the input, in argv order) -> the wire document of
+/// `command` (its keys only).  `input` fills batch's "directory" and
+/// verify's "directory" or "files".  Flags and pes=N that belong to
+/// other commands are checked by their own row and dropped; any syntax
+/// error or rule violation returns false with `error` naming the flag
+/// or word.
+bool argvToJson(std::string_view command, const std::string& input,
+                const std::vector<std::string>& args,
+                support::json::Value& doc, std::string& error);
 
 }  // namespace tpdf::api

@@ -61,6 +61,56 @@ support::Budget* armBudget(support::Budget& budget,
   return &budget;
 }
 
+/// Parses a request's platform spec ("" = none); a malformed spec is an
+/// invalid-platform diagnostic positioned into the spec string.
+bool parsePlatform(const std::string& text, platform::SpecParse& parsed,
+                   Response& response) {
+  if (text.empty()) return true;
+  parsed = platform::parsePlatformSpec(text);
+  if (!parsed.ok) {
+    response.fail(Status::InvalidRequest, "invalid-platform",
+                  parsed.error + " in platform spec '" + text + "'",
+                  "platform", 1, static_cast<int>(parsed.column));
+  }
+  return parsed.ok;
+}
+
+/// A corpus request's inputs: the *.tpdf files under its directory, in
+/// sorted order (walked by `Iterator`), then its explicit files.  False
+/// with the failure recorded on `response` when there are none.
+template <typename Iterator, typename CorpusRequest>
+bool corpusFiles(const CorpusRequest& request, const std::string& command,
+                 std::vector<std::string>& files, Response& response) {
+  if (request.directory.empty() && request.files.empty()) {
+    response.fail(Status::InvalidRequest, "invalid-request",
+                  command + " needs a directory or explicit files");
+    return false;
+  }
+  if (!request.directory.empty()) {
+    try {
+      for (const auto& dirEntry : Iterator(request.directory)) {
+        if (dirEntry.is_regular_file() &&
+            dirEntry.path().extension() == ".tpdf") {
+          files.push_back(dirEntry.path().string());
+        }
+      }
+    } catch (const std::filesystem::filesystem_error& e) {
+      response.fail(Status::InputError, "io-error", e.what(),
+                    request.directory);
+      return false;
+    }
+    std::sort(files.begin(), files.end());
+    if (files.empty() && request.files.empty()) {
+      response.fail(Status::InputError, "no-inputs",
+                    "no .tpdf files under '" + request.directory + "'",
+                    request.directory);
+      return false;
+    }
+  }
+  files.insert(files.end(), request.files.begin(), request.files.end());
+  return true;
+}
+
 /// Fault-sweep self-test over one corpus graph.  First a clean reference
 /// run whose budget only counts checkpoints, then one re-run per
 /// injection point with a deterministic fault armed at that checkpoint.
@@ -447,15 +497,8 @@ MapResponse Session::map(const MapRequest& request) {
     return response;
   }
   platform::SpecParse parsedPlatform;
-  if (!request.platform.empty()) {
-    parsedPlatform = platform::parsePlatformSpec(request.platform);
-    if (!parsedPlatform.ok) {
-      response.fail(Status::InvalidRequest, "invalid-platform",
-                    parsedPlatform.error + " in platform spec '" +
-                        request.platform + "'",
-                    "platform", 1, static_cast<int>(parsedPlatform.column));
-      return response;
-    }
+  if (!parsePlatform(request.platform, parsedPlatform, response)) {
+    return response;
   }
   Entry* entry = resolve(request.graphId, response);
   if (entry == nullptr) return response;
@@ -515,15 +558,8 @@ SimulateResponse Session::simulate(const SimulateRequest& request) {
   SimulateResponse response;
   response.graphId = request.graphId;
   platform::SpecParse parsedPlatform;
-  if (!request.platform.empty()) {
-    parsedPlatform = platform::parsePlatformSpec(request.platform);
-    if (!parsedPlatform.ok) {
-      response.fail(Status::InvalidRequest, "invalid-platform",
-                    parsedPlatform.error + " in platform spec '" +
-                        request.platform + "'",
-                    "platform", 1, static_cast<int>(parsedPlatform.column));
-      return response;
-    }
+  if (!parsePlatform(request.platform, parsedPlatform, response)) {
+    return response;
   }
   Entry* entry = resolve(request.graphId, response);
   if (entry == nullptr) return response;
@@ -660,36 +696,11 @@ SweepResponse Session::sweep(const SweepRequest& request) {
 BatchResponse Session::batch(const BatchRequest& request) {
   BatchResponse response;
   response.jobs = request.jobs;
-  if (request.directory.empty() && request.files.empty()) {
-    response.fail(Status::InvalidRequest, "invalid-request",
-                  "batch needs a directory or explicit files");
+  std::vector<std::string> files;
+  if (!corpusFiles<std::filesystem::directory_iterator>(request, "batch",
+                                                        files, response)) {
     return response;
   }
-
-  std::vector<std::string> files;
-  if (!request.directory.empty()) {
-    try {
-      for (const auto& dirEntry :
-           std::filesystem::directory_iterator(request.directory)) {
-        if (dirEntry.is_regular_file() &&
-            dirEntry.path().extension() == ".tpdf") {
-          files.push_back(dirEntry.path().string());
-        }
-      }
-    } catch (const std::filesystem::filesystem_error& e) {
-      response.fail(Status::InputError, "io-error", e.what(),
-                    request.directory);
-      return response;
-    }
-    std::sort(files.begin(), files.end());
-    if (files.empty() && request.files.empty()) {
-      response.fail(Status::InputError, "no-inputs",
-                    "no .tpdf files under '" + request.directory + "'",
-                    request.directory);
-      return response;
-    }
-  }
-  files.insert(files.end(), request.files.begin(), request.files.end());
   response.inputCount = files.size();
 
   guarded(response, request.directory, [&] {
@@ -738,36 +749,11 @@ BatchResponse Session::batch(const BatchRequest& request) {
 
 VerifyResponse Session::verify(const VerifyRequest& request) {
   VerifyResponse response;
-  if (request.directory.empty() && request.files.empty()) {
-    response.fail(Status::InvalidRequest, "invalid-request",
-                  "verify needs a directory or explicit files");
+  std::vector<std::string> files;
+  if (!corpusFiles<std::filesystem::recursive_directory_iterator>(
+          request, "verify", files, response)) {
     return response;
   }
-
-  std::vector<std::string> files;
-  if (!request.directory.empty()) {
-    try {
-      for (const auto& dirEntry : std::filesystem::recursive_directory_iterator(
-               request.directory)) {
-        if (dirEntry.is_regular_file() &&
-            dirEntry.path().extension() == ".tpdf") {
-          files.push_back(dirEntry.path().string());
-        }
-      }
-    } catch (const std::filesystem::filesystem_error& e) {
-      response.fail(Status::InputError, "io-error", e.what(),
-                    request.directory);
-      return response;
-    }
-    std::sort(files.begin(), files.end());
-    if (files.empty() && request.files.empty()) {
-      response.fail(Status::InputError, "no-inputs",
-                    "no .tpdf files under '" + request.directory + "'",
-                    request.directory);
-      return response;
-    }
-  }
-  files.insert(files.end(), request.files.begin(), request.files.end());
   response.inputCount = files.size();
 
   const auto start = std::chrono::steady_clock::now();

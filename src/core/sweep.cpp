@@ -329,6 +329,9 @@ std::string validateSweepSpec(const graph::Graph& g, const SweepSpec& spec) {
   if (spec.maxPoints == 0) {
     return "sweep point cap must be positive";
   }
+  if (spec.pes == 0) {
+    return "platform must have at least one PE";
+  }
   const auto& params = g.params();
   for (std::size_t i = 0; i < spec.axes.size(); ++i) {
     const std::string& name = spec.axes[i].param;

@@ -231,9 +231,9 @@ struct SweepResult {
 /// Structural spec validation, shared by sweep() and the api layer (one
 /// rule set, one wording): duplicate axes, an axis that is also fixed,
 /// an axis for a parameter the graph does not have, non-positive axis
-/// values, a zero point cap.  Returns the first violation's message, or
-/// "" when the spec is well-formed.  An empty grid is NOT a violation —
-/// callers decide (api::Session refuses it as empty-sweep).
+/// values, a zero point cap or PE count.  Returns the first violation's
+/// message, or "" when the spec is well-formed.  An empty grid is NOT a
+/// violation — callers decide (api::Session refuses it as empty-sweep).
 std::string validateSweepSpec(const graph::Graph& g, const SweepSpec& spec);
 
 /// Runs the sweep over a shared context.  The context is used strictly

@@ -1,13 +1,17 @@
 #include "serve/protocol.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <sstream>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 
 #include "api/version.hpp"
-#include "core/sweep.hpp"
 #include "support/budget.hpp"
 #include "support/error.hpp"
 
@@ -88,183 +92,61 @@ Value serveBlock(bool cached, double analysisUs) {
   return doc;
 }
 
-/// Reads `limits` ({"timeout-ms": N, "max-work": N}) and applies the
-/// connection policy: the server default deadline fills in when the
-/// request names none, and the run-wide cancel parent always chains.
-api::ResourceLimits parseLimits(const Value& doc, const RequestPolicy& policy,
-                                api::Response& bad) {
-  api::ResourceLimits out;
-  out.timeoutMs = policy.defaultTimeoutMs;
-  out.cancelParent = policy.cancelParent;
-  const Value* limits = doc.find("limits");
-  if (limits == nullptr) return out;
-  if (!limits->isObject()) {
-    bad.fail(api::Status::InvalidRequest, "invalid-request",
-             "\"limits\" must be an object");
-    return out;
-  }
-  if (const Value* t = limits->find("timeout-ms")) {
-    if (!t->isInt() || t->asInt() < 0) {
+/// A graph reference: inline "graph" text, a server-side "path", or a
+/// loaded "id" (each "" when absent; a non-string is a failure).
+struct GraphRef {
+  std::string text, path, id;
+};
+constexpr std::string_view kGraphRefKeys[] = {"graph", "path", "id"};
+constexpr std::string_view kIdKey[] = {"id"};
+
+GraphRef readGraphRef(const Value& doc, api::Response& bad) {
+  GraphRef ref;
+  std::string* fields[] = {&ref.text, &ref.path, &ref.id};
+  for (std::size_t i = 0; i < std::size(kGraphRefKeys); ++i) {
+    const std::string key(kGraphRefKeys[i]);
+    const Value* v = doc.find(key);
+    if (v == nullptr) continue;
+    if (!v->isString()) {
       bad.fail(api::Status::InvalidRequest, "invalid-request",
-               "\"limits.timeout-ms\" must be a non-negative integer");
-    } else if (t->asInt() > 0) {
-      out.timeoutMs = t->asInt();
-    }
-  }
-  if (const Value* w = limits->find("max-work")) {
-    if (!w->isInt() || w->asInt() < 0) {
-      bad.fail(api::Status::InvalidRequest, "invalid-request",
-               "\"limits.max-work\" must be a non-negative integer");
+               "\"" + key + "\" must be a string");
     } else {
-      out.maxWork = w->asInt();
+      *fields[i] = v->asString();
     }
   }
-  return out;
+  return ref;
 }
 
-/// {"p": 2, ...} -> Environment.  Values must be positive integers (the
-/// Environment's own rule, surfaced as invalid-request here).
-symbolic::Environment parseBindings(const Value& doc, const char* key,
-                                    api::Response& bad) {
-  symbolic::Environment env;
-  const Value* bindings = doc.find(key);
-  if (bindings == nullptr) return env;
-  if (!bindings->isObject()) {
-    bad.fail(api::Status::InvalidRequest, "invalid-request",
-             std::string("\"") + key + "\" must be an object");
-    return env;
-  }
-  for (const auto& [name, value] : bindings->members()) {
-    if (!value.isInt()) {
+/// Rejects the first member of `doc` outside "command" and `keys` (the
+/// daemon-only commands' fields; the request commands have tables).
+bool onlyKeys(const Value& doc, std::span<const std::string_view> keys,
+              const std::string& command, api::Response& bad) {
+  for (const auto& [key, value] : doc.members()) {
+    if (key != "command" &&
+        std::find(keys.begin(), keys.end(), key) == keys.end()) {
       bad.fail(api::Status::InvalidRequest, "invalid-request",
-               "binding \"" + name + "\" must be an integer");
-      return env;
-    }
-    try {
-      env.bind(name, value.asInt());
-    } catch (const support::Error& e) {
-      bad.fail(api::Status::InvalidRequest, "invalid-request", e.what());
-      return env;
+               "unknown key \"" + key + "\" for command \"" + command +
+                   "\"");
+      return false;
     }
   }
-  return env;
+  return true;
 }
 
-/// Optional string field with a type check.
-std::string stringField(const Value& doc, const char* key,
-                        api::Response& bad) {
-  const Value* v = doc.find(key);
-  if (v == nullptr) return "";
-  if (!v->isString()) {
-    bad.fail(api::Status::InvalidRequest, "invalid-request",
-             std::string("\"") + key + "\" must be a string");
-    return "";
-  }
-  return v->asString();
-}
+/// The Session operation of each api::Request alternative, in order.
+constexpr auto kOperations = std::make_tuple(
+    &api::Session::analyze, &api::Session::schedule, &api::Session::buffers,
+    &api::Session::map, &api::Session::simulate, &api::Session::sweep,
+    &api::Session::batch, &api::Session::verify);
 
-/// Optional non-negative integer field with a type check.
-std::int64_t intField(const Value& doc, const char* key,
-                      std::int64_t fallback, api::Response& bad) {
-  const Value* v = doc.find(key);
-  if (v == nullptr) return fallback;
-  if (!v->isInt() || v->asInt() < 0) {
-    bad.fail(api::Status::InvalidRequest, "invalid-request",
-             std::string("\"") + key + "\" must be a non-negative integer");
-    return fallback;
+template <std::size_t I = 0, typename R>
+auto execute(api::Session& session, const R& request) {
+  using Alternative = std::variant_alternative_t<I, api::Request>;
+  if constexpr (std::is_same_v<R, Alternative>) {
+    return (session.*std::get<I>(kOperations))(request);
+  } else {
+    return execute<I + 1>(session, request);
   }
-  return v->asInt();
-}
-
-csdf::SchedulePolicy parsePolicy(const Value& doc,
-                                 csdf::SchedulePolicy fallback,
-                                 api::Response& bad) {
-  const Value* v = doc.find("policy");
-  if (v == nullptr) return fallback;
-  if (v->isString() && v->asString() == "eager") {
-    return csdf::SchedulePolicy::Eager;
-  }
-  if (v->isString() && v->asString() == "min-occupancy") {
-    return csdf::SchedulePolicy::MinOccupancy;
-  }
-  bad.fail(api::Status::InvalidRequest, "invalid-request",
-           "\"policy\" must be \"eager\" or \"min-occupancy\"");
-  return fallback;
-}
-
-/// {"p": "1:8", "q": "1,2,4"} -> sweep axes (SweepAxis::parse grammar).
-std::vector<core::SweepAxis> parseAxes(const Value& doc,
-                                       api::Response& bad) {
-  std::vector<core::SweepAxis> axes;
-  const Value* v = doc.find("axes");
-  if (v == nullptr) return axes;
-  if (!v->isObject()) {
-    bad.fail(api::Status::InvalidRequest, "invalid-request",
-             "\"axes\" must be an object of param -> \"lo:hi[:step]\" or "
-             "\"v1,v2,...\" specs");
-    return axes;
-  }
-  for (const auto& [param, spec] : v->members()) {
-    if (!spec.isString()) {
-      bad.fail(api::Status::InvalidRequest, "invalid-request",
-               "axis \"" + param + "\" must be a string spec");
-      return axes;
-    }
-    try {
-      axes.push_back(core::SweepAxis::parse(param, spec.asString()));
-    } catch (const support::Error& e) {
-      bad.fail(api::Status::InvalidRequest, "invalid-request",
-               "axis \"" + param + "\": " + e.what());
-      return axes;
-    }
-  }
-  return axes;
-}
-
-std::vector<std::string> stringListField(const Value& doc, const char* key,
-                                         api::Response& bad) {
-  std::vector<std::string> out;
-  const Value* v = doc.find(key);
-  if (v == nullptr) return out;
-  if (!v->isArray()) {
-    bad.fail(api::Status::InvalidRequest, "invalid-request",
-             std::string("\"") + key + "\" must be an array of strings");
-    return out;
-  }
-  for (const Value& item : v->items()) {
-    if (!item.isString()) {
-      bad.fail(api::Status::InvalidRequest, "invalid-request",
-               std::string("\"") + key + "\" must be an array of strings");
-      return out;
-    }
-    out.push_back(item.asString());
-  }
-  return out;
-}
-
-/// Optional array of positive numbers (e.g. "link-bandwidths").
-std::vector<double> numberListField(const Value& doc, const char* key,
-                                    api::Response& bad) {
-  std::vector<double> out;
-  const Value* v = doc.find(key);
-  if (v == nullptr) return out;
-  if (!v->isArray()) {
-    bad.fail(api::Status::InvalidRequest, "invalid-request",
-             std::string("\"") + key + "\" must be an array of numbers");
-    return out;
-  }
-  for (const Value& item : v->items()) {
-    if (item.isInt()) {
-      out.push_back(static_cast<double>(item.asInt()));
-    } else if (item.isDouble()) {
-      out.push_back(item.asDouble());
-    } else {
-      bad.fail(api::Status::InvalidRequest, "invalid-request",
-               std::string("\"") + key + "\" must be an array of numbers");
-      return out;
-    }
-  }
-  return out;
 }
 
 /// Reads a server-side file into a string (for "path" graph refs);
@@ -317,9 +199,7 @@ ClientSession::Result ClientSession::overloadedReject(std::size_t maxQueue) {
 ClientSession::Target ClientSession::resolveTarget(const Value& doc,
                                                    api::Response& bad) {
   Target target;
-  const std::string text = stringField(doc, "graph", bad);
-  const std::string path = stringField(doc, "path", bad);
-  const std::string id = stringField(doc, "id", bad);
+  const auto [text, path, id] = readGraphRef(doc, bad);
   if (!bad.ok()) return target;
   const int refs = (text.empty() ? 0 : 1) + (path.empty() ? 0 : 1) +
                    (id.empty() ? 0 : 1);
@@ -394,6 +274,10 @@ ClientSession::Result ClientSession::handle(const std::string& requestLine) {
   command = cmd->asString();
 
   // ---- commands without a graph target ----
+  if ((command == "ping" || command == "stats") &&
+      !onlyKeys(doc, {}, command, bad)) {
+    return reject(command, bad);
+  }
   if (command == "ping") {
     auto payload = Value::object();
     payload.set("status", "ok");
@@ -411,7 +295,8 @@ ClientSession::Result ClientSession::handle(const std::string& requestLine) {
     return finish(command, std::move(payload), api::Status::Ok);
   }
   if (command == "erase") {
-    const std::string id = stringField(doc, "id", bad);
+    const std::string id =
+        onlyKeys(doc, kIdKey, command, bad) ? readGraphRef(doc, bad).id : "";
     if (bad.ok() && id.empty()) {
       bad.fail(api::Status::InvalidRequest, "invalid-request",
                "erase needs an \"id\"");
@@ -423,74 +308,27 @@ ClientSession::Result ClientSession::handle(const std::string& requestLine) {
     adopted_.erase(id);
     return reject(command, bad);  // status ok + empty diagnostics on success
   }
-  if (command == "batch" || command == "verify") {
-    // Corpus commands: server-side paths, no cache involvement (each
-    // file is read and analyzed once; session state untouched).
-    api::Response probe;
-    const api::ResourceLimits limits = parseLimits(doc, policy_, probe);
-    const symbolic::Environment bindings =
-        parseBindings(doc, "bindings", probe);
-    const std::string directory = stringField(doc, "directory", probe);
-    const std::vector<std::string> files = stringListField(doc, "files", probe);
-    const std::int64_t jobs = intField(doc, "jobs", 0, probe);
-    if (!probe.ok()) return reject(command, probe);
-    const auto start = std::chrono::steady_clock::now();
-    if (command == "batch") {
-      api::BatchRequest request;
-      request.directory = directory;
-      request.files = files;
-      request.bindings = bindings;
-      request.jobs = static_cast<std::size_t>(jobs);
-      request.limits = limits;
-      api::BatchResponse response = session_.batch(request);
-      Value payload = response.toJson();
-      payload.set("serve", serveBlock(false, elapsedUs(start)));
-      return finish(command, std::move(payload), response.status);
-    }
-    api::VerifyRequest request;
-    request.directory = directory;
-    request.files = files;
-    request.bindings = bindings;
-    request.limits = limits;
-    api::VerifyResponse response = session_.verify(request);
-    Value payload = response.toJson();
-    payload.set("serve", serveBlock(false, elapsedUs(start)));
-    return finish(command, std::move(payload), response.status);
-  }
 
-  const bool isLoad = command == "load";
-  const bool isGraphCommand =
-      isLoad || command == "analyze" || command == "schedule" ||
-      command == "buffers" || command == "map" || command == "simulate" ||
-      command == "sweep";
-  if (!isGraphCommand) {
-    bad.fail(api::Status::InvalidRequest, "invalid-request",
-             "unknown command '" + command + "'");
-    return reject(command, bad);
-  }
-
-  // ---- graph commands: resolve the target through the shared cache ----
-  Target target;
-  if (isLoad) {
+  if (command == "load") {
     // load: admit text/path into the cache, then adopt under the
     // client-chosen id (or the cache id).  The "id" field names the NEW
     // session key here, not an existing graph, so resolve by hand.
-    const std::string text = stringField(doc, "graph", bad);
-    const std::string path = stringField(doc, "path", bad);
-    if (bad.ok() && text.empty() == path.empty()) {
+    const GraphRef ref = onlyKeys(doc, kGraphRefKeys, command, bad)
+                             ? readGraphRef(doc, bad)
+                             : GraphRef{};
+    if (bad.ok() && ref.text.empty() == ref.path.empty()) {
       bad.fail(api::Status::InvalidRequest, "invalid-request",
                "load takes inline \"graph\" text or a \"path\", not both");
     }
     if (!bad.ok()) return reject(command, bad);
-    std::string source = text;
-    if (!path.empty() && !readFileText(path, source, bad)) {
+    std::string source = ref.text;
+    if (!ref.path.empty() && !readFileText(ref.path, source, bad)) {
       return reject(command, bad);
     }
     api::LoadResponse response;
-    api::guardedRun(response, path, [&] {
+    api::guardedRun(response, ref.path, [&] {
       GraphCache::Acquired acquired = cache_.acquire(source);
-      const std::string id = stringField(doc, "id", response);
-      const std::string key = id.empty() ? acquired.entry->id : id;
+      const std::string key = ref.id.empty() ? acquired.entry->id : ref.id;
       if (!session_.has(key)) {
         session_.adopt(key, acquired.entry->model, acquired.entry->ctx);
         adopted_.emplace(key, acquired.entry);
@@ -512,14 +350,27 @@ ClientSession::Result ClientSession::handle(const std::string& requestLine) {
     return finish(command, std::move(payload), response.status);
   }
 
-  api::Response resolveProbe;
-  api::guardedRun(resolveProbe, "",
-                  [&] { target = resolveTarget(doc, resolveProbe); });
-  if (!resolveProbe.ok()) return reject(command, resolveProbe);
-
-  const api::ResourceLimits limits = parseLimits(doc, policy_, bad);
-  const symbolic::Environment bindings = parseBindings(doc, "bindings", bad);
+  // ---- request commands: fields from the schema (api/requests.hpp) ----
+  std::optional<api::Request> request = api::requestFor(command);
+  if (!request.has_value()) {
+    bad.fail(api::Status::InvalidRequest, "invalid-request",
+             "unknown command '" + command + "'");
+    return reject(command, bad);
+  }
+  // Corpus commands (batch, verify) name server-side paths and never
+  // touch the cache; the others reference one graph.
+  const bool corpus = command == "batch" || command == "verify";
+  api::fromJson(doc, *request, bad,
+                std::span(kGraphRefKeys).first(corpus ? 0 : 3));
   if (!bad.ok()) return reject(command, bad);
+
+  Target target;
+  if (!corpus) {
+    api::Response resolveProbe;
+    api::guardedRun(resolveProbe, "",
+                    [&] { target = resolveTarget(doc, resolveProbe); });
+    if (!resolveProbe.ok()) return reject(command, resolveProbe);
+  }
 
   // Serialize on the shared cache entry: the memoized AnalysisContext
   // is single-threaded state.  Requests against different graphs run in
@@ -529,105 +380,27 @@ ClientSession::Result ClientSession::handle(const std::string& requestLine) {
     entryLock = std::unique_lock<std::mutex>(target.entry->mutex);
   }
   const auto start = std::chrono::steady_clock::now();
-
-  if (command == "analyze") {
-    api::AnalyzeRequest request;
-    request.graphId = target.id;
-    request.bindings = bindings;
-    request.limits = limits;
-    api::AnalyzeResponse response = session_.analyze(request);
-    const double us = elapsedUs(start);
-    Value payload = response.toJson(session_.graph(target.id));
-    payload.set("serve", serveBlock(target.cached, us));
-    return finish(command, std::move(payload), response.status);
-  }
-  if (command == "schedule") {
-    api::ScheduleRequest request;
-    request.graphId = target.id;
-    request.bindings = bindings;
-    request.limits = limits;
-    request.policy = parsePolicy(doc, csdf::SchedulePolicy::Eager, bad);
-    if (const Value* b = doc.find("buffers")) {
-      if (!b->isBool()) {
-        bad.fail(api::Status::InvalidRequest, "invalid-request",
-                 "\"buffers\" must be a boolean");
-      } else {
-        request.computeBuffers = b->asBool();
-      }
-    }
-    if (!bad.ok()) return reject(command, bad);
-    api::ScheduleResponse response = session_.schedule(request);
-    const double us = elapsedUs(start);
-    Value payload = response.toJson(session_.graph(target.id));
-    payload.set("serve", serveBlock(target.cached, us));
-    return finish(command, std::move(payload), response.status);
-  }
-  if (command == "buffers") {
-    api::BufferRequest request;
-    request.graphId = target.id;
-    request.bindings = bindings;
-    request.limits = limits;
-    request.policy =
-        parsePolicy(doc, csdf::SchedulePolicy::MinOccupancy, bad);
-    if (!bad.ok()) return reject(command, bad);
-    api::BufferResponse response = session_.buffers(request);
-    const double us = elapsedUs(start);
-    Value payload = response.toJson(session_.graph(target.id));
-    payload.set("serve", serveBlock(target.cached, us));
-    return finish(command, std::move(payload), response.status);
-  }
-  if (command == "map") {
-    api::MapRequest request;
-    request.graphId = target.id;
-    request.bindings = bindings;
-    request.limits = limits;
-    request.pes =
-        static_cast<std::size_t>(intField(doc, "pes", 4, bad));
-    request.platform = stringField(doc, "platform", bad);
-    if (!bad.ok()) return reject(command, bad);
-    api::MapResponse response = session_.map(request);
-    const double us = elapsedUs(start);
-    Value payload = response.toJson();
-    payload.set("serve", serveBlock(target.cached, us));
-    return finish(command, std::move(payload), response.status);
-  }
-  if (command == "simulate") {
-    api::SimulateRequest request;
-    request.graphId = target.id;
-    request.bindings = bindings;
-    request.limits = limits;
-    request.options.iterations = intField(doc, "iterations", 1, bad);
-    request.options.maxFirings =
-        intField(doc, "max-firings", request.options.maxFirings, bad);
-    request.platform = stringField(doc, "platform", bad);
-    if (!bad.ok()) return reject(command, bad);
-    api::SimulateResponse response = session_.simulate(request);
-    const double us = elapsedUs(start);
-    Value payload = response.toJson(session_.graph(target.id));
-    payload.set("serve", serveBlock(target.cached, us));
-    return finish(command, std::move(payload), response.status);
-  }
-  // sweep
-  api::SweepRequest request;
-  request.graphId = target.id;
-  request.fixed = bindings;
-  request.limits = limits;
-  request.axes = parseAxes(doc, bad);
-  request.maxPoints = static_cast<std::size_t>(
-      intField(doc, "max-points",
-               static_cast<std::int64_t>(request.maxPoints), bad));
-  request.jobs =
-      static_cast<std::size_t>(intField(doc, "jobs", 0, bad));
-  request.pes = static_cast<std::size_t>(intField(doc, "pes", 4, bad));
-  request.platform = stringField(doc, "platform", bad);
-  request.linkBandwidths = numberListField(doc, "link-bandwidths", bad);
-  request.topologies = stringListField(doc, "topologies", bad);
-  if (!bad.ok()) return reject(command, bad);
-  api::SweepResponse response = session_.sweep(request);
-  const double us = elapsedUs(start);
-  Value payload = response.toJson();
-  payload.set("serve", serveBlock(target.cached, us));
-  return finish(command, std::move(payload), response.status);
+  return std::visit(
+      [&](auto& r) {
+        // Connection policy: the server's default deadline when the
+        // request names none; the run-wide cancel always chains.
+        if (r.limits.timeoutMs == 0) {
+          r.limits.timeoutMs = policy_.defaultTimeoutMs;
+        }
+        r.limits.cancelParent = policy_.cancelParent;
+        if constexpr (requires { r.graphId; }) r.graphId = target.id;
+        const auto response = execute(session_, r);
+        const double us = elapsedUs(start);
+        Value payload;
+        if constexpr (requires { response.toJson(nullptr); }) {
+          payload = response.toJson(session_.graph(target.id));
+        } else {
+          payload = response.toJson();
+        }
+        payload.set("serve", serveBlock(target.cached, us));
+        return finish(command, std::move(payload), response.status);
+      },
+      *request);
 }
 
 }  // namespace tpdf::serve

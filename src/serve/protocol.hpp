@@ -10,11 +10,13 @@
 //
 // Requests.  {"command": "<name>", ...} — commands mirror the tpdfc
 // subcommands (analyze, schedule, buffers, map, simulate, sweep, batch,
-// verify) plus daemon-side ones (load, erase, stats, ping).  A graph is
-// referenced by inline source text ("graph"), a server-side file
-// ("path"), or a previously loaded id ("id"); inline text and files are
-// admitted through the shared GraphCache, so identical sources from any
-// number of clients share one parsed graph and one memoized
+// verify), whose fields come from the api request schema
+// (api/requests.hpp: a key the command does not declare is an
+// invalid-request), plus daemon-side ones (load, erase, stats, ping).
+// A graph is referenced by inline source text ("graph"), a server-side
+// file ("path"), or a previously loaded id ("id"); inline text and files
+// are admitted through the shared GraphCache, so identical sources from
+// any number of clients share one parsed graph and one memoized
 // AnalysisContext.
 //
 // Responses.  The existing one-envelope contract: {"tool": "tpdfd",

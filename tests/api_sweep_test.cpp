@@ -99,6 +99,21 @@ TEST(ApiSweep, DuplicateAndUnknownAxesAreInvalidRequests) {
   }
 }
 
+TEST(ApiSweep, ZeroPesIsInvalidRequest) {
+  // Like map: a platform without PEs is a usage error (exit 2), not one
+  // failed point per grid point.
+  Session session;
+  SweepRequest request;
+  request.graphId = loadFig2(session);
+  request.axes.push_back(core::SweepAxis::range("p", 1, 4));
+  request.pes = 0;
+  const SweepResponse response = session.sweep(request);
+  EXPECT_EQ(response.status, Status::InvalidRequest);
+  EXPECT_EQ(exitCode(response.status), 2);
+  EXPECT_FALSE(response.ran);
+  EXPECT_EQ(response.firstError(), "platform must have at least one PE");
+}
+
 TEST(ApiSweep, EmptyGridIsRefusedWithEmptySweepDiagnostic) {
   Session session;
   SweepRequest request;

@@ -10,10 +10,18 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <optional>
 #include <random>
+#include <set>
+#include <sstream>
 #include <string>
+#include <type_traits>
+#include <utility>
+#include <variant>
 #include <vector>
 
+#include "api/requests.hpp"
 #include "serve/cache.hpp"
 #include "support/json.hpp"
 
@@ -261,6 +269,327 @@ TEST_F(ServeProtocolTest, RejectEnvelopesAreWellFormed) {
       ClientSession::overloadedReject(64);
   EXPECT_EQ(overloaded.status, api::Status::ResourceLimit);
   EXPECT_EQ(firstCode(parseEnvelope(overloaded)), "server-overloaded");
+}
+
+// ---- one request schema: the document tpdfc builds, over the wire ----
+
+std::string example(const std::string& name) {
+  return std::string(TPDF_SOURCE_DIR) + "/examples/graphs/" + name;
+}
+
+std::string readText(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+/// One tpdfc invocation: wire command, input and request words.
+struct CliCase {
+  std::string command;
+  std::string input;
+  std::vector<std::string> args;
+};
+
+/// The request `tpdfc <command> <input> <args>` executes in-process.
+api::Request cliRequest(const CliCase& c) {
+  support::json::Value doc;
+  std::string error;
+  EXPECT_TRUE(api::argvToJson(c.command, c.input, c.args, doc, error))
+      << error;
+  std::optional<api::Request> request = api::requestFor(c.command);
+  EXPECT_TRUE(request.has_value());
+  api::Response bad;
+  api::fromJson(doc, *request, bad);
+  EXPECT_TRUE(bad.ok()) << bad.firstError();
+  return *request;
+}
+
+/// `doc`'s member `key`; "group.key" looks inside the "group" object.
+const support::json::Value* member(const support::json::Value& doc,
+                                   const std::string& key) {
+  const std::size_t dot = key.find('.');
+  if (dot == std::string::npos) return doc.find(key);
+  const support::json::Value* group = doc.find(key.substr(0, dot));
+  return group == nullptr ? nullptr : group->find(key.substr(dot + 1));
+}
+
+bool isCorpus(const std::string& command) {
+  return command == "batch" || command == "verify";
+}
+
+/// The members that name the transport or the run, not the answer.
+support::json::Value masked(const support::json::Value& doc) {
+  if (doc.isArray()) {
+    auto out = support::json::Value::array();
+    for (const support::json::Value& item : doc.items()) out.push(masked(item));
+    return out;
+  }
+  if (!doc.isObject()) return doc;
+  auto out = support::json::Value::object();
+  for (const auto& [key, value] : doc.members()) {
+    if (key != "tool" && key != "version" && key != "command" &&
+        key != "serve" && key != "graphId" && key != "elapsedMs") {
+      out.set(key, masked(value));
+    }
+  }
+  return out;
+}
+
+/// What tpdfc prints in-process for `request` (its envelope, masked).
+support::json::Value runLocal(api::Request request, const std::string& text) {
+  api::Session session;
+  const std::string id = text.empty() ? "" : session.load({"", text, ""}).id;
+  const graph::Graph* g = session.graph(id);
+  return masked(std::visit(
+      [&](auto& r) -> support::json::Value {
+        using R = std::decay_t<decltype(r)>;
+        if constexpr (requires { r.graphId; }) r.graphId = id;
+        if constexpr (std::is_same_v<R, api::AnalyzeRequest>) {
+          return session.analyze(r).toJson(g);
+        } else if constexpr (std::is_same_v<R, api::ScheduleRequest>) {
+          return session.schedule(r).toJson(g);
+        } else if constexpr (std::is_same_v<R, api::BufferRequest>) {
+          return session.buffers(r).toJson(g);
+        } else if constexpr (std::is_same_v<R, api::MapRequest>) {
+          return session.map(r).toJson();
+        } else if constexpr (std::is_same_v<R, api::SimulateRequest>) {
+          return session.simulate(r).toJson(g);
+        } else if constexpr (std::is_same_v<R, api::SweepRequest>) {
+          return session.sweep(r).toJson();
+        } else if constexpr (std::is_same_v<R, api::BatchRequest>) {
+          return session.batch(r).toJson();
+        } else {
+          return session.verify(r).toJson();
+        }
+      },
+      request));
+}
+
+/// Every command with the flags --connect used to drop.
+const std::vector<CliCase>& cliCases() {
+  static const std::vector<CliCase> cases = {
+      {"analyze", example("fig1.tpdf"), {}},
+      {"analyze", example("quickstart.tpdf"), {"p=3", "--max-work", "100000"}},
+      {"schedule",
+       example("quickstart.tpdf"),
+       {"p=4", "--policy", "min-occupancy", "--no-buffers"}},
+      {"map",
+       example("quickstart.tpdf"),
+       {"pes=2", "--platform", "bus:2,bw=1"}},
+      {"simulate",
+       example("quickstart.tpdf"),
+       {"--iterations", "3", "--trace", "--max-firings", "100000"}},
+      {"sweep",
+       example("quickstart.tpdf"),
+       {"p=1:4", "--analysis-only", "--jobs", "1", "--cap", "3"}},
+      {"sweep",
+       example("fig2.tpdf"),
+       {"p=1,2", "--link-bw", "1,4", "--topologies", "bus:2;ring:2",
+        "--jobs", "1", "--timeout-ms", "60000"}},
+      {"batch", example(""), {"--jobs", "1", "p=2"}},
+      {"verify", example("fig1.tpdf"), {"--negative-selftest"}},
+      {"verify", example("fig1.tpdf"), {"--iterations", "3"}},
+      {"verify", example("fig1.tpdf"), {"--fault-sweep", "--fault-cap", "3"}},
+  };
+  return cases;
+}
+
+TEST(RequestSchema, ArgvToRequestToJsonRoundTripsFieldForField) {
+  for (const CliCase& c : cliCases()) {
+    SCOPED_TRACE(c.command);
+    const support::json::Value sent = api::toJson(cliRequest(c));
+    std::optional<api::Request> received = api::requestFor(c.command);
+    api::Response bad;
+    api::fromJson(sent, *received, bad);
+    EXPECT_TRUE(bad.ok()) << bad.firstError();
+    EXPECT_EQ(api::toJson(*received), sent);
+    // Defaults included: every row of the command's table is sent.
+    for (const api::FieldInfo& f : api::fieldsOf(c.command)) {
+      EXPECT_NE(member(sent, f.key), nullptr) << f.key;
+    }
+  }
+}
+
+TEST(RequestSchema, DefaultRequestsRoundTripAndKeysAreDeclaredOnce) {
+  for (const std::string command : {"analyze", "schedule", "buffers", "map",
+                                    "simulate", "sweep", "batch", "verify"}) {
+    SCOPED_TRACE(command);
+    std::optional<api::Request> request = api::requestFor(command);
+    ASSERT_TRUE(request.has_value());
+    const support::json::Value doc = api::toJson(*request);
+    EXPECT_EQ(doc.find("command")->asString(), command);
+    std::optional<api::Request> back = api::requestFor(command);
+    api::Response bad;
+    api::fromJson(doc, *back, bad);
+    EXPECT_TRUE(bad.ok()) << bad.firstError();
+    EXPECT_EQ(api::toJson(*back), doc);
+    std::set<std::string> keys;
+    for (const api::FieldInfo& f : api::fieldsOf(command)) {
+      EXPECT_TRUE(keys.insert(f.key).second) << f.key;
+      const support::json::Value* sent = member(doc, f.key);
+      ASSERT_NE(sent, nullptr) << f.key;
+      EXPECT_EQ(*sent, f.defaultValue) << f.key;
+    }
+  }
+  EXPECT_FALSE(api::requestFor("load").has_value());
+  EXPECT_FALSE(api::requestFor("sim").has_value());
+}
+
+TEST(RequestSchema, DocsTableListsEveryField) {
+  // docs/tpdfd.md's field table is written by hand; it must name every
+  // row of every command's table.
+  const std::string docs =
+      readText(std::string(TPDF_SOURCE_DIR) + "/docs/tpdfd.md");
+  for (const std::string command : {"analyze", "schedule", "buffers", "map",
+                                    "simulate", "sweep", "batch", "verify"}) {
+    for (const api::FieldInfo& f : api::fieldsOf(command)) {
+      EXPECT_NE(docs.find("| `" + f.key + "` | "), std::string::npos)
+          << command << " " << f.key;
+    }
+  }
+}
+
+TEST(RequestSchema, ArgvErrorsNameTheFlagOrWord) {
+  support::json::Value doc;
+  std::string error;
+  const auto fails = [&](const std::string& command,
+                         std::vector<std::string> args) {
+    return !api::argvToJson(command, example("fig1.tpdf"), args, doc, error);
+  };
+  EXPECT_TRUE(fails("simulate", {"--iterations", "0"}));
+  EXPECT_NE(error.find("--iterations"), std::string::npos) << error;
+  EXPECT_TRUE(fails("simulate", {"--iterations", "1000001"}));
+  EXPECT_NE(error.find("--iterations"), std::string::npos) << error;
+  EXPECT_TRUE(fails("simulate", {"--iterations"}));
+  EXPECT_NE(error.find("needs a value"), std::string::npos) << error;
+  EXPECT_TRUE(fails("analyze", {"--bogus"}));
+  EXPECT_NE(error.find("--bogus"), std::string::npos) << error;
+  EXPECT_TRUE(fails("analyze", {"p=0"}));
+  EXPECT_NE(error.find("'p'"), std::string::npos) << error;
+  EXPECT_TRUE(fails("map", {"pes=0"}));
+  EXPECT_NE(error.find("pes"), std::string::npos) << error;
+  EXPECT_TRUE(fails("sweep", {"p=1:4", "p=1:2"}));
+  EXPECT_NE(error.find("swept twice"), std::string::npos) << error;
+  EXPECT_TRUE(fails("sweep", {"--link-bw", "1,-4"}));
+  EXPECT_NE(error.find("--link-bw"), std::string::npos) << error;
+  // Another command's flag is checked by its own row, then dropped.
+  EXPECT_TRUE(fails("analyze", {"--iterations", "0"}));
+  EXPECT_FALSE(fails("analyze", {"--iterations", "5", "pes=3"}));
+  EXPECT_EQ(doc.find("iterations"), nullptr);
+  EXPECT_EQ(doc.find("pes"), nullptr);
+  EXPECT_FALSE(fails("", {"--jobs", "2", "p=0"}));  // dot, echo, ...
+  EXPECT_TRUE(api::flagTakesValue("--iterations"));
+  EXPECT_FALSE(api::flagTakesValue("--trace"));
+  EXPECT_FALSE(api::flagTakesValue("--json"));
+}
+
+/// The CLI's request, sent as `tpdfc --connect` sends it, must come back
+/// with the in-process status and payload.
+void expectWireMatchesLocal(ClientSession& session, const CliCase& c) {
+  SCOPED_TRACE(c.command + " " + c.input);
+  const api::Request request = cliRequest(c);
+  const std::string text = isCorpus(c.command) ? "" : readText(c.input);
+  support::json::Value wire = api::toJson(request);
+  if (!text.empty()) wire.set("graph", text);
+  const ClientSession::Result result = session.handle(wire.dump());
+  const support::json::Value local = runLocal(request, text);
+  EXPECT_EQ(toString(result.status), local.find("status")->asString());
+  EXPECT_EQ(masked(support::json::parse(result.line)).pretty(),
+            local.pretty());
+}
+
+TEST_F(ServeProtocolTest, EveryCliRequestMatchesInProcessOverTheWire) {
+  for (const CliCase& c : cliCases()) expectWireMatchesLocal(session_, c);
+}
+
+TEST_F(ServeProtocolTest, VerifyNegativeSelftestIsNotDroppedByTheWire) {
+  const CliCase c{"verify", example("fig1.tpdf"), {"--negative-selftest"}};
+  expectWireMatchesLocal(session_, c);
+  api::Request request = cliRequest(c);
+  EXPECT_EQ(session_.handle(api::toJson(request).dump()).status,
+            api::Status::AnalysisNegative);  // exit 1, as in-process
+}
+
+TEST_F(ServeProtocolTest, VerifyIterationsAndFaultSweepReachTheHarness) {
+  expectWireMatchesLocal(
+      session_, {"verify", example("fig1.tpdf"), {"--iterations", "4"}});
+  const CliCase sweep{
+      "verify", example("fig1.tpdf"), {"--fault-sweep", "--fault-cap", "2"}};
+  expectWireMatchesLocal(session_, sweep);
+  const support::json::Value envelope = support::json::parse(
+      session_.handle(api::toJson(cliRequest(sweep)).dump()).line);
+  ASSERT_NE(envelope.find("faultInjections"), nullptr);
+  EXPECT_EQ(envelope.find("faultInjections")->asInt(), 2);
+}
+
+TEST_F(ServeProtocolTest, SweepAnalysisOnlyReportsNoPeriodOverTheWire) {
+  const CliCase c{"sweep", example("quickstart.tpdf"),
+                  {"p=1:4", "--analysis-only"}};
+  expectWireMatchesLocal(session_, c);
+  support::json::Value wire = api::toJson(cliRequest(c));
+  wire.set("graph", readText(c.input));
+  const std::string line = session_.handle(wire.dump()).line;
+  EXPECT_EQ(line.find("\"period\""), std::string::npos);
+}
+
+TEST_F(ServeProtocolTest, SimTraceIsReturnedOverTheWire) {
+  const CliCase c{"simulate", example("quickstart.tpdf"), {"--trace"}};
+  expectWireMatchesLocal(session_, c);
+  support::json::Value wire = api::toJson(cliRequest(c));
+  wire.set("graph", readText(c.input));
+  const support::json::Value envelope =
+      support::json::parse(session_.handle(wire.dump()).line);
+  ASSERT_NE(envelope.find("sim"), nullptr);
+  EXPECT_NE(envelope.find("sim")->find("trace"), nullptr);
+}
+
+TEST_F(ServeProtocolTest, OutOfRangeValuesAreInvalidRequestsOnTheWire) {
+  // The CLI's bounds are the fields' own: iterations is 1..1000000 on
+  // the wire too (2^62 used to overflow q * N into an input error), and
+  // a sweep without PEs is refused like a map without PEs.
+  const std::string graph = graphText("range");
+  for (const std::string body :
+       {"\"command\":\"simulate\",\"iterations\":0",
+        "\"command\":\"simulate\",\"iterations\":4611686018427387904",
+        "\"command\":\"sweep\",\"axes\":{},\"pes\":0",
+        "\"command\":\"map\",\"pes\":0",
+        "\"command\":\"schedule\",\"policy\":\"fastest\""}) {
+    const ClientSession::Result result = handle(
+        "{" + body + ",\"graph\":" + support::json::Value(graph).dump() + "}");
+    EXPECT_EQ(result.status, api::Status::InvalidRequest) << body;
+    EXPECT_EQ(firstCode(parseEnvelope(result)), "invalid-request") << body;
+  }
+  const ClientSession::Result verify = handle(
+      "{\"command\":\"verify\",\"iterations\":0,\"files\":[\"" +
+      example("fig1.tpdf") + "\"]}");
+  EXPECT_EQ(verify.status, api::Status::InvalidRequest);
+}
+
+TEST_F(ServeProtocolTest, UndeclaredKeysAreRejectedByName) {
+  const std::string graph = support::json::Value(graphText("keys")).dump();
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"{\"command\":\"schedule\",\"max_points\":3,\"graph\":" + graph + "}",
+       "max_points"},
+      {"{\"command\":\"analyze\",\"limits\":{\"timeout\":5},\"graph\":" +
+           graph + "}",
+       "limits.timeout"},
+      {"{\"command\":\"batch\",\"graph\":" + graph + "}", "graph"},
+      {"{\"command\":\"ping\",\"verbose\":true}", "verbose"},
+      {"{\"command\":\"load\",\"bindings\":{},\"graph\":" + graph + "}",
+       "bindings"},
+  };
+  for (const auto& [line, key] : cases) {
+    const ClientSession::Result result = handle(line);
+    EXPECT_EQ(result.status, api::Status::InvalidRequest) << line;
+    const support::json::Value envelope = parseEnvelope(result);
+    const std::string message =
+        envelope.find("diagnostics")->items()[0].find("message")->asString();
+    EXPECT_NE(message.find("\"" + key + "\""), std::string::npos) << message;
+  }
+  // The graph reference keys pass on graph commands.
+  EXPECT_EQ(handle("{\"command\":\"analyze\",\"graph\":" + graph + "}").status,
+            api::Status::Ok);
 }
 
 TEST_F(ServeProtocolTest, FuzzTruncationsNeverCrashAndAlwaysEnvelope) {

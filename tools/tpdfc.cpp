@@ -5,52 +5,31 @@
 // and renders the response as human text or — with the global --json
 // flag — as one stable machine-readable JSON document on stdout.
 //
-//   tpdfc analyze  graph.tpdf [p=4 ...]    consistency/safety/liveness/
-//                                          boundedness report
-//   tpdfc schedule graph.tpdf [p=4 ...]    one-iteration schedule + buffer
-//                                          sizing at a parameter valuation
-//   tpdfc map      graph.tpdf pes=4 [..]   canonical period + list schedule
-//                                          on an MPPA-like platform
-//   tpdfc sim      graph.tpdf [p=4 ...]    discrete-event simulation
-//                  [--iterations N] [--trace]
-//   tpdfc dot      graph.tpdf              Graphviz rendering
-//   tpdfc echo     graph.tpdf              parse + pretty-print round trip
-//   tpdfc batch    dir [--jobs N] [p=4..]  analyze every .tpdf in a
-//                                          directory on a thread pool
-//                                          (`tpdfc --batch dir` still works)
-//   tpdfc sweep    graph.tpdf p=1:256[:s]  design-space exploration: analyze
-//                  [q=1,2,4] [b=8] [--jobs N] [--cap N] [--analysis-only]
-//                                          the cartesian parameter grid over
-//                                          one shared analysis context, with
-//                                          per-point buffer totals + period
-//                                          and the Pareto frontier
-//   tpdfc verify   dir|graph.tpdf          differential verification: cross-
-//                  [--iterations N]        check the static verdicts against
-//                  [--negative-selftest]   the simulator over every .tpdf
-//                  [--fault-sweep]         under the directory (recursive);
-//                  [--fault-cap N]         any discrepancy exits 1 with a
-//                                          replayable graph dump;
-//                                          --fault-sweep injects a
-//                                          deterministic fault at every
-//                                          checkpoint and requires a
-//                                          structured diagnostic each time
-//   tpdfc scenarios dir                    regenerate the scenario corpus
-//                                          (examples/graphs/scenarios/)
-//   tpdfc version                          semver + git describe
+//   analyze   consistency/safety/liveness/boundedness report
+//   schedule  one-iteration schedule + buffer sizing at a valuation
+//   map       canonical period + list schedule on a platform
+//   sim       discrete-event simulation
+//   sweep     design-space exploration over a parameter grid
+//   batch     analyze every .tpdf in a directory on a thread pool
+//   verify    differential sim-vs-static verification of a corpus
+//   dot, echo, scenarios, version
+// (flags in kUsage below; docs/api.md and README.md describe each one).
 //
 // Client mode: --connect <addr> forwards the subcommand to a running
 // tpdfd daemon (unix:/path, tcp:host:port, or a bare socket path)
-// instead of running in-process — graph files are sent as inline text,
-// so identical inputs from any number of clients share the daemon's
-// cached analysis state.  The daemon's envelope prints on stdout and
-// its status maps onto the same exit codes.  `tpdfc ping|stats
-// --connect <addr>` probe a daemon; `tpdfc loadtest graph.tpdf
-// --connect <addr> [--clients N] [--requests M] [--cold-every K]`
-// drives a load test and reports latency percentiles, throughput and
-// the server-side cache hit rate.
+// instead of running in-process.  It sends the request document it
+// would execute locally, with graph files as inline text, so identical
+// inputs from any number of clients share the daemon's cached analysis
+// state.  The daemon's envelope prints on stdout and its status maps
+// onto the same exit codes.  `tpdfc ping|stats --connect <addr>` probe
+// a daemon; `tpdfc loadtest` drives a load test and reports latency
+// percentiles, throughput and the server-side cache hit rate.
 //
 // Parameters are given as name=value pairs; unbound parameters default
-// to 2 for concrete steps (reported as a note diagnostic).
+// to 2 for concrete steps (reported as a note diagnostic).  Every request
+// flag and name=value word is a field of the request schema
+// (api/requests.hpp): tpdfc maps argv onto the same document tpdfd
+// accepts, so a field has one spelling, type and rule on both surfaces.
 //
 // Global resource governance: --timeout-ms N arms a wall-clock deadline
 // and --max-work N a work-unit cap on any analysis-running command.  A
@@ -73,14 +52,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
-#include <filesystem>
 #include <fstream>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "api/diagnostics.hpp"
@@ -101,10 +81,12 @@ namespace {
 constexpr const char* kUsage =
     "usage: tpdfc <analyze|schedule|map|sim|dot|echo> <file.tpdf> "
     "[name=value ...] [pes=N] [--json]\n"
+    "       tpdfc schedule ... [--policy eager|min-occupancy] [--no-buffers]\n"
     "       tpdfc map|sim ... [--platform kind[:size][,bw=X][,lat=Y]]\n"
     "             (kind: crossbar|bus|ring|mesh; e.g. mesh:4x4,bw=8,lat=2)\n"
     "       tpdfc sim <file.tpdf> [name=value ...] [--iterations N] "
-    "[--trace] [--json]\n"
+    "[--trace]\n"
+    "             [--max-firings N] [--json]\n"
     "       tpdfc batch <dir> [--jobs N] [name=value ...] [--json]\n"
     "       tpdfc verify <dir|file.tpdf> [name=value ...] [--iterations N]\n"
     "             [--negative-selftest] [--fault-sweep] [--fault-cap N] "
@@ -133,38 +115,10 @@ struct Cli {
   std::string command;
   std::string input;  // graph file, or directory for batch/verify/scenarios
   bool json = false;
-  bool trace = false;
-  bool analysisOnly = false;
-  /// verify: deliberately under-size every buffer capacity so the
-  /// harness must report discrepancies (negative self-test).
-  bool negativeSelftest = false;
-  /// verify: fault-injection self-test (a fault at every checkpoint
-  /// must surface as a structured diagnostic).
-  bool faultSweep = false;
-  /// verify: cap on injection points per file (0 = every checkpoint).
-  std::int64_t faultCap = 0;
-  /// Global resource limits (0 = unlimited); per unit for the
-  /// multi-input drivers.
-  std::int64_t timeoutMs = 0;
-  std::int64_t maxWork = 0;
-  std::int64_t iterations = 1;
-  /// True when --iterations was given (verify defaults differ from sim).
-  bool iterationsSet = false;
-  std::size_t pes = 4;
-  std::size_t jobs = 0;
-  std::size_t cap = core::SweepSpec::kDefaultMaxPoints;
-  /// name=value pairs, validated but not yet bound (binding can reject
-  /// non-positive values, which must surface as a usage diagnostic).
-  std::vector<std::pair<std::string, std::int64_t>> bindings;
-  /// Swept parameter axes (sweep command: name=lo:hi[:step] / name=v1,v2).
-  std::vector<core::SweepAxis> axes;
-  /// Platform spec (--platform, e.g. "mesh:4x4,bw=8,lat=2"); empty =
-  /// the legacy ideal crossbar over `pes`.
-  std::string platform;
-  /// Sweep platform axes: --link-bw v1,v2,... and --topologies
-  /// spec1;spec2;... (';'-separated because specs contain commas).
-  std::vector<double> linkBandwidths;
-  std::vector<std::string> topologies;
+  /// Request flags with their values and the name=value words after the
+  /// input, in argv order: api::argvToJson maps them onto the command's
+  /// request fields (api/requests.hpp).
+  std::vector<std::string> args;
   /// Client mode: forward the command to this tpdfd address instead of
   /// running in-process (empty = local).
   std::string connect;
@@ -221,17 +175,24 @@ int finish(const Cli& cli, const api::Response& response, ToJson&& toJson) {
   return api::exitCode(response.status);
 }
 
-int usageError(const Cli& cli, const std::string& message) {
-  api::Response response;
-  response.fail(api::Status::InvalidRequest, "invalid-request", message);
+/// A request that failed before producing a payload: its status and
+/// diagnostics under --json, `text` on stderr.  Returns the exit code.
+int failed(const Cli& cli, const api::Response& response,
+           const std::string& text) {
   if (cli.json) {
     auto doc = support::json::Value::object();
     doc.set("status", toString(response.status));
     doc.set("diagnostics", response.diagnosticsJson());
     emitJson(cli, std::move(doc));
   }
-  std::fprintf(stderr, "tpdfc: %s\n%s", message.c_str(), kUsage);
+  std::fprintf(stderr, "tpdfc: %s", text.c_str());
   return api::exitCode(response.status);
+}
+
+int usageError(const Cli& cli, const std::string& message) {
+  api::Response response;
+  response.fail(api::Status::InvalidRequest, "invalid-request", message);
+  return failed(cli, response, message + "\n" + kUsage);
 }
 
 bool parseInt(const std::string& text, std::int64_t& out) {
@@ -242,27 +203,13 @@ bool parseInt(const std::string& text, std::int64_t& out) {
   return errno != ERANGE && end != nullptr && *end == '\0';
 }
 
-/// Builds an Environment from the CLI pairs; a non-positive value is
-/// reported as a usage diagnostic on `response`.
-bool bindAll(const Cli& cli, symbolic::Environment& env,
-             api::Response& response) {
-  for (const auto& [name, value] : cli.bindings) {
-    try {
-      env.bind(name, value);
-    } catch (const support::Error& e) {
-      response.fail(api::Status::InvalidRequest, "invalid-request", e.what());
-      return false;
-    }
+/// The batch/sweep text footer: wall time and the requested job count.
+void printElapsed(double elapsedMs, std::size_t jobs) {
+  if (jobs == 0) {
+    std::printf("  elapsed:     %.1f ms (auto jobs)\n", elapsedMs);
+  } else {
+    std::printf("  elapsed:     %.1f ms (%zu jobs)\n", elapsedMs, jobs);
   }
-  return true;
-}
-
-/// The global --timeout-ms/--max-work flags as request limits.
-api::ResourceLimits limitsOf(const Cli& cli) {
-  api::ResourceLimits limits;
-  limits.timeoutMs = cli.timeoutMs;
-  limits.maxWork = cli.maxWork;
-  return limits;
 }
 
 int runVersion(const Cli& cli) {
@@ -278,18 +225,8 @@ int runVersion(const Cli& cli) {
   return 0;
 }
 
-int runBatch(const Cli& cli) {
-  api::BatchRequest request;
-  request.directory = cli.input;
-  request.jobs = cli.jobs;
-  request.limits = limitsOf(cli);
-  {
-    api::Response usage;
-    if (!bindAll(cli, request.bindings, usage)) {
-      return usageError(cli, usage.firstError());
-    }
-  }
-  api::Session session;
+int runRequest(const Cli& cli, api::Session& session,
+               const api::BatchRequest& request) {
   const api::BatchResponse response = session.batch(request);
   if (cli.json) {
     emitJson(cli, response.toJson());
@@ -303,37 +240,13 @@ int runBatch(const Cli& cli) {
     std::printf("  bounded:     %zu\n", result.bounded());
     std::printf("  not bounded: %zu\n", result.analyzed() - result.bounded());
     std::printf("  errors:      %zu\n", result.failed());
-    if (cli.jobs == 0) {
-      std::printf("  elapsed:     %.1f ms (auto jobs)\n", response.elapsedMs);
-    } else {
-      std::printf("  elapsed:     %.1f ms (%zu jobs)\n", response.elapsedMs,
-                  cli.jobs);
-    }
+    printElapsed(response.elapsedMs, response.jobs);
   }
   return api::exitCode(response.status);
 }
 
-int runVerify(const Cli& cli) {
-  api::VerifyRequest request;
-  // A single .tpdf replay file is accepted in place of a corpus
-  // directory (the replay workflow of docs/differential-testing.md).
-  if (std::filesystem::is_directory(cli.input)) {
-    request.directory = cli.input;
-  } else {
-    request.files.push_back(cli.input);
-  }
-  if (cli.iterationsSet) request.options.iterations = cli.iterations;
-  request.options.tamperBufferCapacities = cli.negativeSelftest;
-  request.limits = limitsOf(cli);
-  request.faultSweep = cli.faultSweep;
-  request.faultSweepLimit = cli.faultCap;
-  {
-    api::Response usage;
-    if (!bindAll(cli, request.bindings, usage)) {
-      return usageError(cli, usage.firstError());
-    }
-  }
-  api::Session session;
+int runRequest(const Cli& cli, api::Session& session,
+               const api::VerifyRequest& request) {
   const api::VerifyResponse response = session.verify(request);
   if (cli.json) {
     emitJson(cli, response.toJson());
@@ -364,14 +277,7 @@ int runScenarios(const Cli& cli) {
   } catch (const std::exception& e) {
     api::Response response;
     response.fail(api::Status::InputError, "io-error", e.what(), cli.input);
-    if (cli.json) {
-      auto doc = support::json::Value::object();
-      doc.set("status", toString(response.status));
-      doc.set("diagnostics", response.diagnosticsJson());
-      emitJson(cli, std::move(doc));
-    }
-    std::fprintf(stderr, "tpdfc: %s\n", e.what());
-    return api::exitCode(response.status);
+    return failed(cli, response, std::string(e.what()) + "\n");
   }
   const std::vector<apps::Scenario> corpus = apps::scenarioCorpus();
   if (cli.json) {
@@ -423,27 +329,8 @@ std::string bindingsText(const symbolic::Environment& env) {
   return out;
 }
 
-int runSweep(const Cli& cli, api::Session& session, const std::string& id) {
-  api::SweepRequest request;
-  request.graphId = id;
-  request.limits = limitsOf(cli);
-  request.axes = cli.axes;
-  request.jobs = cli.jobs;
-  request.pes = cli.pes;
-  request.platform = cli.platform;
-  request.linkBandwidths = cli.linkBandwidths;
-  request.topologies = cli.topologies;
-  request.maxPoints = cli.cap;
-  if (cli.analysisOnly) {
-    request.computeBuffers = false;
-    request.computePeriod = false;
-  }
-  {
-    api::Response usage;
-    if (!bindAll(cli, request.fixed, usage)) {
-      return usageError(cli, usage.firstError());
-    }
-  }
+int runRequest(const Cli& cli, api::Session& session,
+               const api::SweepRequest& request) {
   const api::SweepResponse response = session.sweep(request);
   if (!cli.json && response.ran) {
     const core::SweepResult& r = response.result;
@@ -460,12 +347,7 @@ int runSweep(const Cli& cli, api::Session& session, const std::string& id) {
     std::printf("  bounded:     %zu\n", r.bounded());
     std::printf("  not bounded: %zu\n", r.analyzed() - r.bounded());
     std::printf("  errors:      %zu\n", r.failed());
-    if (cli.jobs == 0) {
-      std::printf("  elapsed:     %.1f ms (auto jobs)\n", response.elapsedMs);
-    } else {
-      std::printf("  elapsed:     %.1f ms (%zu jobs)\n", response.elapsedMs,
-                  cli.jobs);
-    }
+    printElapsed(response.elapsedMs, response.jobs);
     if (!r.frontier.empty()) {
       std::printf("pareto frontier (buffer total vs. period):\n");
       for (const std::size_t i : r.frontier) {
@@ -479,16 +361,9 @@ int runSweep(const Cli& cli, api::Session& session, const std::string& id) {
   return finish(cli, response, [&] { return response.toJson(); });
 }
 
-int runAnalyze(const Cli& cli, api::Session& session, const std::string& id) {
-  api::AnalyzeRequest request;
-  request.graphId = id;
-  request.limits = limitsOf(cli);
-  {
-    api::Response usage;
-    if (!bindAll(cli, request.bindings, usage)) {
-      return usageError(cli, usage.firstError());
-    }
-  }
+int runRequest(const Cli& cli, api::Session& session,
+               const api::AnalyzeRequest& request) {
+  const std::string& id = request.graphId;
   const api::AnalyzeResponse response = session.analyze(request);
   if (!cli.json && response.analysisRan) {
     std::printf("%s", response.report.toString(*session.graph(id)).c_str());
@@ -497,16 +372,9 @@ int runAnalyze(const Cli& cli, api::Session& session, const std::string& id) {
                 [&] { return response.toJson(session.graph(id)); });
 }
 
-int runSchedule(const Cli& cli, api::Session& session, const std::string& id) {
-  api::ScheduleRequest request;
-  request.graphId = id;
-  request.limits = limitsOf(cli);
-  {
-    api::Response usage;
-    if (!bindAll(cli, request.bindings, usage)) {
-      return usageError(cli, usage.firstError());
-    }
-  }
+int runRequest(const Cli& cli, api::Session& session,
+               const api::ScheduleRequest& request) {
+  const std::string& id = request.graphId;
   const api::ScheduleResponse response = session.schedule(request);
   if (!cli.json) {
     const graph::Graph* g = session.graph(id);
@@ -530,18 +398,8 @@ int runSchedule(const Cli& cli, api::Session& session, const std::string& id) {
                 [&] { return response.toJson(session.graph(id)); });
 }
 
-int runMap(const Cli& cli, api::Session& session, const std::string& id) {
-  api::MapRequest request;
-  request.graphId = id;
-  request.pes = cli.pes;
-  request.platform = cli.platform;
-  request.limits = limitsOf(cli);
-  {
-    api::Response usage;
-    if (!bindAll(cli, request.bindings, usage)) {
-      return usageError(cli, usage.firstError());
-    }
-  }
+int runRequest(const Cli& cli, api::Session& session,
+               const api::MapRequest& request) {
   const api::MapResponse response = session.map(request);
   if (!cli.json && response.period.has_value()) {
     std::printf("canonical period: %zu occurrences\n",
@@ -551,19 +409,9 @@ int runMap(const Cli& cli, api::Session& session, const std::string& id) {
   return finish(cli, response, [&] { return response.toJson(); });
 }
 
-int runSim(const Cli& cli, api::Session& session, const std::string& id) {
-  api::SimulateRequest request;
-  request.graphId = id;
-  request.limits = limitsOf(cli);
-  request.platform = cli.platform;
-  request.options.iterations = cli.iterations;
-  request.options.recordTrace = cli.trace;
-  {
-    api::Response usage;
-    if (!bindAll(cli, request.bindings, usage)) {
-      return usageError(cli, usage.firstError());
-    }
-  }
+int runRequest(const Cli& cli, api::Session& session,
+               const api::SimulateRequest& request) {
+  const std::string& id = request.graphId;
   const api::SimulateResponse response = session.simulate(request);
   if (!cli.json && response.simulated) {
     const sim::SimResult& r = response.result;
@@ -571,7 +419,7 @@ int runSim(const Cli& cli, api::Session& session, const std::string& id) {
                 static_cast<long long>(r.totalFirings), r.endTime,
                 r.returnedToInitialState ? "returned to initial state"
                                          : "did not return to initial state");
-    if (cli.trace) {
+    if (request.options.recordTrace) {
       std::printf("%s", r.renderTrace(*session.graph(id)).c_str());
     }
   }
@@ -647,114 +495,13 @@ int emitEnvelope(const std::string& line) {
 int transportError(const Cli& cli, const std::string& what) {
   api::Response response;
   response.fail(api::Status::InputError, "connect-error", what, cli.connect);
-  if (cli.json) {
-    auto doc = support::json::Value::object();
-    doc.set("status", toString(response.status));
-    doc.set("diagnostics", response.diagnosticsJson());
-    emitJson(cli, std::move(doc));
-  }
-  std::fprintf(stderr, "tpdfc: %s\n", what.c_str());
-  return api::exitCode(response.status);
+  return failed(cli, response, what + "\n");
 }
 
-/// Builds the wire request for the current command; false with a usage
-/// message when the command cannot be forwarded.
-bool buildWireRequest(const Cli& cli, support::json::Value& request,
-                      api::Response& bad, std::string& usage) {
-  const std::string command = cli.command == "sim" ? "simulate" : cli.command;
-  request = support::json::Value::object();
-  request.set("command", command);
-
-  if (command == "ping" || command == "stats") return true;
-
-  if (command == "batch" || command == "verify") {
-    // Corpus paths are server-side: the daemon scans its own filesystem.
-    if (command == "verify" && !std::filesystem::is_directory(cli.input)) {
-      auto files = support::json::Value::array();
-      files.push(cli.input);
-      request.set("files", std::move(files));
-    } else {
-      request.set("directory", cli.input);
-    }
-  } else if (command == "analyze" || command == "schedule" ||
-             command == "map" || command == "simulate" ||
-             command == "sweep" || command == "load") {
-    // Graph files travel as inline text so identical sources share the
-    // daemon's cached analysis state regardless of client-side paths.
-    std::string text;
-    if (!slurpFile(cli.input, text, bad)) return true;  // bad carries it
-    request.set("graph", std::move(text));
-  } else {
-    usage = "command '" + cli.command + "' is not supported over --connect";
-    return false;
-  }
-
-  if (!cli.bindings.empty()) {
-    auto bindings = support::json::Value::object();
-    for (const auto& [name, value] : cli.bindings) {
-      bindings.set(name, value);
-    }
-    request.set("bindings", std::move(bindings));
-  }
-  if (cli.timeoutMs > 0 || cli.maxWork > 0) {
-    auto limits = support::json::Value::object();
-    if (cli.timeoutMs > 0) limits.set("timeout-ms", cli.timeoutMs);
-    if (cli.maxWork > 0) limits.set("max-work", cli.maxWork);
-    request.set("limits", std::move(limits));
-  }
-  if (command == "map") request.set("pes", static_cast<std::int64_t>(cli.pes));
-  if (command == "simulate") request.set("iterations", cli.iterations);
-  if ((command == "map" || command == "simulate" || command == "sweep") &&
-      !cli.platform.empty()) {
-    request.set("platform", cli.platform);
-  }
-  if (command == "sweep") {
-    auto axes = support::json::Value::object();
-    for (const core::SweepAxis& axis : cli.axes) {
-      std::string values;
-      for (std::size_t i = 0; i < axis.values.size(); ++i) {
-        if (i != 0) values += ",";
-        values += std::to_string(axis.values[i]);
-      }
-      axes.set(axis.param, values);
-    }
-    request.set("axes", std::move(axes));
-    request.set("max-points", static_cast<std::int64_t>(cli.cap));
-    if (cli.jobs > 0) request.set("jobs", static_cast<std::int64_t>(cli.jobs));
-    request.set("pes", static_cast<std::int64_t>(cli.pes));
-    if (!cli.linkBandwidths.empty()) {
-      auto bws = support::json::Value::array();
-      for (const double bw : cli.linkBandwidths) bws.push(bw);
-      request.set("link-bandwidths", std::move(bws));
-    }
-    if (!cli.topologies.empty()) {
-      auto topos = support::json::Value::array();
-      for (const std::string& t : cli.topologies) topos.push(t);
-      request.set("topologies", std::move(topos));
-    }
-  }
-  if ((command == "batch") && cli.jobs > 0) {
-    request.set("jobs", static_cast<std::int64_t>(cli.jobs));
-  }
-  return true;
-}
-
-int runLoadtest(const Cli& cli) {
-  std::string text;
-  {
-    api::Response bad;
-    if (!slurpFile(cli.input, text, bad)) {
-      if (cli.json) {
-        auto doc = support::json::Value::object();
-        doc.set("status", toString(bad.status));
-        doc.set("diagnostics", bad.diagnosticsJson());
-        emitJson(cli, std::move(doc));
-      }
-      std::fprintf(stderr, "tpdfc: %s\n", bad.firstError().c_str());
-      return api::exitCode(bad.status);
-    }
-  }
-
+/// Sends `request` (an analyze document) with `text` as its inline graph
+/// from cli.clients concurrent connections.
+int runLoadtest(const Cli& cli, const support::json::Value& request,
+                const std::string& text) {
   struct Sample {
     double latencyUs = 0;
     double analysisUs = 0;
@@ -781,17 +528,10 @@ int runLoadtest(const Cli& cli) {
             body += "\n# cold " + std::to_string(c) + "-" +
                     std::to_string(i) + "\n";
           }
-          auto request = support::json::Value::object();
-          request.set("command", "analyze");
-          request.set("graph", std::move(body));
-          if (cli.timeoutMs > 0 || cli.maxWork > 0) {
-            auto limits = support::json::Value::object();
-            if (cli.timeoutMs > 0) limits.set("timeout-ms", cli.timeoutMs);
-            if (cli.maxWork > 0) limits.set("max-work", cli.maxWork);
-            request.set("limits", std::move(limits));
-          }
+          support::json::Value line = request;
+          line.set("graph", std::move(body));
           const auto start = std::chrono::steady_clock::now();
-          const std::string reply = client.request(request.dump());
+          const std::string reply = client.request(line.dump());
           Sample sample;
           sample.latencyUs = std::chrono::duration<double, std::micro>(
                                  std::chrono::steady_clock::now() - start)
@@ -922,58 +662,98 @@ int runLoadtest(const Cli& cli) {
   return finish(cli, response, [&] { return std::move(doc); });
 }
 
-int runConnect(const Cli& cli) {
-  if (cli.command == "loadtest") return runLoadtest(cli);
-  support::json::Value request;
-  api::Response bad;
-  std::string usage;
-  if (!buildWireRequest(cli, request, bad, usage)) {
-    return usageError(cli, usage);
+/// Forwards the command to a tpdfd daemon: the request document tpdfc
+/// would execute locally (api::toJson), with the graph file as inline
+/// text so identical sources share the daemon's cache whatever their
+/// client-side paths.  Corpus paths (batch, verify) stay server-side.
+int runConnect(const Cli& cli, const std::optional<api::Request>& request) {
+  const bool probe = cli.command == "ping" || cli.command == "stats";
+  if (!probe && !request.has_value() && cli.command != "load") {
+    return usageError(cli, "command '" + cli.command +
+                               "' is not supported over --connect");
   }
-  if (!bad.ok()) {
-    if (cli.json) {
-      auto doc = support::json::Value::object();
-      doc.set("status", toString(bad.status));
-      doc.set("diagnostics", bad.diagnosticsJson());
-      emitJson(cli, std::move(doc));
+  support::json::Value wire = support::json::Value::object();
+  if (request.has_value()) {
+    wire = api::toJson(*request);
+  } else {
+    wire.set("command", cli.command);
+  }
+  std::string text;
+  if (!probe && cli.command != "batch" && cli.command != "verify") {
+    api::Response bad;
+    if (!slurpFile(cli.input, text, bad)) {
+      return failed(cli, bad, bad.firstError() + "\n");
     }
-    std::fprintf(stderr, "tpdfc: %s\n", bad.firstError().c_str());
-    return api::exitCode(bad.status);
+    if (cli.command == "loadtest") return runLoadtest(cli, wire, text);
+    wire.set("graph", std::move(text));
   }
   try {
     serve::Client client = serve::Client::connect(cli.connect);
-    return emitEnvelope(client.request(request.dump()));
+    return emitEnvelope(client.request(wire.dump()));
   } catch (const support::Error& e) {
     return transportError(cli, e.what());
   }
 }
 
+/// The wire command of a tpdfc subcommand that runs a request ("" for
+/// the others); loadtest sends analyze requests.
+std::string_view wireCommand(const std::string& command) {
+  if (command == "sim") return "simulate";
+  if (command == "loadtest") return "analyze";
+  for (const std::string_view c :
+       {"analyze", "schedule", "map", "sweep", "batch", "verify"}) {
+    if (command == c) return c;
+  }
+  return "";
+}
+
 int run(const Cli& cli) {
+  support::json::Value doc;
+  std::string error;
+  const std::string_view wire = wireCommand(cli.command);
+  if (!api::argvToJson(wire, cli.input, cli.args, doc, error)) {
+    return usageError(cli, error);
+  }
+  std::optional<api::Request> request = api::requestFor(wire);
+  if (request.has_value()) {
+    api::Response bad;
+    api::fromJson(doc, *request, bad);
+    if (!bad.ok()) return usageError(cli, bad.firstError());
+  }
+
   if (cli.command == "version") return runVersion(cli);
   if (!cli.connect.empty() || cli.command == "loadtest" ||
       cli.command == "ping" || cli.command == "stats") {
-    return runConnect(cli);
+    return runConnect(cli, request);
   }
-  if (cli.command == "batch") return runBatch(cli);
-  if (cli.command == "verify") return runVerify(cli);
   if (cli.command == "scenarios") return runScenarios(cli);
 
   api::Session session;
-  api::LoadRequest loadRequest;
-  loadRequest.path = cli.input;
-  const api::LoadResponse loaded = session.load(loadRequest);
-  if (!loaded.ok()) {
-    return finish(cli, loaded, [&] { return loaded.toJson(); });
+  std::string id;  // the loaded graph; batch and verify read a corpus
+  if (cli.command != "batch" && cli.command != "verify") {
+    api::LoadRequest loadRequest;
+    loadRequest.path = cli.input;
+    const api::LoadResponse loaded = session.load(loadRequest);
+    if (!loaded.ok()) {
+      return finish(cli, loaded, [&] { return loaded.toJson(); });
+    }
+    id = loaded.id;
+    if (cli.command == "dot") return runDot(cli, session, id);
+    if (cli.command == "echo") return runEcho(cli, session, id);
   }
-
-  if (cli.command == "analyze") return runAnalyze(cli, session, loaded.id);
-  if (cli.command == "sweep") return runSweep(cli, session, loaded.id);
-  if (cli.command == "schedule") return runSchedule(cli, session, loaded.id);
-  if (cli.command == "map") return runMap(cli, session, loaded.id);
-  if (cli.command == "sim") return runSim(cli, session, loaded.id);
-  if (cli.command == "dot") return runDot(cli, session, loaded.id);
-  if (cli.command == "echo") return runEcho(cli, session, loaded.id);
-  return usageError(cli, "unknown command '" + cli.command + "'");
+  if (!request.has_value()) {
+    return usageError(cli, "unknown command '" + cli.command + "'");
+  }
+  return std::visit(
+      [&](auto& r) {
+        if constexpr (requires { runRequest(cli, session, r); }) {
+          if constexpr (requires { r.graphId; }) r.graphId = id;
+          return runRequest(cli, session, r);
+        } else {
+          return usageError(cli, "unknown command '" + cli.command + "'");
+        }
+      },
+      *request);
 }
 
 /// Returns false on malformed arguments; `error` explains why.
@@ -981,7 +761,7 @@ int run(const Cli& cli) {
 /// Positional layout mirrors the pre-façade CLI: the first non-flag
 /// token is the command, the second is the input path — always, even
 /// when the path contains '=' — and only tokens *after* the input are
-/// parsed as name=value bindings.
+/// request words (name=value).  Request flags may appear anywhere.
 bool parseArgs(int argc, char** argv, Cli& cli, std::string& error) {
   bool haveCommand = false;
   bool haveInput = false;
@@ -989,8 +769,6 @@ bool parseArgs(int argc, char** argv, Cli& cli, std::string& error) {
     const std::string arg = argv[i];
     if (arg == "--json") {
       cli.json = true;
-    } else if (arg == "--trace") {
-      cli.trace = true;
     } else if (arg == "--version") {
       cli.command = "version";
       haveCommand = true;
@@ -998,166 +776,40 @@ bool parseArgs(int argc, char** argv, Cli& cli, std::string& error) {
       // Back-compat spelling of the batch subcommand.
       cli.command = "batch";
       haveCommand = true;
-    } else if (arg == "--analysis-only") {
-      cli.analysisOnly = true;
-    } else if (arg == "--negative-selftest") {
-      cli.negativeSelftest = true;
-    } else if (arg == "--fault-sweep") {
-      cli.faultSweep = true;
-    } else if (arg == "--connect") {
+    } else if (arg == "--connect" || arg == "--clients" ||
+               arg == "--requests" || arg == "--cold-every") {
       if (i + 1 >= argc) {
-        error = "--connect needs a daemon address (unix:/path or "
-                "tcp:host:port)";
+        error = arg == "--connect" ? "--connect needs a daemon address "
+                                     "(unix:/path or tcp:host:port)"
+                                   : arg + " needs a value";
         return false;
       }
-      cli.connect = argv[++i];
-    } else if (arg == "--platform") {
-      if (i + 1 >= argc) {
-        error = "--platform needs a spec "
-                "(kind[:size][,bw=X][,lat=Y], e.g. mesh:4x4,bw=8,lat=2)";
-        return false;
-      }
-      cli.platform = argv[++i];
-    } else if (arg == "--link-bw") {
-      if (i + 1 >= argc) {
-        error = "--link-bw needs a comma-separated list of bandwidths";
-        return false;
-      }
-      const std::string list = argv[++i];
-      for (std::size_t pos = 0; pos <= list.size();) {
-        std::size_t comma = list.find(',', pos);
-        if (comma == std::string::npos) comma = list.size();
-        const std::string item = list.substr(pos, comma - pos);
-        char* end = nullptr;
-        const double bw = std::strtod(item.c_str(), &end);
-        if (item.empty() || end == nullptr || *end != '\0' || !(bw > 0.0)) {
-          error = "--link-bw values must be positive numbers, got '" +
-                  item + "'";
-          return false;
-        }
-        cli.linkBandwidths.push_back(bw);
-        pos = comma + 1;
-      }
-    } else if (arg == "--topologies") {
-      if (i + 1 >= argc) {
-        error = "--topologies needs a ';'-separated list of platform specs";
-        return false;
-      }
-      const std::string list = argv[++i];
-      for (std::size_t pos = 0; pos <= list.size();) {
-        std::size_t semi = list.find(';', pos);
-        if (semi == std::string::npos) semi = list.size();
-        const std::string item = list.substr(pos, semi - pos);
-        if (item.empty()) {
-          error = "--topologies has an empty spec entry";
-          return false;
-        }
-        cli.topologies.push_back(item);
-        pos = semi + 1;
-      }
-    } else if (arg == "--clients" || arg == "--requests" ||
-               arg == "--cold-every") {
-      if (i + 1 >= argc) {
-        error = arg + " needs a value";
-        return false;
-      }
-      std::int64_t value = 0;
-      if (!parseInt(argv[++i], value) || value <= 0) {
+      const std::string value = argv[++i];
+      std::int64_t n = 0;
+      if (arg == "--connect") {
+        cli.connect = value;
+      } else if (!parseInt(value, n) || n <= 0) {
         error = arg + " must be a positive integer";
         return false;
-      }
-      if (arg == "--clients") {
-        cli.clients = static_cast<std::size_t>(value);
-      } else if (arg == "--requests") {
-        cli.requests = static_cast<std::size_t>(value);
       } else {
-        cli.coldEvery = static_cast<std::size_t>(value);
+        (arg == "--clients"    ? cli.clients
+         : arg == "--requests" ? cli.requests
+                               : cli.coldEvery) = static_cast<std::size_t>(n);
       }
-    } else if (arg == "--jobs" || arg == "--iterations" || arg == "--cap" ||
-               arg == "--timeout-ms" || arg == "--max-work" ||
-               arg == "--fault-cap") {
-      if (i + 1 >= argc) {
-        error = arg + " needs a value";
-        return false;
+    } else if (arg.starts_with("--")) {
+      // A request flag; the schema knows whether it takes a value.
+      cli.args.push_back(arg);
+      if (api::flagTakesValue(arg) && i + 1 < argc) {
+        cli.args.push_back(argv[++i]);
       }
-      std::int64_t value = 0;
-      if (!parseInt(argv[++i], value) || value <= 0) {
-        error = arg + " must be a positive integer";
-        return false;
-      }
-      if (arg == "--jobs") {
-        cli.jobs = static_cast<std::size_t>(value);
-      } else if (arg == "--cap") {
-        cli.cap = static_cast<std::size_t>(value);
-      } else if (arg == "--timeout-ms") {
-        cli.timeoutMs = value;
-      } else if (arg == "--max-work") {
-        cli.maxWork = value;
-      } else if (arg == "--fault-cap") {
-        cli.faultCap = value;
-      } else {
-        // The simulator hard-caps total firings at 1'000'000, so more
-        // iterations than that can never complete — and an unbounded
-        // value would overflow the per-actor firing limit (q * N).
-        if (value > 1'000'000) {
-          error = "--iterations must be at most 1000000";
-          return false;
-        }
-        cli.iterations = value;
-        cli.iterationsSet = true;
-      }
-    } else if (arg.size() >= 2 && arg[0] == '-' && arg[1] == '-') {
-      error = "unknown flag '" + arg + "'";
-      return false;
     } else if (!haveCommand) {
       cli.command = arg;
       haveCommand = true;
     } else if (!haveInput && cli.command != "version") {
       cli.input = arg;
       haveInput = true;
-    } else if (arg.find('=') != std::string::npos) {
-      const auto eq = arg.find('=');
-      const std::string name = arg.substr(0, eq);
-      const std::string spec = arg.substr(eq + 1);
-      if (name.empty()) {
-        error = "malformed name=value pair '" + arg + "'";
-        return false;
-      }
-      // Sweep axes: a value with ':' (range) or ',' (list) names a swept
-      // parameter; a plain integer stays a fixed binding.  `pes` is the
-      // platform width, not a graph parameter — never an axis.
-      if (cli.command == "sweep" && spec.find_first_of(":,") !=
-                                        std::string::npos) {
-        if (name == "pes") {
-          error = "pes cannot be swept (it is the platform width); "
-                  "use pes=N";
-          return false;
-        }
-        try {
-          cli.axes.push_back(core::SweepAxis::parse(name, spec));
-        } catch (const support::Error& e) {
-          error = e.what();
-          return false;
-        }
-        continue;
-      }
-      std::int64_t value = 0;
-      if (!parseInt(spec, value)) {
-        error = "malformed name=value pair '" + arg + "'";
-        return false;
-      }
-      if (name == "pes") {
-        if (value <= 0) {
-          error = "pes must be a positive integer";
-          return false;
-        }
-        cli.pes = static_cast<std::size_t>(value);
-      } else {
-        cli.bindings.emplace_back(name, value);
-      }
     } else {
-      error = "unexpected argument '" + arg + "'";
-      return false;
+      cli.args.push_back(arg);
     }
   }
 
