@@ -76,17 +76,12 @@ std::string Diagnostic::toString() const {
   return out + " " + message;
 }
 
-support::json::Value Diagnostic::toJson() const {
-  auto doc = support::json::Value::object();
-  doc.set("severity", api::toString(severity));
-  doc.set("code", code);
-  doc.set("message", message);
-  if (!file.empty()) doc.set("file", file);
-  if (line >= 0) {
-    doc.set("line", line);
-    doc.set("column", column);
-  }
-  return doc;
+void Diagnostic::write(support::json::Writer& w) const {
+  w.beginObject().member("severity", api::toString(severity));
+  w.member("code", code).member("message", message);
+  if (!file.empty()) w.member("file", file);
+  if (line >= 0) w.member("line", line).member("column", column);
+  w.endObject();
 }
 
 void Response::note(std::string code, std::string message) {
@@ -114,10 +109,10 @@ std::string Response::firstError() const {
   return "";
 }
 
-support::json::Value Response::diagnosticsJson() const {
-  auto arr = support::json::Value::array();
-  for (const Diagnostic& d : diagnostics) arr.push(d.toJson());
-  return arr;
+void Response::write(support::json::Writer& w) const {
+  w.member("status", toString(status)).key("diagnostics").beginArray();
+  for (const Diagnostic& d : diagnostics) d.write(w);
+  w.endArray();
 }
 
 void guardedRun(Response& response, const std::string& file,

@@ -85,7 +85,8 @@ struct Diagnostic {
   /// {"severity": "error", "code": "parse-error", "message": ...,
   /// "file": ..., "line": 3, "column": 7} (position fields only when
   /// present).
-  support::json::Value toJson() const;
+  void write(support::json::Writer& w) const;
+  support::json::Value toJson() const { return support::json::toValue(*this); }
 };
 
 /// Base of every façade response: a status and its diagnostics.
@@ -108,8 +109,9 @@ struct Response {
   /// Message of the first Error-severity diagnostic, or "" when none.
   std::string firstError() const;
 
-  /// ["<Diagnostic::toJson>", ...] in append order.
-  support::json::Value diagnosticsJson() const;
+  /// The leading members of every response document: "status" and
+  /// "diagnostics" (["<Diagnostic::write>", ...] in append order).
+  void write(support::json::Writer& w) const;
 };
 
 /// Runs `fn` under the façade's no-throw guarantee: every exception type

@@ -8,11 +8,13 @@
 // the domain report types unchanged, so existing consumers of
 // core::AnalysisReport etc. keep working on top of the façade.
 //
-// Every response renders one stable JSON document via toJson(); where a
-// graph argument is required it must be the session's graph for the
-// response's graphId (Session::graph()) — responses do not retain graph
-// references of their own, except MapResponse whose CanonicalPeriod
-// already points into the session-owned graph.
+// Every response renders one stable JSON document: write() puts its
+// members (status, diagnostics, payload) into the caller's open object —
+// the tpdfc/tpdfd envelope — and toJson() is that object as a Value, for
+// tests.  Where a graph argument is required it must be the session's
+// graph for the response's graphId (Session::graph()) — responses do not
+// retain graph references of their own, except MapResponse whose
+// CanonicalPeriod already points into the session-owned graph.
 #pragma once
 
 #include <cstddef>
@@ -86,7 +88,8 @@ struct LoadResponse : Response {
   std::size_t channelCount = 0;
   std::vector<std::string> params;
 
-  support::json::Value toJson() const;
+  void write(support::json::Writer& w) const;
+  support::json::Value toJson() const { return support::json::toObject(*this); }
 };
 
 // ---- analyze ------------------------------------------------------------
@@ -111,7 +114,10 @@ struct AnalyzeResponse : Response {
 
   /// `g` must be the session's graph for graphId when analysisRan; it
   /// may be null otherwise.
-  support::json::Value toJson(const graph::Graph* g) const;
+  void write(support::json::Writer& w, const graph::Graph* g) const;
+  support::json::Value toJson(const graph::Graph* g) const {
+    return support::json::toObject(*this, g);
+  }
 };
 
 // ---- schedule (+ buffer sizing) -----------------------------------------
@@ -137,7 +143,10 @@ struct ScheduleResponse : Response {
   csdf::BufferReport buffers;
   bool buffersComputed = false;
 
-  support::json::Value toJson(const graph::Graph* g) const;
+  void write(support::json::Writer& w, const graph::Graph* g) const;
+  support::json::Value toJson(const graph::Graph* g) const {
+    return support::json::toObject(*this, g);
+  }
 };
 
 // ---- minimum buffers ----------------------------------------------------
@@ -156,7 +165,10 @@ struct BufferResponse : Response {
   symbolic::Environment bindings;
   csdf::BufferReport report;
 
-  support::json::Value toJson(const graph::Graph* g) const;
+  void write(support::json::Writer& w, const graph::Graph* g) const;
+  support::json::Value toJson(const graph::Graph* g) const {
+    return support::json::toObject(*this, g);
+  }
 };
 
 // ---- map (canonical period + list schedule) -----------------------------
@@ -204,7 +216,7 @@ struct MapContention {
   /// simulatedPeriod / uncontendedPeriod (1.0 when unmeasured).
   double slowdown = 1.0;
 
-  support::json::Value toJson() const;
+  void write(support::json::Writer& w) const;
 };
 
 struct MapResponse : Response {
@@ -216,12 +228,13 @@ struct MapResponse : Response {
   std::optional<sched::CanonicalPeriod> period;
   sched::ListSchedule schedule;
   /// Engaged when the request named a non-ideal platform; adds the
-  /// "platform" and "contention" members to toJson().  Default (and
+  /// "platform" and "contention" members to write().  Default (and
   /// explicitly ideal) platforms keep the report byte-identical to the
   /// pre-platform format.
   std::optional<MapContention> contention;
 
-  support::json::Value toJson() const;
+  void write(support::json::Writer& w) const;
+  support::json::Value toJson() const { return support::json::toObject(*this); }
 };
 
 // ---- simulate -----------------------------------------------------------
@@ -246,7 +259,10 @@ struct SimulateResponse : Response {
   bool simulated = false;
   sim::SimResult result;
 
-  support::json::Value toJson(const graph::Graph* g) const;
+  void write(support::json::Writer& w, const graph::Graph* g) const;
+  support::json::Value toJson(const graph::Graph* g) const {
+    return support::json::toObject(*this, g);
+  }
 };
 
 // ---- sweep (design-space exploration) -----------------------------------
@@ -298,7 +314,8 @@ struct SweepResponse : Response {
   /// The requested job count (0 = auto).
   std::size_t jobs = 0;
 
-  support::json::Value toJson() const;
+  void write(support::json::Writer& w) const;
+  support::json::Value toJson() const { return support::json::toObject(*this); }
 };
 
 // ---- batch --------------------------------------------------------------
@@ -326,7 +343,8 @@ struct BatchResponse : Response {
   /// The requested job count (0 = auto).
   std::size_t jobs = 0;
 
-  support::json::Value toJson() const;
+  void write(support::json::Writer& w) const;
+  support::json::Value toJson() const { return support::json::toObject(*this); }
 };
 
 // ---- verify (differential sim-vs-static harness) ------------------------
@@ -370,7 +388,8 @@ struct VerifyResponse : Response {
   /// corpus (each one produced a structured resource-limit outcome).
   std::size_t faultInjections = 0;
 
-  support::json::Value toJson() const;
+  void write(support::json::Writer& w) const;
+  support::json::Value toJson() const { return support::json::toObject(*this); }
 };
 
 // ---- the request schema (requests.cpp) ----------------------------------

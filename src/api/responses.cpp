@@ -2,29 +2,14 @@
 //
 // Every response document leads with the same two members — "status"
 // and "diagnostics" — followed by the operation's payload; `tpdfc
-// --json` wraps these in its envelope unchanged.  Payload members are
-// emitted only when the operation actually produced them, so a failed
-// request never serializes half-initialized reports.
-#include <utility>
-
+// --json` and `tpdfd` write these members straight into their envelope.
+// Payload members are emitted only when the operation actually produced
+// them, so a failed request never serializes half-initialized reports.
 #include "api/requests.hpp"
 
 namespace tpdf::api {
 
 namespace {
-
-support::json::Value base(const Response& response) {
-  auto doc = support::json::Value::object();
-  doc.set("status", toString(response.status));
-  doc.set("diagnostics", response.diagnosticsJson());
-  return doc;
-}
-
-support::json::Value bindingsJson(const symbolic::Environment& env) {
-  auto doc = support::json::Value::object();
-  for (const auto& [name, value] : env.bindings()) doc.set(name, value);
-  return doc;
-}
 
 /// True when the operation ran far enough for result payloads to exist.
 bool ran(const Response& response) {
@@ -34,153 +19,129 @@ bool ran(const Response& response) {
 
 }  // namespace
 
-support::json::Value LoadResponse::toJson() const {
-  auto doc = base(*this);
+void LoadResponse::write(support::json::Writer& w) const {
+  Response::write(w);
   if (ok()) {
-    doc.set("id", id);
-    doc.set("graph", graphName);
-    doc.set("actors", actorCount);
-    doc.set("channels", channelCount);
-    auto paramArray = support::json::Value::array();
-    for (const std::string& p : params) paramArray.push(p);
-    doc.set("params", std::move(paramArray));
+    w.member("id", id).member("graph", graphName);
+    w.member("actors", actorCount).member("channels", channelCount);
+    w.key("params").beginArray();
+    for (const std::string& p : params) w.value(p);
+    w.endArray();
   }
-  return doc;
 }
 
-support::json::Value AnalyzeResponse::toJson(const graph::Graph* g) const {
-  auto doc = base(*this);
-  doc.set("graphId", graphId);
-  if (analysisRan && g != nullptr) {
-    doc.set("report", report.toJson(*g));
-  }
-  return doc;
+void AnalyzeResponse::write(support::json::Writer& w,
+                            const graph::Graph* g) const {
+  Response::write(w);
+  w.member("graphId", graphId);
+  if (analysisRan && g != nullptr) report.write(w.key("report"), *g);
 }
 
-support::json::Value ScheduleResponse::toJson(const graph::Graph* g) const {
-  auto doc = base(*this);
-  doc.set("graphId", graphId);
-  if (!ran(*this) || g == nullptr) return doc;
-  doc.set("bindings", bindingsJson(bindings));
-  doc.set("live", result.live);
+void ScheduleResponse::write(support::json::Writer& w,
+                             const graph::Graph* g) const {
+  Response::write(w);
+  w.member("graphId", graphId);
+  if (!ran(*this) || g == nullptr) return;
+  bindings.write(w.key("bindings"));
+  w.member("live", result.live);
   if (result.live) {
-    doc.set("schedule", result.schedule.toJson(*g));
-    auto q = support::json::Value::array();
+    result.schedule.write(w.key("schedule"), *g);
+    w.key("q").beginArray();
     for (std::size_t i = 0; i < result.q.size(); ++i) {
-      auto entry = support::json::Value::object();
-      entry.set("actor", g->actors()[i].name);
-      entry.set("q", result.q[i]);
-      q.push(std::move(entry));
+      w.beginObject().member("actor", g->actors()[i].name);
+      w.member("q", result.q[i]).endObject();
     }
-    doc.set("q", std::move(q));
+    w.endArray();
   }
-  if (buffersComputed) {
-    doc.set("buffers", buffers.toJson(*g));
-  }
-  return doc;
+  if (buffersComputed) buffers.write(w.key("buffers"), *g);
 }
 
-support::json::Value BufferResponse::toJson(const graph::Graph* g) const {
-  auto doc = base(*this);
-  doc.set("graphId", graphId);
-  if (!ran(*this) || g == nullptr) return doc;
-  doc.set("bindings", bindingsJson(bindings));
-  doc.set("buffers", report.toJson(*g));
-  return doc;
+void BufferResponse::write(support::json::Writer& w,
+                           const graph::Graph* g) const {
+  Response::write(w);
+  w.member("graphId", graphId);
+  if (!ran(*this) || g == nullptr) return;
+  bindings.write(w.key("bindings"));
+  report.write(w.key("buffers"), *g);
 }
 
-support::json::Value MapContention::toJson() const {
-  auto doc = support::json::Value::object();
-  auto linkArray = support::json::Value::array();
+void MapContention::write(support::json::Writer& w) const {
+  w.beginObject().key("linkUtilization").beginArray();
   for (const LinkUse& l : links) {
-    auto entry = support::json::Value::object();
-    entry.set("link", l.link);
-    entry.set("transfers", l.transfers);
-    entry.set("busy", l.busy);
-    entry.set("utilization", l.utilization);
-    linkArray.push(std::move(entry));
+    w.beginObject().member("link", l.link).member("transfers", l.transfers);
+    w.member("busy", l.busy).member("utilization", l.utilization);
+    w.endObject();
   }
-  doc.set("linkUtilization", std::move(linkArray));
-  doc.set("maxContendedLink", maxContendedLink);
-  doc.set("idealPeriod", idealPeriod);
+  w.endArray().member("maxContendedLink", maxContendedLink);
+  w.member("idealPeriod", idealPeriod);
   if (simulatedPeriod > 0.0) {
-    doc.set("simulatedPeriod", simulatedPeriod);
-    doc.set("uncontendedPeriod", uncontendedPeriod);
+    w.member("simulatedPeriod", simulatedPeriod);
+    w.member("uncontendedPeriod", uncontendedPeriod);
   }
-  doc.set("contentionSlowdown", slowdown);
-  return doc;
+  w.member("contentionSlowdown", slowdown).endObject();
 }
 
-support::json::Value MapResponse::toJson() const {
-  auto doc = base(*this);
-  doc.set("graphId", graphId);
-  if (!ran(*this) || !period.has_value()) return doc;
-  doc.set("bindings", bindingsJson(bindings));
-  doc.set("period", period->toJson());
-  doc.set("mapping", schedule.toJson(*period));
+void MapResponse::write(support::json::Writer& w) const {
+  Response::write(w);
+  w.member("graphId", graphId);
+  if (!ran(*this) || !period.has_value()) return;
+  bindings.write(w.key("bindings"));
+  period->write(w.key("period"));
+  schedule.write(w.key("mapping"), *period);
   // The platform/contention block exists only for non-ideal platforms,
   // so default (and explicitly ideal) requests stay byte-identical to
   // the pre-platform report (tests/platform_golden_test.cpp).
   if (contention.has_value()) {
-    doc.set("platform", contention->spec.toJson(contention->pes));
-    doc.set("contention", contention->toJson());
+    contention->spec.write(w.key("platform"), contention->pes);
+    contention->write(w.key("contention"));
   }
-  return doc;
 }
 
-support::json::Value SimulateResponse::toJson(const graph::Graph* g) const {
-  auto doc = base(*this);
-  doc.set("graphId", graphId);
-  if (!simulated || g == nullptr) return doc;
-  doc.set("bindings", bindingsJson(bindings));
-  doc.set("sim", result.toJson(*g));
-  return doc;
+void SimulateResponse::write(support::json::Writer& w,
+                             const graph::Graph* g) const {
+  Response::write(w);
+  w.member("graphId", graphId);
+  if (!simulated || g == nullptr) return;
+  bindings.write(w.key("bindings"));
+  result.write(w.key("sim"), *g);
 }
 
-support::json::Value SweepResponse::toJson() const {
-  auto doc = base(*this);
-  doc.set("graphId", graphId);
+void SweepResponse::write(support::json::Writer& w) const {
+  Response::write(w);
+  w.member("graphId", graphId);
   // Same rule as the batch payload: a sweep that never enumerated a
   // point (unknown graph, empty grid, invalid axes) must not serialize
   // an empty-but-clean-looking result — status, the `empty-sweep` /
   // `invalid-request` diagnostic and exit 2 tell the story instead.
-  if (!ran || result.points.empty()) return doc;
-  doc.set("jobs", jobs);
-  doc.set("elapsedMs", elapsedMs);
-  doc.set("sweep", result.toJson());
-  return doc;
+  if (!ran || result.points.empty()) return;
+  w.member("jobs", jobs).member("elapsedMs", elapsedMs);
+  result.write(w.key("sweep"));
 }
 
-support::json::Value BatchResponse::toJson() const {
-  auto doc = base(*this);
+void BatchResponse::write(support::json::Writer& w) const {
+  Response::write(w);
   // The batch payload is meaningful whenever entries were processed —
   // including runs where some entries failed (status input-error with
   // batch-entry diagnostics).  A request that never ran (bad directory,
   // nothing to do) must not serialize an empty-but-clean-looking batch.
   if (!result.entries.empty()) {
-    doc.set("inputs", inputCount);
-    doc.set("jobs", jobs);
-    doc.set("elapsedMs", elapsedMs);
-    doc.set("batch", result.toJson());
+    w.member("inputs", inputCount).member("jobs", jobs);
+    w.member("elapsedMs", elapsedMs);
+    result.write(w.key("batch"));
   }
-  return doc;
 }
 
-support::json::Value VerifyResponse::toJson() const {
-  auto doc = base(*this);
+void VerifyResponse::write(support::json::Writer& w) const {
+  Response::write(w);
   // Same rule as batch: the payload is meaningful whenever graphs were
   // cross-checked, including runs that found discrepancies or skipped
   // unloadable files; a request that never ran serializes status +
   // diagnostics only.
   if (!report.verdicts.empty()) {
-    doc.set("inputs", inputCount);
-    doc.set("elapsedMs", elapsedMs);
-    doc.set("verify", report.toJson());
+    w.member("inputs", inputCount).member("elapsedMs", elapsedMs);
+    report.write(w.key("verify"));
   }
-  if (faultInjections > 0) {
-    doc.set("faultInjections", static_cast<std::int64_t>(faultInjections));
-  }
-  return doc;
+  if (faultInjections > 0) w.member("faultInjections", faultInjections);
 }
 
 }  // namespace tpdf::api

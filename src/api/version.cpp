@@ -43,14 +43,16 @@ std::string Version::toString() const {
   return "tpdf " + semver + " (git " + gitDescribe + ")";
 }
 
-support::json::Value Version::toJson() const {
-  auto doc = support::json::Value::object();
-  doc.set("semver", semver);
-  doc.set("major", major);
-  doc.set("minor", minor);
-  doc.set("patch", patch);
-  doc.set("git", gitDescribe);
-  return doc;
+void Version::write(support::json::Writer& w) const {
+  w.beginObject().member("semver", semver).member("major", major);
+  w.member("minor", minor).member("patch", patch);
+  w.member("git", gitDescribe).endObject();
+}
+
+void beginEnvelope(support::json::Writer& w, std::string_view tool,
+                   std::string_view command) {
+  w.beginObject().member("tool", tool).member("version", version().semver);
+  w.member("command", command);
 }
 
 }  // namespace tpdf::api

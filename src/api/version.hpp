@@ -7,6 +7,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "support/json.hpp"
 
@@ -27,10 +28,17 @@ struct Version {
 
   /// {"semver": "0.2.0", "major": 0, "minor": 2, "patch": 0,
   /// "git": "6d073f3"}.
-  support::json::Value toJson() const;
+  void write(support::json::Writer& w) const;
+  support::json::Value toJson() const { return support::json::toValue(*this); }
 };
 
 /// The version of this build (computed once).
 const Version& version();
+
+/// Opens the response envelope that `tpdfc --json` and `tpdfd` print:
+/// {"tool": tool, "version": <semver>, "command": command, — the caller
+/// writes the response's members and closes the object.
+void beginEnvelope(support::json::Writer& w, std::string_view tool,
+                   std::string_view command);
 
 }  // namespace tpdf::api

@@ -75,19 +75,16 @@ std::string AnalysisReport::toString(const graph::Graph& g) const {
   return os.str();
 }
 
-support::json::Value AnalysisReport::toJson(const graph::Graph& g) const {
-  auto doc = support::json::Value::object();
-  doc.set("graph", g.name());
-  doc.set("actors", g.actorCount());
-  doc.set("channels", g.channelCount());
-  doc.set("consistent", consistent());
-  doc.set("rateSafe", rateSafe());
-  doc.set("live", live());
-  doc.set("bounded", bounded());
-  doc.set("repetition", repetition.toJson(g));
-  doc.set("safety", safety.toJson(g));
-  doc.set("liveness", liveness.toJson(g));
-  return doc;
+void AnalysisReport::write(support::json::Writer& w,
+                           const graph::Graph& g) const {
+  w.beginObject().member("graph", g.name()).member("actors", g.actorCount());
+  w.member("channels", g.channelCount()).member("consistent", consistent());
+  w.member("rateSafe", rateSafe()).member("live", live());
+  w.member("bounded", bounded());
+  repetition.write(w.key("repetition"), g);
+  safety.write(w.key("safety"), g);
+  liveness.write(w.key("liveness"), g);
+  w.endObject();
 }
 
 }  // namespace tpdf::core

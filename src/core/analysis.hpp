@@ -33,7 +33,10 @@ struct AnalysisReport {
 
   /// Machine-readable sibling of toString(): verdict booleans plus the
   /// per-stage sub-reports ("repetition", "safety", "liveness").
-  support::json::Value toJson(const graph::Graph& g) const;
+  void write(support::json::Writer& w, const graph::Graph& g) const;
+  support::json::Value toJson(const graph::Graph& g) const {
+    return support::json::toValue(*this, g);
+  }
 };
 
 /// Runs the full analysis chain on a TPDF graph.  `env` may pre-bind some

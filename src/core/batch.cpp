@@ -32,40 +32,31 @@ std::size_t BatchResult::resourceLimited() const {
   return n;
 }
 
-support::json::Value BatchEntry::toJson() const {
-  auto doc = support::json::Value::object();
-  doc.set("name", name);
-  doc.set("ok", ok);
+void BatchEntry::write(support::json::Writer& w) const {
+  w.beginObject().member("name", name).member("ok", ok);
   if (ok) {
-    doc.set("consistent", report.consistent());
-    doc.set("rateSafe", report.rateSafe());
-    doc.set("live", report.live());
-    doc.set("bounded", report.bounded());
+    w.member("consistent", report.consistent());
+    w.member("rateSafe", report.rateSafe()).member("live", report.live());
+    w.member("bounded", report.bounded());
   } else {
-    auto err = support::json::Value::object();
-    err.set("message", error);
+    w.key("error").beginObject().member("message", error);
     if (errorLine >= 0) {
-      err.set("line", errorLine);
-      err.set("column", errorColumn);
+      w.member("line", errorLine).member("column", errorColumn);
     }
-    doc.set("error", std::move(err));
-    if (resourceLimited) doc.set("resourceLimited", true);
+    w.endObject();
+    if (resourceLimited) w.member("resourceLimited", true);
   }
-  return doc;
+  w.endObject();
 }
 
-support::json::Value BatchResult::toJson() const {
-  auto doc = support::json::Value::object();
-  doc.set("total", entries.size());
-  doc.set("analyzed", analyzed());
-  doc.set("bounded", bounded());
-  doc.set("notBounded", analyzed() - bounded());
-  doc.set("errors", failed());
-  if (resourceLimited() > 0) doc.set("resourceLimited", resourceLimited());
-  auto list = support::json::Value::array();
-  for (const BatchEntry& e : entries) list.push(e.toJson());
-  doc.set("entries", std::move(list));
-  return doc;
+void BatchResult::write(support::json::Writer& w) const {
+  w.beginObject().member("total", entries.size());
+  w.member("analyzed", analyzed()).member("bounded", bounded());
+  w.member("notBounded", analyzed() - bounded()).member("errors", failed());
+  if (resourceLimited() > 0) w.member("resourceLimited", resourceLimited());
+  w.key("entries").beginArray();
+  for (const BatchEntry& e : entries) e.write(w);
+  w.endArray().endObject();
 }
 
 namespace {

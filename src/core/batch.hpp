@@ -72,7 +72,8 @@ struct BatchEntry {
   /// {"name": ..., "ok": false, "error": {"message", "line", "column"}}.
   /// Verdict summaries only — the per-entry graphs are not retained by
   /// the batch driver, so the full reports are not serializable here.
-  support::json::Value toJson() const;
+  void write(support::json::Writer& w) const;
+  support::json::Value toJson() const { return support::json::toValue(*this); }
 };
 
 struct BatchResult {
@@ -86,8 +87,9 @@ struct BatchResult {
 
   /// {"total": N, "analyzed": N, "bounded": N, "notBounded": N,
   /// "errors": N, "resourceLimited": N (when > 0),
-  /// "entries": [<BatchEntry::toJson>, ...]}.
-  support::json::Value toJson() const;
+  /// "entries": [<BatchEntry::write>, ...]}.
+  void write(support::json::Writer& w) const;
+  support::json::Value toJson() const { return support::json::toValue(*this); }
 };
 
 /// A labelled graph producer; invoked on a worker thread.

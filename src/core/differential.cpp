@@ -15,28 +15,19 @@ namespace tpdf::core {
 
 using graph::Graph;
 
-support::json::Value DiffRecord::toJson() const {
-  auto doc = support::json::Value::object();
-  doc.set("graph", graph);
-  doc.set("file", file);
-  doc.set("check", check);
-  doc.set("detail", detail);
-  doc.set("replay", replay);
-  return doc;
+void DiffRecord::write(support::json::Writer& w) const {
+  w.beginObject().member("graph", graph).member("file", file);
+  w.member("check", check).member("detail", detail).member("replay", replay);
+  w.endObject();
 }
 
-support::json::Value GraphVerdict::toJson() const {
-  auto doc = support::json::Value::object();
-  doc.set("graph", graph);
-  doc.set("file", file);
-  doc.set("bounded", bounded);
-  auto ran = support::json::Value::array();
-  for (const std::string& c : checksRun) ran.push(c);
-  doc.set("checksRun", std::move(ran));
-  auto skip = support::json::Value::array();
-  for (const std::string& s : skipped) skip.push(s);
-  doc.set("skipped", std::move(skip));
-  return doc;
+void GraphVerdict::write(support::json::Writer& w) const {
+  w.beginObject().member("graph", graph).member("file", file);
+  w.member("bounded", bounded).key("checksRun").beginArray();
+  for (const std::string& c : checksRun) w.value(c);
+  w.endArray().key("skipped").beginArray();
+  for (const std::string& s : skipped) w.value(s);
+  w.endArray().endObject();
 }
 
 std::size_t DiffReport::checksRun() const {
@@ -51,21 +42,15 @@ std::size_t DiffReport::resourceLimited() const {
   return n;
 }
 
-support::json::Value DiffReport::toJson() const {
-  auto doc = support::json::Value::object();
-  doc.set("ok", ok());
-  doc.set("graphCount", static_cast<std::int64_t>(verdicts.size()));
-  doc.set("checkCount", static_cast<std::int64_t>(checksRun()));
-  if (resourceLimited() > 0) {
-    doc.set("resourceLimited", static_cast<std::int64_t>(resourceLimited()));
-  }
-  auto graphs = support::json::Value::array();
-  for (const GraphVerdict& v : verdicts) graphs.push(v.toJson());
-  doc.set("graphs", std::move(graphs));
-  auto records = support::json::Value::array();
-  for (const DiffRecord& r : this->records) records.push(r.toJson());
-  doc.set("discrepancies", std::move(records));
-  return doc;
+void DiffReport::write(support::json::Writer& w) const {
+  w.beginObject().member("ok", ok()).member("graphCount", verdicts.size());
+  w.member("checkCount", checksRun());
+  if (resourceLimited() > 0) w.member("resourceLimited", resourceLimited());
+  w.key("graphs").beginArray();
+  for (const GraphVerdict& v : verdicts) v.write(w);
+  w.endArray().key("discrepancies").beginArray();
+  for (const DiffRecord& r : records) r.write(w);
+  w.endArray().endObject();
 }
 
 Graph withChannelCapacities(const Graph& g,

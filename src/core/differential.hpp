@@ -77,7 +77,7 @@ struct DiffRecord {
   /// buffer checks this is the back-pressure-transformed graph).
   std::string replay;
 
-  support::json::Value toJson() const;
+  void write(support::json::Writer& w) const;
 };
 
 /// Per-graph summary: the static verdict plus which checks ran.
@@ -89,7 +89,7 @@ struct GraphVerdict {
   /// "check: reason" for every check that could not be run soundly.
   std::vector<std::string> skipped;
 
-  support::json::Value toJson() const;
+  void write(support::json::Writer& w) const;
 };
 
 struct DiffReport {
@@ -104,7 +104,8 @@ struct DiffReport {
 
   /// {"ok": bool, "graphs": [...], "discrepancies": [...],
   ///  "graphCount": N, "checkCount": N}.
-  support::json::Value toJson() const;
+  void write(support::json::Writer& w) const;
+  support::json::Value toJson() const { return support::json::toValue(*this); }
 };
 
 /// Back-pressure transform: a structural copy of `g` where every data

@@ -301,37 +301,27 @@ LivenessReport checkLiveness(const AnalysisContext& ctx,
                            &sampleRates, budget);
 }
 
-support::json::Value LivenessReport::toJson(const Graph& g) const {
-  auto doc = support::json::Value::object();
-  doc.set("live", live);
-  if (!diagnostic.empty()) doc.set("diagnostic", diagnostic);
+void LivenessReport::write(support::json::Writer& w, const Graph& g) const {
+  w.beginObject().member("live", live);
+  if (!diagnostic.empty()) w.member("diagnostic", diagnostic);
   if (!parametricSchedule.empty()) {
-    doc.set("parametricSchedule", parametricSchedule);
+    w.member("parametricSchedule", parametricSchedule);
   }
-  auto bindings = support::json::Value::object();
-  for (const auto& [name, value] : sampleEnv.bindings()) {
-    bindings.set(name, value);
-  }
-  doc.set("sampleBindings", std::move(bindings));
-  if (!sampleSchedule.empty()) {
-    doc.set("sampleSchedule", sampleSchedule.toJson(g));
-  }
-  auto cycleArray = support::json::Value::array();
+  sampleEnv.write(w.key("sampleBindings"));
+  if (!sampleSchedule.empty()) sampleSchedule.write(w.key("sampleSchedule"), g);
+  w.key("cycles").beginArray();
   for (const CycleReport& c : cycles) {
-    auto entry = support::json::Value::object();
-    auto actors = support::json::Value::array();
-    for (const ActorId a : c.actors) actors.push(g.actor(a).name);
-    entry.set("actors", std::move(actors));
-    entry.set("strictClusterable", c.strictClusterable);
-    entry.set("lateSchedulable", c.lateSchedulable);
+    w.beginObject().key("actors").beginArray();
+    for (const ActorId a : c.actors) w.value(g.actor(a).name);
+    w.endArray().member("strictClusterable", c.strictClusterable);
+    w.member("lateSchedulable", c.lateSchedulable);
     if (!c.localSchedule.empty()) {
-      entry.set("localSchedule", c.localSchedule.toJson(g));
+      c.localSchedule.write(w.key("localSchedule"), g);
     }
-    if (!c.diagnostic.empty()) entry.set("diagnostic", c.diagnostic);
-    cycleArray.push(std::move(entry));
+    if (!c.diagnostic.empty()) w.member("diagnostic", c.diagnostic);
+    w.endObject();
   }
-  doc.set("cycles", std::move(cycleArray));
-  return doc;
+  w.endArray().endObject();
 }
 
 }  // namespace tpdf::core

@@ -52,8 +52,8 @@ struct LivenessReport {
   std::string parametricSchedule;
 
   /// {"live": true, "parametricSchedule": "...", "sampleBindings":
-  /// {"p": 2}, "sampleSchedule": <Schedule::toJson>, "cycles": [...]}.
-  support::json::Value toJson(const graph::Graph& g) const;
+  /// {"p": 2}, "sampleSchedule": <Schedule::write>, "cycles": [...]}.
+  void write(support::json::Writer& w, const graph::Graph& g) const;
 };
 
 /// Checks liveness of `g` given its repetition vector.  Unbound

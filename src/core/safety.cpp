@@ -123,30 +123,23 @@ RateSafetyReport checkRateSafety(const AnalysisContext& ctx) {
   return checkRateSafety(ctx.view(), ctx.repetition());
 }
 
-support::json::Value RateSafetyReport::toJson(const Graph& g) const {
-  auto doc = support::json::Value::object();
-  doc.set("safe", safe);
-  if (!diagnostic.empty()) doc.set("diagnostic", diagnostic);
-  auto controls = support::json::Value::array();
+void RateSafetyReport::write(support::json::Writer& w, const Graph& g) const {
+  w.beginObject().member("safe", safe);
+  if (!diagnostic.empty()) w.member("diagnostic", diagnostic);
+  w.key("controls").beginArray();
   for (const ControlSafety& cs : perControl) {
-    auto entry = support::json::Value::object();
-    entry.set("control", g.actor(cs.control).name);
-    entry.set("safe", cs.safe);
-    if (!cs.diagnostic.empty()) entry.set("diagnostic", cs.diagnostic);
-    auto area = support::json::Value::array();
-    for (const graph::ActorId a : cs.area.all) {
-      area.push(g.actor(a).name);
-    }
-    entry.set("area", std::move(area));
-    if (cs.local.ok) {
-      entry.set("qG", cs.local.qG.toString());
-    }
-    entry.set("firingsPerLocalIteration",
-              cs.firingsPerLocalIteration.toString());
-    controls.push(std::move(entry));
+    w.beginObject().member("control", g.actor(cs.control).name);
+    w.member("safe", cs.safe);
+    if (!cs.diagnostic.empty()) w.member("diagnostic", cs.diagnostic);
+    w.key("area").beginArray();
+    for (const graph::ActorId a : cs.area.all) w.value(g.actor(a).name);
+    w.endArray();
+    if (cs.local.ok) w.member("qG", cs.local.qG.toString());
+    w.member("firingsPerLocalIteration",
+             cs.firingsPerLocalIteration.toString());
+    w.endObject();
   }
-  doc.set("controls", std::move(controls));
-  return doc;
+  w.endArray().endObject();
 }
 
 }  // namespace tpdf::core

@@ -40,7 +40,10 @@ struct RateSafetyReport {
 
   /// {"safe": true, "controls": [{"control": "C", "area": ["B", ...],
   /// "qG": "p", "firingsPerLocalIteration": "1", "safe": true}, ...]}.
-  support::json::Value toJson(const graph::Graph& g) const;
+  void write(support::json::Writer& w, const graph::Graph& g) const;
+  support::json::Value toJson(const graph::Graph& g) const {
+    return support::json::toValue(*this, g);
+  }
 };
 
 /// Checks Definition 5 for every control actor of `g` given its

@@ -118,13 +118,10 @@ SweepAxis SweepAxis::parse(std::string param, const std::string& text) {
   return list(std::move(param), std::move(values));
 }
 
-support::json::Value SweepAxis::toJson() const {
-  auto doc = support::json::Value::object();
-  doc.set("param", param);
-  auto list = support::json::Value::array();
-  for (const std::int64_t v : values) list.push(v);
-  doc.set("values", std::move(list));
-  return doc;
+void SweepAxis::write(support::json::Writer& w) const {
+  w.beginObject().member("param", param).key("values").beginArray();
+  for (const std::int64_t v : values) w.value(v);
+  w.endArray().endObject();
 }
 
 // ---- SweepSpec ------------------------------------------------------------
@@ -152,44 +149,31 @@ std::size_t SweepSpec::gridSize() const {
 
 // ---- SweepPoint / SweepResult JSON ---------------------------------------
 
-namespace {
-
-support::json::Value bindingsJson(const Environment& env) {
-  auto doc = support::json::Value::object();
-  for (const auto& [name, value] : env.bindings()) doc.set(name, value);
-  return doc;
-}
-
-}  // namespace
-
-support::json::Value SweepPoint::toJson() const {
-  auto doc = support::json::Value::object();
-  doc.set("bindings", bindingsJson(bindings));
-  doc.set("ok", ok);
+void SweepPoint::write(support::json::Writer& w) const {
+  bindings.write(w.beginObject().key("bindings"));
+  w.member("ok", ok);
   if (!ok) {
-    doc.set("error", error);
-    if (resourceLimited) doc.set("resourceLimited", true);
-    return doc;
+    w.member("error", error);
+    if (resourceLimited) w.member("resourceLimited", true);
+    w.endObject();
+    return;
   }
-  doc.set("consistent", consistent);
-  doc.set("rateSafe", rateSafe);
-  doc.set("live", live);
-  doc.set("bounded", bounded);
-  if (!diagnostic.empty()) doc.set("diagnostic", diagnostic);
+  w.member("consistent", consistent).member("rateSafe", rateSafe);
+  w.member("live", live).member("bounded", bounded);
+  if (!diagnostic.empty()) w.member("diagnostic", diagnostic);
   if (buffersComputed) {
-    doc.set("bufferTotal", bufferTotal);
-    doc.set("dataBufferTotal", dataBufferTotal);
-    doc.set("controlBufferTotal", controlBufferTotal);
+    w.member("bufferTotal", bufferTotal);
+    w.member("dataBufferTotal", dataBufferTotal);
+    w.member("controlBufferTotal", controlBufferTotal);
   }
   if (periodComputed) {
-    doc.set("period", period);
-    doc.set("throughput", throughput);
+    w.member("period", period).member("throughput", throughput);
   }
   // Only platform-aware sweeps carry the variant label; legacy sweeps
   // serialize byte-identically to the pre-platform format.
-  if (!platform.empty()) doc.set("platform", platform);
-  if (buffersComputed && periodComputed) doc.set("pareto", pareto);
-  return doc;
+  if (!platform.empty()) w.member("platform", platform);
+  if (buffersComputed && periodComputed) w.member("pareto", pareto);
+  w.endObject();
 }
 
 std::size_t SweepResult::analyzed() const {
@@ -214,38 +198,29 @@ std::size_t SweepResult::resourceLimited() const {
   return n;
 }
 
-support::json::Value SweepResult::toJson() const {
-  auto doc = support::json::Value::object();
-  auto axisList = support::json::Value::array();
-  for (const SweepAxis& axis : axes) axisList.push(axis.toJson());
-  doc.set("axes", std::move(axisList));
-  doc.set("gridSize", gridSize);
-  doc.set("analyzedPoints", points.size());
-  doc.set("truncated", truncated);
+void SweepResult::write(support::json::Writer& w) const {
+  w.beginObject().key("axes").beginArray();
+  for (const SweepAxis& axis : axes) axis.write(w);
+  w.endArray().member("gridSize", gridSize);
+  w.member("analyzedPoints", points.size()).member("truncated", truncated);
   if (!defaulted.empty()) {
-    auto names = support::json::Value::array();
-    for (const std::string& name : defaulted) names.push(name);
-    doc.set("defaulted", std::move(names));
+    w.key("defaulted").beginArray();
+    for (const std::string& name : defaulted) w.value(name);
+    w.endArray();
   }
-  doc.set("analyzed", analyzed());
-  doc.set("bounded", bounded());
-  doc.set("notBounded", analyzed() - bounded());
-  doc.set("errors", failed());
-  if (resourceLimited() > 0) doc.set("resourceLimited", resourceLimited());
-  auto pointList = support::json::Value::array();
-  for (const SweepPoint& p : points) pointList.push(p.toJson());
-  doc.set("points", std::move(pointList));
-  auto front = support::json::Value::array();
+  w.member("analyzed", analyzed()).member("bounded", bounded());
+  w.member("notBounded", analyzed() - bounded()).member("errors", failed());
+  if (resourceLimited() > 0) w.member("resourceLimited", resourceLimited());
+  w.key("points").beginArray();
+  for (const SweepPoint& p : points) p.write(w);
+  w.endArray().key("pareto").beginArray();
   for (const std::size_t i : frontier) {
-    auto entry = support::json::Value::object();
-    entry.set("point", i);
-    entry.set("bindings", bindingsJson(points[i].bindings));
-    entry.set("bufferTotal", points[i].bufferTotal);
-    entry.set("period", points[i].period);
-    front.push(std::move(entry));
+    w.beginObject().member("point", i);
+    points[i].bindings.write(w.key("bindings"));
+    w.member("bufferTotal", points[i].bufferTotal);
+    w.member("period", points[i].period).endObject();
   }
-  doc.set("pareto", std::move(front));
-  return doc;
+  w.endArray().endObject();
 }
 
 // ---- Driver ---------------------------------------------------------------

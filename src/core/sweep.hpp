@@ -68,7 +68,7 @@ struct SweepAxis {
   static SweepAxis parse(std::string param, const std::string& text);
 
   /// {"param": "p", "values": [1, 2, 3]}.
-  support::json::Value toJson() const;
+  void write(support::json::Writer& w) const;
 };
 
 struct SweepSpec {
@@ -198,7 +198,8 @@ struct SweepPoint {
   /// {"bindings": {...}, "ok": true, "bounded": true, ..., "bufferTotal":
   /// N, "period": x, "pareto": false}; metric members only when computed,
   /// {"ok": false, "error": ...} on failure.
-  support::json::Value toJson() const;
+  void write(support::json::Writer& w) const;
+  support::json::Value toJson() const { return support::json::toValue(*this); }
 };
 
 struct SweepResult {
@@ -225,7 +226,8 @@ struct SweepResult {
   /// "defaulted": [...], "analyzed": N, "bounded": N, "notBounded": N,
   /// "errors": N, "pareto": [{"point": i, "bindings": {...},
   /// "bufferTotal": N, "period": x}, ...]}.
-  support::json::Value toJson() const;
+  void write(support::json::Writer& w) const;
+  support::json::Value toJson() const { return support::json::toValue(*this); }
 };
 
 /// Structural spec validation, shared by sweep() and the api layer (one

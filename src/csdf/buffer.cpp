@@ -32,26 +32,21 @@ std::int64_t BufferReport::controlTotal(const graph::Graph& g) const {
   return sum;
 }
 
-support::json::Value BufferReport::toJson(const graph::Graph& g) const {
-  auto doc = support::json::Value::object();
-  doc.set("ok", ok);
-  if (!diagnostic.empty()) doc.set("diagnostic", diagnostic);
+void BufferReport::write(support::json::Writer& w,
+                         const graph::Graph& g) const {
+  w.beginObject().member("ok", ok);
+  if (!diagnostic.empty()) w.member("diagnostic", diagnostic);
   if (ok) {
-    doc.set("total", total());
-    doc.set("dataTotal", dataTotal(g));
-    doc.set("controlTotal", controlTotal(g));
-    auto channels = support::json::Value::array();
+    w.member("total", total()).member("dataTotal", dataTotal(g));
+    w.member("controlTotal", controlTotal(g)).key("channels").beginArray();
     for (const graph::Channel& c : g.channels()) {
-      auto entry = support::json::Value::object();
-      entry.set("channel", c.name);
-      entry.set("tokens", perChannel[c.id.index()]);
-      entry.set("control", g.isControlChannel(c.id));
-      channels.push(std::move(entry));
+      w.beginObject().member("channel", c.name);
+      w.member("tokens", perChannel[c.id.index()]);
+      w.member("control", g.isControlChannel(c.id)).endObject();
     }
-    doc.set("channels", std::move(channels));
-    doc.set("schedule", schedule.toJson(g));
+    schedule.write(w.endArray().key("schedule"), g);
   }
-  return doc;
+  w.endObject();
 }
 
 BufferReport minimumBuffers(const graph::Graph& g,

@@ -39,8 +39,11 @@ struct BufferReport {
 
   /// {"ok": true, "total": N, "dataTotal": N, "controlTotal": N,
   /// "channels": [{"channel": "e1", "tokens": N, "control": false}, ...],
-  /// "schedule": <Schedule::toJson>}.
-  support::json::Value toJson(const graph::Graph& g) const;
+  /// "schedule": <Schedule::write>}.
+  void write(support::json::Writer& w, const graph::Graph& g) const;
+  support::json::Value toJson(const graph::Graph& g) const {
+    return support::json::toValue(*this, g);
+  }
 };
 
 /// Computes per-channel minimum buffer sizes for one iteration of `g`

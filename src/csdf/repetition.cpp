@@ -20,22 +20,19 @@ std::string RepetitionVector::toString() const {
   return "[" + support::join(parts, ", ") + "]";
 }
 
-support::json::Value RepetitionVector::toJson(const Graph& g) const {
-  auto doc = support::json::Value::object();
-  doc.set("consistent", consistent);
-  if (!diagnostic.empty()) doc.set("diagnostic", diagnostic);
+void RepetitionVector::write(support::json::Writer& w, const Graph& g) const {
+  w.beginObject().member("consistent", consistent);
+  if (!diagnostic.empty()) w.member("diagnostic", diagnostic);
   if (consistent) {
-    auto actors = support::json::Value::array();
+    w.key("actors").beginArray();
     for (std::size_t i = 0; i < q.size(); ++i) {
-      auto entry = support::json::Value::object();
-      entry.set("actor", g.actors()[i].name);
-      entry.set("r", r[i].toString());
-      entry.set("q", q[i].toString());
-      actors.push(std::move(entry));
+      w.beginObject().member("actor", g.actors()[i].name);
+      w.member("r", r[i].toString()).member("q", q[i].toString());
+      w.endObject();
     }
-    doc.set("actors", std::move(actors));
+    w.endArray();
   }
-  return doc;
+  w.endObject();
 }
 
 std::vector<std::vector<Expr>> topologyMatrix(const Graph& g) {

@@ -37,7 +37,10 @@ struct RepetitionVector {
 
   /// {"consistent": true, "actors": [{"actor": "A", "r": "2", "q": "2"},
   /// ...]}; actor names come from `g` (which must be the analyzed graph).
-  support::json::Value toJson(const graph::Graph& g) const;
+  void write(support::json::Writer& w, const graph::Graph& g) const;
+  support::json::Value toJson(const graph::Graph& g) const {
+    return support::json::toValue(*this, g);
+  }
 };
 
 /// Computes the symbolic repetition vector of `g` (all channels present,

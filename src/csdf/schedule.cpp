@@ -13,7 +13,7 @@ using graph::Graph;
 namespace {
 
 /// Calls `f(actor, count)` once per group of adjacent firings of one
-/// actor — the grouping toString() and toJson() render.  Runs are
+/// actor — the grouping toString() and write() render.  Runs are
 /// already maximal for push()ed schedules; a group spans several runs
 /// only when an out-of-order index split them.
 template <typename F>
@@ -54,18 +54,13 @@ std::string Schedule::toString(const Graph& g) const {
   return out;
 }
 
-support::json::Value Schedule::toJson(const Graph& g) const {
-  auto doc = support::json::Value::object();
-  doc.set("firings", firings_);
-  auto runs = support::json::Value::array();
+void Schedule::write(support::json::Writer& w, const Graph& g) const {
+  w.beginObject().member("firings", firings_).key("runs").beginArray();
   forEachGroup(runs_, [&](ActorId a, std::int64_t count) {
-    auto run = support::json::Value::object();
-    run.set("actor", g.actor(a).name);
-    run.set("count", count);
-    runs.push(std::move(run));
+    w.beginObject().member("actor", g.actor(a).name);
+    w.member("count", count).endObject();
   });
-  doc.set("runs", std::move(runs));
-  return doc;
+  w.endArray().endObject();
 }
 
 ScheduleCheck validateSchedule(const Graph& g, const Schedule& s,

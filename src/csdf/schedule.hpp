@@ -74,7 +74,10 @@ class Schedule {
   /// same grouping as toString() (lossless for a valid schedule: each
   /// actor's firing indices are consecutive, so k is recoverable per
   /// group).
-  support::json::Value toJson(const graph::Graph& g) const;
+  void write(support::json::Writer& w, const graph::Graph& g) const;
+  support::json::Value toJson(const graph::Graph& g) const {
+    return support::json::toValue(*this, g);
+  }
 
  private:
   std::vector<ScheduleRun> runs_;

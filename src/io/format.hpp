@@ -58,6 +58,11 @@ void writeGraphFile(const graph::Graph& g, const std::string& path);
 /// (rates as the same strings the .tpdf format uses), channels with
 /// endpoints and initial tokens.  The machine-readable sibling of
 /// writeGraph(), emitted by `tpdfc echo --json`.
-support::json::Value toJson(const graph::Graph& g);
+void writeJson(support::json::Writer& w, const graph::Graph& g);
+inline support::json::Value toJson(const graph::Graph& g) {
+  support::json::Writer w(support::json::Layout::Compact);
+  writeJson(w, g);
+  return support::json::parse(w.finish());
+}
 
 }  // namespace tpdf::io

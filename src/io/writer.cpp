@@ -80,50 +80,36 @@ void writeGraphFile(const Graph& g, const std::string& path) {
   out << writeGraph(g);
 }
 
-support::json::Value toJson(const Graph& g) {
-  auto doc = support::json::Value::object();
-  doc.set("name", g.name());
-  auto params = support::json::Value::array();
-  for (const std::string& p : g.params()) params.push(p);
-  doc.set("params", std::move(params));
-
-  auto actors = support::json::Value::array();
+void writeJson(support::json::Writer& w, const Graph& g) {
+  w.beginObject().member("name", g.name()).key("params").beginArray();
+  for (const std::string& p : g.params()) w.value(p);
+  w.endArray().key("actors").beginArray();
   for (const graph::Actor& a : g.actors()) {
-    auto actor = support::json::Value::object();
-    actor.set("name", a.name);
-    actor.set("kind",
-              a.kind == graph::ActorKind::Kernel ? "kernel" : "control");
-    auto ports = support::json::Value::array();
+    w.beginObject().member("name", a.name);
+    w.member("kind", a.kind == graph::ActorKind::Kernel ? "kernel" : "control");
+    w.key("ports").beginArray();
     for (const graph::PortId pid : a.ports) {
       const graph::Port& p = g.port(pid);
-      auto port = support::json::Value::object();
-      port.set("name", p.name);
-      port.set("kind", portKeyword(p.kind));
-      port.set("rates", p.rates.toString());
-      if (p.priority != 0) port.set("priority", p.priority);
-      ports.push(std::move(port));
+      w.beginObject().member("name", p.name);
+      w.member("kind", portKeyword(p.kind)).member("rates", p.rates.toString());
+      if (p.priority != 0) w.member("priority", p.priority);
+      w.endObject();
     }
-    actor.set("ports", std::move(ports));
-    auto exec = support::json::Value::array();
-    for (const double t : a.execTime) exec.push(t);
-    actor.set("execTime", std::move(exec));
-    actors.push(std::move(actor));
+    w.endArray().key("execTime").beginArray();
+    for (const double t : a.execTime) w.value(t);
+    w.endArray().endObject();
   }
-  doc.set("actors", std::move(actors));
-
-  auto channels = support::json::Value::array();
+  w.endArray().key("channels").beginArray();
   for (const graph::Channel& c : g.channels()) {
     const graph::Port& src = g.port(c.src);
     const graph::Port& dst = g.port(c.dst);
-    auto channel = support::json::Value::object();
-    channel.set("name", c.name);
-    channel.set("from", g.actor(src.actor).name + "." + src.name);
-    channel.set("to", g.actor(dst.actor).name + "." + dst.name);
-    if (c.initialTokens != 0) channel.set("initialTokens", c.initialTokens);
-    channels.push(std::move(channel));
+    w.beginObject().member("name", c.name);
+    w.member("from", g.actor(src.actor).name + "." + src.name);
+    w.member("to", g.actor(dst.actor).name + "." + dst.name);
+    if (c.initialTokens != 0) w.member("initialTokens", c.initialTokens);
+    w.endObject();
   }
-  doc.set("channels", std::move(channels));
-  return doc;
+  w.endArray().endObject();
 }
 
 }  // namespace tpdf::io

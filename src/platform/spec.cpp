@@ -187,18 +187,13 @@ std::string PlatformSpec::canonical(std::size_t defaultPes) const {
   return out;
 }
 
-support::json::Value PlatformSpec::toJson(std::size_t defaultPes) const {
-  auto doc = support::json::Value::object();
-  doc.set("kind", toString(kind));
-  doc.set("pes",
-          static_cast<std::int64_t>(pes != 0 ? pes : defaultPes));
-  if (kind == TopologyKind::Mesh) {
-    doc.set("rows", static_cast<std::int64_t>(rows));
-    doc.set("cols", static_cast<std::int64_t>(cols));
-  }
-  if (!std::isinf(bandwidth)) doc.set("bandwidth", bandwidth);
-  doc.set("latency", latency);
-  return doc;
+void PlatformSpec::write(support::json::Writer& w,
+                         std::size_t defaultPes) const {
+  w.beginObject().member("kind", toString(kind));
+  w.member("pes", pes != 0 ? pes : defaultPes);
+  if (kind == TopologyKind::Mesh) w.member("rows", rows).member("cols", cols);
+  if (!std::isinf(bandwidth)) w.member("bandwidth", bandwidth);
+  w.member("latency", latency).endObject();
 }
 
 }  // namespace tpdf::platform

@@ -52,7 +52,7 @@ struct PlatformSpec {
 
   /// {"kind", "pes", "bandwidth" (omitted when infinite), "latency"}
   /// plus {"rows", "cols"} for meshes.
-  support::json::Value toJson(std::size_t defaultPes) const;
+  void write(support::json::Writer& w, std::size_t defaultPes) const;
 };
 
 /// Outcome of parsePlatformSpec: either `spec` (ok) or a positioned

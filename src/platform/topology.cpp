@@ -201,20 +201,4 @@ bool Topology::ideal() const {
   return true;
 }
 
-support::json::Value Topology::toJson() const {
-  auto doc = support::json::Value::object();
-  doc.set("kind", toString(kind_));
-  doc.set("pes", static_cast<std::int64_t>(pes_));
-  auto list = support::json::Value::array();
-  for (const Link& l : links_) {
-    auto entry = support::json::Value::object();
-    entry.set("link", l.name);
-    if (!std::isinf(l.bandwidth)) entry.set("bandwidth", l.bandwidth);
-    entry.set("latency", l.latency);
-    list.push(std::move(entry));
-  }
-  doc.set("links", std::move(list));
-  return doc;
-}
-
 }  // namespace tpdf::platform

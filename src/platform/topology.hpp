@@ -18,12 +18,12 @@
 // byte-identically (tests/platform_golden_test.cpp pins this).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
 
-#include "support/json.hpp"
 
 namespace tpdf::platform {
 
@@ -99,10 +99,6 @@ class Topology {
   /// links all have infinite bandwidth and zero latency (the legacy
   /// platform semantics).
   bool ideal() const;
-
-  /// {"kind": ..., "pes": ..., "links": [{"link", "bandwidth",
-  /// "latency"}, ...]} — bandwidth is omitted when infinite.
-  support::json::Value toJson() const;
 
  private:
   Topology() = default;

@@ -153,27 +153,20 @@ std::vector<std::size_t> CanonicalPeriod::topologicalOrder() const {
   return order;
 }
 
-support::json::Value CanonicalPeriod::toJson() const {
-  auto doc = support::json::Value::object();
-  doc.set("size", nodes_.size());
-  auto nodeArray = support::json::Value::array();
+void CanonicalPeriod::write(support::json::Writer& w) const {
+  w.beginObject().member("size", nodes_.size()).key("nodes").beginArray();
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    auto entry = support::json::Value::object();
-    entry.set("name", nodeName(i));
-    entry.set("actor", graph_->actor(nodes_[i].actor).name);
-    entry.set("k", nodes_[i].k);
-    entry.set("execTime", execTime(i));
-    nodeArray.push(std::move(entry));
+    w.beginObject().member("name", nodeName(i));
+    w.member("actor", graph_->actor(nodes_[i].actor).name);
+    w.member("k", nodes_[i].k).member("execTime", execTime(i)).endObject();
   }
-  doc.set("nodes", std::move(nodeArray));
-  auto edges = support::json::Value::array();
+  w.endArray().key("edges").beginArray();
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     for (const std::size_t s : succ_[i]) {
-      edges.push(support::json::Value::array().push(i).push(s));
+      w.beginArray().value(i).value(s).endArray();
     }
   }
-  doc.set("edges", std::move(edges));
-  return doc;
+  w.endArray().endObject();
 }
 
 }  // namespace tpdf::sched

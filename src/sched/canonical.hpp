@@ -93,7 +93,8 @@ class CanonicalPeriod {
   /// {"size": N, "nodes": [{"name": "A1", "actor": "A", "k": 0,
   /// "execTime": 1.0}, ...], "edges": [[from, to], ...]} — the full
   /// iteration DAG of Figure 5, node indices as used by successors().
-  support::json::Value toJson() const;
+  void write(support::json::Writer& w) const;
+  support::json::Value toJson() const { return support::json::toValue(*this); }
 
  private:
   void build(const csdf::RepetitionVector& rv,

@@ -38,20 +38,14 @@ std::string ListSchedule::toString(const CanonicalPeriod& cp) const {
   return os.str();
 }
 
-support::json::Value ListSchedule::toJson(const CanonicalPeriod& cp) const {
-  auto doc = support::json::Value::object();
-  doc.set("makespan", makespan);
-  auto list = support::json::Value::array();
+void ListSchedule::write(support::json::Writer& w,
+                         const CanonicalPeriod& cp) const {
+  w.beginObject().member("makespan", makespan).key("entries").beginArray();
   for (const ScheduledOccurrence& e : entries) {
-    auto entry = support::json::Value::object();
-    entry.set("node", cp.nodeName(e.node));
-    entry.set("pe", e.pe);
-    entry.set("start", e.start);
-    entry.set("finish", e.finish);
-    list.push(std::move(entry));
+    w.beginObject().member("node", cp.nodeName(e.node)).member("pe", e.pe);
+    w.member("start", e.start).member("finish", e.finish).endObject();
   }
-  doc.set("entries", std::move(list));
-  return doc;
+  w.endArray().endObject();
 }
 
 ListSchedule listSchedule(const CanonicalPeriod& cp, const Platform& platform,

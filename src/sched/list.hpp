@@ -41,7 +41,10 @@ struct ListSchedule {
 
   /// {"makespan": 12.5, "entries": [{"node": "A1", "pe": 0, "start":
   /// 0.0, "finish": 1.0}, ...]} in start order.
-  support::json::Value toJson(const CanonicalPeriod& cp) const;
+  void write(support::json::Writer& w, const CanonicalPeriod& cp) const;
+  support::json::Value toJson(const CanonicalPeriod& cp) const {
+    return support::json::toValue(*this, cp);
+  }
 };
 
 struct ListSchedulerOptions {

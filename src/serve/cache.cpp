@@ -28,15 +28,10 @@ std::string cacheId(std::uint64_t hash) {
   return id;
 }
 
-support::json::Value CacheStats::toJson() const {
-  auto doc = support::json::Value::object();
-  doc.set("hits", static_cast<std::int64_t>(hits));
-  doc.set("misses", static_cast<std::int64_t>(misses));
-  doc.set("evictions", static_cast<std::int64_t>(evictions));
-  doc.set("invalidations", static_cast<std::int64_t>(invalidations));
-  doc.set("entries", static_cast<std::int64_t>(entries));
-  doc.set("bytes", static_cast<std::int64_t>(bytes));
-  return doc;
+void CacheStats::write(support::json::Writer& w) const {
+  w.beginObject().member("hits", hits).member("misses", misses);
+  w.member("evictions", evictions).member("invalidations", invalidations);
+  w.member("entries", entries).member("bytes", bytes).endObject();
 }
 
 GraphCache::GraphCache(std::size_t maxEntries, std::size_t maxBytes)

@@ -65,7 +65,8 @@ struct CacheStats {
   /// {"hits": ..., "misses": ..., "evictions": ..., "invalidations":
   /// ..., "entries": ..., "bytes": ...} — the `stats` wire command's
   /// cache payload.
-  support::json::Value toJson() const;
+  void write(support::json::Writer& w) const;
+  support::json::Value toJson() const { return support::json::toValue(*this); }
 };
 
 class GraphCache {

@@ -52,44 +52,26 @@ bool LineFramer::feed(std::string_view bytes, std::vector<std::string>& out) {
 namespace {
 
 using support::json::Value;
+using support::json::Writer;
 
-/// {"tool": "tpdfd", "version", "command"} + the response document's
-/// members verbatim — the same envelope shape tpdfc --json emits.
-Value envelope(const std::string& command, Value doc) {
-  auto env = Value::object();
-  env.set("tool", "tpdfd");
-  env.set("version", api::version().semver);
-  env.set("command", command);
-  for (auto& [key, value] : doc.members()) env.set(key, std::move(value));
-  return env;
-}
-
-ClientSession::Result finish(const std::string& command, Value doc,
-                             api::Status status) {
-  ClientSession::Result result;
-  result.line = envelope(command, std::move(doc)).dump();
-  result.status = status;
-  result.command = command;
-  return result;
+/// The reply line: {"tool": "tpdfd", "version", "command"} and then the
+/// members `write` puts — the same envelope shape tpdfc --json emits,
+/// written compact straight into the line.
+template <typename Members>
+ClientSession::Result finish(const std::string& command, api::Status status,
+                             Members&& write) {
+  Writer w(support::json::Layout::Compact);
+  api::beginEnvelope(w, "tpdfd", command);
+  write(w);
+  w.endObject();
+  return {w.finish(), status, command};
 }
 
 /// An envelope carrying only status + diagnostics (no payload ran).
 ClientSession::Result reject(const std::string& command,
                              const api::Response& response) {
-  auto doc = Value::object();
-  doc.set("status", toString(response.status));
-  doc.set("diagnostics", response.diagnosticsJson());
-  return finish(command, std::move(doc), response.status);
-}
-
-/// The per-request "serve" block: was the graph served from the shared
-/// cache, and how long did the server-side execution take (transport
-/// excluded)?
-Value serveBlock(bool cached, double analysisUs) {
-  auto doc = Value::object();
-  doc.set("cached", cached);
-  doc.set("analysisUs", analysisUs);
-  return doc;
+  return finish(command, response.status,
+                [&](Writer& w) { response.write(w); });
 }
 
 /// A graph reference: inline "graph" text, a server-side "path", or a
@@ -278,21 +260,15 @@ ClientSession::Result ClientSession::handle(const std::string& requestLine) {
       !onlyKeys(doc, {}, command, bad)) {
     return reject(command, bad);
   }
-  if (command == "ping") {
-    auto payload = Value::object();
-    payload.set("status", "ok");
-    payload.set("diagnostics", Value::array());
-    return finish(command, std::move(payload), api::Status::Ok);
-  }
+  if (command == "ping") return reject(command, bad);  // status ok
   if (command == "stats") {
-    auto payload = Value::object();
-    payload.set("status", "ok");
-    payload.set("diagnostics", Value::array());
-    payload.set("cache", cache_.stats().toJson());
-    auto graphs = Value::array();
-    for (const std::string& id : session_.graphIds()) graphs.push(id);
-    payload.set("graphs", std::move(graphs));
-    return finish(command, std::move(payload), api::Status::Ok);
+    return finish(command, api::Status::Ok, [&](Writer& w) {
+      bad.write(w);
+      cache_.stats().write(w.key("cache"));
+      w.key("graphs").beginArray();
+      for (const std::string& id : session_.graphIds()) w.value(id);
+      w.endArray();
+    });
   }
   if (command == "erase") {
     const std::string id =
@@ -346,8 +322,8 @@ ClientSession::Result ClientSession::handle(const std::string& requestLine) {
       response.channelCount = g.channelCount();
       response.params.assign(g.params().begin(), g.params().end());
     });
-    Value payload = response.toJson();
-    return finish(command, std::move(payload), response.status);
+    return finish(command, response.status,
+                  [&](Writer& w) { response.write(w); });
   }
 
   // ---- request commands: fields from the schema (api/requests.hpp) ----
@@ -391,14 +367,17 @@ ClientSession::Result ClientSession::handle(const std::string& requestLine) {
         if constexpr (requires { r.graphId; }) r.graphId = target.id;
         const auto response = execute(session_, r);
         const double us = elapsedUs(start);
-        Value payload;
-        if constexpr (requires { response.toJson(nullptr); }) {
-          payload = response.toJson(session_.graph(target.id));
-        } else {
-          payload = response.toJson();
-        }
-        payload.set("serve", serveBlock(target.cached, us));
-        return finish(command, std::move(payload), response.status);
+        return finish(command, response.status, [&](Writer& w) {
+          if constexpr (requires { response.write(w, nullptr); }) {
+            response.write(w, session_.graph(target.id));
+          } else {
+            response.write(w);
+          }
+          // Was the graph served from the shared cache, and how long did
+          // the server-side execution take (transport excluded)?
+          w.key("serve").beginObject().member("cached", target.cached);
+          w.member("analysisUs", us).endObject();
+        });
       },
       *request);
 }

@@ -21,7 +21,7 @@
 //
 // Responses.  The existing one-envelope contract: {"tool": "tpdfd",
 // "version", "command", "status", "diagnostics", ...payload}, exactly
-// the api::*Response::toJson() documents tpdfc --json prints, plus a
+// the api::*Response::write() members tpdfc --json prints, plus a
 // "serve" block ({"cached": bool, "analysisUs": µs}) on graph commands
 // so clients can separate server-side analysis cost from transport.
 // Malformed JSON yields a positioned `invalid-request` diagnostic (the

@@ -92,59 +92,45 @@ std::string SimResult::renderTrace(const graph::Graph& g) const {
   return out;
 }
 
-support::json::Value SimResult::toJson(const graph::Graph& g) const {
-  auto doc = support::json::Value::object();
-  doc.set("ok", ok);
-  if (!diagnostic.empty()) doc.set("diagnostic", diagnostic);
-  doc.set("endTime", endTime);
-  doc.set("totalFirings", totalFirings);
-  doc.set("returnedToInitialState", returnedToInitialState);
-  auto actorArray = support::json::Value::array();
+void SimResult::write(support::json::Writer& w, const graph::Graph& g) const {
+  w.beginObject().member("ok", ok);
+  if (!diagnostic.empty()) w.member("diagnostic", diagnostic);
+  w.member("endTime", endTime).member("totalFirings", totalFirings);
+  w.member("returnedToInitialState", returnedToInitialState);
+  w.key("actors").beginArray();
   for (std::size_t i = 0; i < firings.size(); ++i) {
-    auto entry = support::json::Value::object();
-    entry.set("actor", g.actors()[i].name);
-    entry.set("firings", firings[i]);
-    actorArray.push(std::move(entry));
+    w.beginObject().member("actor", g.actors()[i].name);
+    w.member("firings", firings[i]).endObject();
   }
-  doc.set("actors", std::move(actorArray));
-  auto channelArray = support::json::Value::array();
+  w.endArray().key("channels").beginArray();
   for (std::size_t i = 0; i < channels.size(); ++i) {
     const ChannelStats& s = channels[i];
-    auto entry = support::json::Value::object();
-    entry.set("channel", g.channels()[i].name);
-    entry.set("maxOccupancy", s.maxOccupancy);
-    entry.set("produced", s.produced);
-    entry.set("consumed", s.consumed);
-    entry.set("discarded", s.discarded);
-    channelArray.push(std::move(entry));
+    w.beginObject().member("channel", g.channels()[i].name);
+    w.member("maxOccupancy", s.maxOccupancy).member("produced", s.produced);
+    w.member("consumed", s.consumed).member("discarded", s.discarded);
+    w.endObject();
   }
-  doc.set("channels", std::move(channelArray));
+  w.endArray();
   if (!links.empty()) {
-    auto linkArray = support::json::Value::array();
+    w.key("links").beginArray();
     for (const LinkStats& l : links) {
-      auto entry = support::json::Value::object();
-      entry.set("link", l.link);
-      entry.set("transfers", l.transfers);
-      entry.set("busyTime", l.busyTime);
-      entry.set("utilization", endTime > 0.0 ? l.busyTime / endTime : 0.0);
-      linkArray.push(std::move(entry));
+      w.beginObject().member("link", l.link).member("transfers", l.transfers);
+      w.member("busyTime", l.busyTime);
+      w.member("utilization", endTime > 0.0 ? l.busyTime / endTime : 0.0);
+      w.endObject();
     }
-    doc.set("links", std::move(linkArray));
+    w.endArray();
   }
   if (!trace.empty()) {
-    auto traceArray = support::json::Value::array();
+    w.key("trace").beginArray();
     for (const TraceEvent& e : trace) {
-      auto entry = support::json::Value::object();
-      entry.set("actor", g.actor(e.actor).name);
-      entry.set("k", e.k);
-      entry.set("mode", e.mode);
-      entry.set("start", e.start);
-      entry.set("finish", e.finish);
-      traceArray.push(std::move(entry));
+      w.beginObject().member("actor", g.actor(e.actor).name);
+      w.member("k", e.k).member("mode", e.mode).member("start", e.start);
+      w.member("finish", e.finish).endObject();
     }
-    doc.set("trace", std::move(traceArray));
+    w.endArray();
   }
-  return doc;
+  w.endObject();
 }
 
 namespace {

@@ -164,7 +164,10 @@ struct SimResult {
   /// {"ok": true, "endTime": ..., "totalFirings": N,
   /// "returnedToInitialState": true, "actors": [...], "channels": [...],
   /// "trace": [...]} ("trace" only when a trace was recorded).
-  support::json::Value toJson(const graph::Graph& g) const;
+  void write(support::json::Writer& w, const graph::Graph& g) const;
+  support::json::Value toJson(const graph::Graph& g) const {
+    return support::json::toValue(*this, g);
+  }
 };
 
 class Simulator {

@@ -1,23 +1,28 @@
-// A hand-rolled JSON document model: builder/writer plus a strict
-// RFC 8259 parser (`parse()` below).
+// A hand-rolled JSON toolkit: a push-style Writer, a document model
+// (Value) and a strict RFC 8259 parser (`parse()` below).
 //
-// Every report type of the toolkit renders a machine-readable document
-// through this Value type (the `toJson(...)` siblings of the
-// `toString(...)` renderers), and `tpdfc --json` emits one such document
-// per command.  The parser is the other direction: the `tpdfd` daemon
-// frames newline-delimited request documents off a socket and needs
-// line/column-positioned rejections for malformed ones, and the test
-// suites use the same implementation as their round-trip oracle.
+// Every report type renders itself once, through a `write(Writer&, ...)`
+// member that pushes its members straight into the output: `tpdfc
+// --json` streams its envelope to stdout in 64 KiB chunks and `tpdfd`
+// writes its compact reply line, with no document tree in between.
+// Value is the other direction: the parser builds one (tpdfd requests,
+// --connect replies, the tests' oracle), and Value::dump/pretty walk it
+// into the same Writer, so there is one byte formatter.  toValue() parses
+// a renderer's output back for tests and the benchmark helper.
 // Design constraints, in order:
-//   * deterministic output — objects keep insertion order, so the same
+//   * deterministic output — members come out in write order, so a
 //     report always serializes to the same bytes (golden tests diff it);
-//   * no dependencies — the container image pins the toolchain, so this
-//     is a few hundred lines of std:: instead of a vendored library;
+//   * two layouts — pretty (2-space indent, one member or element per
+//     line, a final newline) and compact (one line, no spaces);
+//   * no dependencies — a few hundred lines of std::, no vendored library;
 //   * strict RFC 8259 — escaped strings, shortest round-trip doubles via
-//     std::to_chars, non-finite doubles degrade to null on output; the
+//     std::to_chars, non-finite doubles degrade to null, and bytes that
+//     are not well-formed UTF-8 are replaced by U+FFFD (one per maximal
+//     ill-formed subsequence), so the output is always valid JSON; the
 //     parser accepts exactly the RFC grammar (no comments, no trailing
-//     commas, no bare control characters) and throws ParseError with a
-//     1-based line/column on the first violation.
+//     commas, no bare control characters, no duplicate member names)
+//     and throws ParseError with a 1-based line/column on the first
+//     violation.
 #pragma once
 
 #include <charconv>
@@ -36,14 +41,62 @@
 
 namespace tpdf::support::json {
 
-/// Escapes `s` for use inside a JSON string literal (quotes excluded).
-/// Control characters below 0x20 become \u00XX; bytes >= 0x80 are passed
-/// through untouched (input is assumed UTF-8).
-inline std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char raw : s) {
-    const unsigned char c = static_cast<unsigned char>(raw);
+class Value;
+
+/// Receives a streamed serialization one chunk at a time.
+using ChunkOut = std::function<void(std::string_view)>;
+
+enum class Layout { Compact, Pretty };
+
+namespace detail {
+
+/// Length of the well-formed UTF-8 sequence starting at s[i] (a byte
+/// >= 0x80), or minus the length of its maximal ill-formed prefix
+/// (Unicode's "maximal subpart": at least 1, replaced by one U+FFFD).
+inline int utf8Sequence(std::string_view s, std::size_t i) {
+  const auto c = static_cast<unsigned char>(s[i]);
+  const std::size_t len = c < 0xC2 ? 0 : c < 0xE0 ? 2 : c < 0xF0 ? 3
+                          : c < 0xF5 ? 4 : 0;
+  if (len == 0) return -1;
+  // The second byte's range rules out overlong forms (E0, F0),
+  // surrogates (ED) and values past U+10FFFF (F4) — Unicode Table 3-7.
+  unsigned char lo = c == 0xE0 ? 0xA0 : c == 0xF0 ? 0x90 : 0x80;
+  unsigned char hi = c == 0xED ? 0x9F : c == 0xF4 ? 0x8F : 0xBF;
+  std::size_t k = 1;
+  for (; k < len && i + k < s.size(); ++k, lo = 0x80, hi = 0xBF) {
+    const auto b = static_cast<unsigned char>(s[i + k]);
+    if (b < lo || b > hi) break;
+  }
+  return k == len ? static_cast<int>(len) : -static_cast<int>(k);
+}
+
+/// Appends `s` escaped for a JSON string literal (quotes excluded).
+/// Control characters below 0x20 become short or \u00XX escapes;
+/// well-formed UTF-8 is copied verbatim and ill-formed bytes become
+/// U+FFFD.  Runs of plain bytes are copied in one append.
+inline void escapeTo(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t run = 0;  // first byte not yet copied
+  std::size_t i = 0;
+  while (i < s.size()) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c < 0x80 && c != '"' && c != '\\') {
+      ++i;
+      continue;
+    }
+    if (c >= 0x80) {
+      const int n = utf8Sequence(s, i);
+      if (n > 0) {
+        i += static_cast<std::size_t>(n);
+        continue;
+      }
+      out.append(s.data() + run, i - run);
+      out += "\xEF\xBF\xBD";
+      i += static_cast<std::size_t>(-n);
+      run = i;
+      continue;
+    }
+    out.append(s.data() + run, i - run);
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -53,18 +106,159 @@ inline std::string escape(const std::string& s) {
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
       default:
-        if (c < 0x20) {
-          static const char hex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += hex[c >> 4];
-          out += hex[c & 0xF];
-        } else {
-          out += raw;
-        }
+        out += "\\u00";
+        out += kHex[c >> 4];
+        out += kHex[c & 0xF];
     }
+    run = ++i;
   }
-  return out;
+  out.append(s.data() + run, s.size() - run);
 }
+
+}  // namespace detail
+
+/// The one JSON byte formatter: a push-style writer over an output
+/// buffer.  Calls mirror the document — beginObject/key/value/endObject,
+/// beginArray/value/endArray — and the writer places commas, newlines
+/// and indentation itself.  Without a ChunkOut, finish() returns the
+/// whole text; with one, the text is handed over in chunks cut at value
+/// boundaries once at least 64 KiB are pending, so memory stays ~one
+/// chunk (plus the largest single string) however large the document.
+/// The caller keeps calls balanced; the writer does not check them.
+class Writer {
+ public:
+  static constexpr std::size_t kChunkBytes = 64 * 1024;
+
+  explicit Writer(Layout layout, const ChunkOut* out = nullptr)
+      : pretty_(layout == Layout::Pretty), out_(out) {
+    if (out_ != nullptr) buf_.reserve(kChunkBytes + kChunkBytes / 4);
+  }
+
+  Writer& beginObject() { return open('{'); }
+  Writer& endObject() { return close('}'); }
+  Writer& beginArray() { return open('['); }
+  Writer& endArray() { return close(']'); }
+
+  /// Names the next member of the open object; its value follows.
+  Writer& key(std::string_view name) {
+    separate();
+    quoted(name);
+    buf_ += pretty_ ? ": " : ":";
+    afterKey_ = true;
+    return *this;
+  }
+
+  Writer& value(std::nullptr_t) { return literal("null"); }
+  Writer& value(bool b) { return literal(b ? "true" : "false"); }
+  /// Every integer type renders as an int64 (no fractional part).
+  template <typename T>
+    requires(std::is_integral_v<T> && !std::is_same_v<T, bool>)
+  Writer& value(T v) {
+    char tmp[24];
+    const auto res =
+        std::to_chars(tmp, tmp + sizeof(tmp), static_cast<std::int64_t>(v));
+    return literal(std::string_view(tmp, res.ptr));
+  }
+  /// Shortest round-trip form, kept recognizably floating-point ("1.0",
+  /// not "1"); NaN and infinities have no JSON spelling and become null.
+  Writer& value(double d) {
+    if (!std::isfinite(d)) return literal("null");
+    char tmp[32];
+    char* end = std::to_chars(tmp, tmp + sizeof(tmp), d).ptr;
+    if (std::string_view(tmp, end).find_first_of(".e") == std::string::npos) {
+      *end++ = '.';
+      *end++ = '0';
+    }
+    return literal(std::string_view(tmp, end));
+  }
+  /// Strings, literals, std::string_view and graph::Name.
+  template <typename T>
+    requires std::is_convertible_v<const T&, std::string_view>
+  Writer& value(const T& s) {
+    separate();
+    quoted(s);
+    return done();
+  }
+  /// A parsed or hand-built document, walked into this writer.
+  Writer& value(const Value& v);
+
+  /// key(name).value(v).
+  template <typename T>
+  Writer& member(std::string_view name, const T& v) {
+    return key(name).value(v);
+  }
+
+  /// Ends the document (pretty adds the final newline) and returns its
+  /// text — or, with a ChunkOut, hands over the last chunk and returns "".
+  std::string finish() {
+    if (pretty_) buf_ += '\n';
+    if (out_ != nullptr) (*out_)(std::exchange(buf_, {}));
+    return std::move(buf_);
+  }
+
+ private:
+  /// Before a value or key: the comma and line break that separate it
+  /// from its predecessor (none right after a key or at the top level).
+  void separate() {
+    if (afterKey_) {
+      afterKey_ = false;
+      return;
+    }
+    if (hasItems_.empty()) return;
+    if (hasItems_.back()) buf_ += ',';
+    hasItems_.back() = true;
+    newline();
+  }
+
+  void quoted(std::string_view s) {
+    buf_ += '"';
+    detail::escapeTo(buf_, s);
+    buf_ += '"';
+  }
+
+  void newline() {
+    if (!pretty_) return;
+    buf_ += '\n';
+    buf_.append(2 * hasItems_.size(), ' ');
+  }
+
+  Writer& open(char bracket) {
+    separate();
+    buf_ += bracket;
+    hasItems_.push_back(false);
+    return *this;
+  }
+
+  Writer& close(char bracket) {
+    const bool hadItems = hasItems_.back();
+    hasItems_.pop_back();
+    if (hadItems) newline();  // empty containers stay "[]" / "{}"
+    buf_ += bracket;
+    return done();
+  }
+
+  Writer& literal(std::string_view token) {
+    separate();
+    buf_ += token;
+    return done();
+  }
+
+  /// After a complete value: a chunk boundary, if one is due.
+  Writer& done() {
+    if (out_ != nullptr && !hasItems_.empty() && buf_.size() >= kChunkBytes) {
+      (*out_)(buf_);
+      buf_.clear();
+    }
+    return *this;
+  }
+
+  std::string buf_;
+  bool pretty_;
+  bool afterKey_ = false;
+  const ChunkOut* out_;
+  /// One entry per open container: has it received a member yet?
+  std::vector<bool> hasItems_;
+};
 
 /// One JSON value: null, bool, integer, double, string, array or object.
 /// Integers are kept distinct from doubles so counts serialize without a
@@ -179,54 +373,17 @@ class Value {
   bool operator!=(const Value& o) const { return !(*this == o); }
 
   /// Compact single-line serialization.
-  std::string dump() const {
-    Sink sink;
-    write(sink, -1, 0);
-    return std::move(sink.buf);
-  }
+  std::string dump() const;
 
-  /// Indented multi-line serialization (`indent` spaces per level).
-  std::string pretty(int indent = 2) const {
-    Sink sink;
-    write(sink, indent < 0 ? 0 : indent, 0);
-    sink.buf += '\n';
-    return std::move(sink.buf);
-  }
-
-  /// Receives a streamed serialization one chunk at a time.
-  using ChunkOut = std::function<void(std::string_view)>;
+  /// Indented multi-line serialization (2 spaces per level, final
+  /// newline).
+  std::string pretty() const;
 
   /// pretty(), streamed: `out` is called with consecutive chunks whose
-  /// concatenation is exactly pretty().  Chunks are cut at value
-  /// boundaries once at least 64 KiB are pending, so memory stays ~one
-  /// chunk (plus the largest single string) however large the document
-  /// is.
-  void prettyTo(const ChunkOut& out) const {
-    Sink sink{.buf = {}, .out = &out};
-    sink.buf.reserve(kChunkBytes + kChunkBytes / 4);
-    write(sink, 2, 0);
-    sink.buf += '\n';
-    out(sink.buf);
-  }
+  /// concatenation is exactly pretty() (Writer's chunking).
+  void prettyTo(const ChunkOut& out) const;
 
  private:
-  static constexpr std::size_t kChunkBytes = 64 * 1024;
-
-  /// Where the one writer puts its bytes: into `buf`, which is either
-  /// the whole result (dump/pretty: no `out`) or the pending chunk,
-  /// handed to `out` and cleared at value boundaries (prettyTo).
-  struct Sink {
-    std::string buf;
-    const ChunkOut* out = nullptr;
-
-    void boundary() {
-      if (out != nullptr && buf.size() >= kChunkBytes) {
-        (*out)(buf);
-        buf.clear();
-      }
-    }
-  };
-
   Object& mutableObject() {
     if (!isObject()) {
       throw support::Error("json: set() on a non-object value");
@@ -234,97 +391,38 @@ class Value {
     return std::get<Object>(data_);
   }
 
-  static void writeNumber(std::string& out, std::int64_t v) {
-    char buf[24];
-    const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-    out.append(buf, res.ptr);
-  }
-
-  static void writeNumber(std::string& out, double v) {
-    if (!std::isfinite(v)) {
-      // JSON has no NaN/Infinity; degrade explicitly rather than emit an
-      // invalid token.
-      out += "null";
-      return;
-    }
-    char buf[32];
-    const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-    std::string token(buf, res.ptr);
-    // Keep the value recognizably floating-point: shortest-round-trip
-    // renders 1.0 as "1", which would read back as an integer.
-    if (token.find('.') == std::string::npos &&
-        token.find('e') == std::string::npos) {
-      token += ".0";
-    }
-    out += token;
-  }
-
-  void newline(std::string& out, int indent, int depth) const {
-    if (indent <= 0) return;
-    out += '\n';
-    out.append(static_cast<std::size_t>(indent * depth), ' ');
-  }
-
-  /// `indent` < 0 means compact.
-  void write(Sink& sink, int indent, int depth) const {
-    std::string& out = sink.buf;
-    if (isNull()) {
-      out += "null";
-    } else if (isBool()) {
-      out += asBool() ? "true" : "false";
-    } else if (isInt()) {
-      writeNumber(out, asInt());
-    } else if (isDouble()) {
-      writeNumber(out, asDouble());
-    } else if (isString()) {
-      out += '"';
-      out += escape(asString());
-      out += '"';
-    } else if (isArray()) {
-      const Array& arr = items();
-      if (arr.empty()) {
-        out += "[]";
-        return;
-      }
-      out += '[';
-      bool first = true;
-      for (const Value& v : arr) {
-        if (!first) out += ',';
-        first = false;
-        newline(out, indent, depth + 1);
-        v.write(sink, indent, depth + 1);
-        sink.boundary();
-      }
-      newline(out, indent, depth);
-      out += ']';
-    } else {
-      const Object& obj = members();
-      if (obj.empty()) {
-        out += "{}";
-        return;
-      }
-      out += '{';
-      bool first = true;
-      for (const Member& m : obj) {
-        if (!first) out += ',';
-        first = false;
-        newline(out, indent, depth + 1);
-        out += '"';
-        out += escape(m.first);
-        out += "\":";
-        if (indent > 0) out += ' ';
-        m.second.write(sink, indent, depth + 1);
-        sink.boundary();
-      }
-      newline(out, indent, depth);
-      out += '}';
-    }
-  }
-
   std::variant<std::nullptr_t, bool, std::int64_t, double, std::string, Array,
                Object>
       data_;
 };
+
+inline Writer& Writer::value(const Value& v) {
+  if (v.isNull()) return value(nullptr);
+  if (v.isBool()) return value(v.asBool());
+  if (v.isInt()) return value(v.asInt());
+  if (v.isDouble()) return value(v.asDouble());
+  if (v.isString()) return value(v.asString());
+  if (v.isArray()) {
+    beginArray();
+    for (const Value& item : v.items()) value(item);
+    return endArray();
+  }
+  beginObject();
+  for (const auto& [name, member] : v.members()) key(name).value(member);
+  return endObject();
+}
+
+inline std::string Value::dump() const {
+  return Writer(Layout::Compact).value(*this).finish();
+}
+
+inline std::string Value::pretty() const {
+  return Writer(Layout::Pretty).value(*this).finish();
+}
+
+inline void Value::prettyTo(const ChunkOut& out) const {
+  Writer(Layout::Pretty, &out).value(*this).finish();
+}
 
 namespace detail {
 
@@ -350,7 +448,11 @@ class Parser {
 
  private:
   [[noreturn]] void fail(const std::string& why) {
-    throw ParseError("json: " + why, line_, column_);
+    failAt(why, line_, column_);
+  }
+  [[noreturn]] static void failAt(const std::string& why, int line,
+                                  int column) {
+    throw ParseError("json: " + why, line, column);
   }
 
   bool atEnd() const { return pos_ >= text_.size(); }
@@ -418,11 +520,19 @@ class Parser {
     while (true) {
       skipWs();
       if (peek() != '"') fail("object member name must be a string");
+      const int line = line_;
+      const int column = column_;
       std::string key = parseString();
+      // RFC 8259 leaves duplicate names to the reader; a silent "last
+      // one wins" would let {"command":"analyze","command":"map"} run
+      // map, so a repeated name is an error at its position.
+      if (obj.find(key) != nullptr) {
+        failAt("duplicate member name \"" + key + "\"", line, column);
+      }
       skipWs();
       expect(':', "object member");
       skipWs();
-      obj.set(std::move(key), parseValue(depth + 1));
+      obj.members().emplace_back(std::move(key), parseValue(depth + 1));
       skipWs();
       const char c = get();
       if (c == '}') return obj;
@@ -583,10 +693,31 @@ class Parser {
 /// Parses one complete, strict RFC 8259 document.  Throws
 /// support::ParseError with the 1-based line/column of the first
 /// violation (malformed syntax, bare control characters, trailing
-/// garbage, nesting beyond detail::Parser::kMaxDepth).  Numbers without
+/// garbage, a duplicate member name, nesting beyond
+/// detail::Parser::kMaxDepth).  Numbers without
 /// fraction/exponent parse as int64 (falling back to double outside the
 /// int64 range); \uXXXX escapes decode to UTF-8, surrogate pairs
 /// included.
 inline Value parse(std::string_view text) { return detail::Parser(text).parse(); }
+
+/// What `report.write(w, args...)` writes, parsed back into a Value: the
+/// adapter behind the remaining `toJson()` members, for callers that
+/// inspect a report (tests, the benchmark helper).  Nothing prints
+/// through it.
+template <typename Report, typename... Args>
+Value toValue(const Report& report, const Args&... args) {
+  Writer w(Layout::Compact);
+  report.write(w, args...);
+  return parse(w.finish());
+}
+
+/// toValue() of a report whose write() puts the members of one object
+/// (the api responses, whose members go straight into the envelope).
+template <typename Report, typename... Args>
+Value toObject(const Report& report, const Args&... args) {
+  Writer w(Layout::Compact);
+  report.write(w.beginObject(), args...);
+  return parse(w.endObject().finish());
+}
 
 }  // namespace tpdf::support::json

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "support/error.hpp"
+#include "support/json.hpp"
 #include "symbolic/param.hpp"
 
 namespace tpdf::symbolic {
@@ -71,6 +72,13 @@ class Environment {
 
   const std::map<std::string, std::int64_t>& bindings() const {
     return values_;
+  }
+
+  /// {"p": 4, ...} in name order.
+  void write(support::json::Writer& w) const {
+    w.beginObject();
+    for (const auto& [name, value] : values_) w.member(name, value);
+    w.endObject();
   }
 
  private:

@@ -156,6 +156,26 @@ TEST_F(ServeProtocolTest, MalformedJsonIsPositionedInvalidRequest) {
   EXPECT_GT(column->asInt(), 1);
 }
 
+TEST_F(ServeProtocolTest, DuplicateKeysAreInvalidRequest) {
+  // With last-one-wins parsing this line used to run map.
+  const ClientSession::Result result =
+      handle("{\"command\":\"analyze\",\"command\":\"map\"}");
+  EXPECT_EQ(result.status, api::Status::InvalidRequest);
+  EXPECT_EQ(result.command, "");
+  const support::json::Value envelope = parseEnvelope(result);
+  EXPECT_EQ(firstCode(envelope), "invalid-request");
+  const support::json::Value& d = envelope.find("diagnostics")->items()[0];
+  EXPECT_NE(d.find("message")->asString().find("\"command\""),
+            std::string::npos);
+  EXPECT_EQ(d.find("line")->asInt(), 1);
+  EXPECT_EQ(d.find("column")->asInt(), 22);
+  // Nested request fields are checked too.
+  EXPECT_EQ(handle("{\"command\":\"analyze\",\"graph\":\"g\","
+                   "\"bindings\":{\"p\":2,\"p\":3}}")
+                .status,
+            api::Status::InvalidRequest);
+}
+
 TEST_F(ServeProtocolTest, NonObjectAndMissingCommandAreRejected) {
   EXPECT_EQ(handle("[1,2,3]").status, api::Status::InvalidRequest);
   EXPECT_EQ(handle("\"ping\"").status, api::Status::InvalidRequest);

@@ -109,13 +109,44 @@ TEST(JsonValue, EqualityIsStructural) {
 
 // ---- Randomized round-trip fuzz (strict_json.hpp oracle) ----------------
 
-/// A string of random bytes: control characters, quotes, backslashes and
-/// high bytes — everything the escaper must get right.
+/// Appends the UTF-8 encoding of the scalar value `cp`.
+void appendUtf8(std::string& out, std::int64_t cp) {
+  const auto byte = [&](std::int64_t b) { out += static_cast<char>(b); };
+  if (cp < 0x80) {
+    byte(cp);
+  } else if (cp < 0x800) {
+    byte(0xC0 | (cp >> 6));
+    byte(0x80 | (cp & 0x3F));
+  } else if (cp < 0x10000) {
+    byte(0xE0 | (cp >> 12));
+    byte(0x80 | ((cp >> 6) & 0x3F));
+    byte(0x80 | (cp & 0x3F));
+  } else {
+    byte(0xF0 | (cp >> 18));
+    byte(0x80 | ((cp >> 12) & 0x3F));
+    byte(0x80 | ((cp >> 6) & 0x3F));
+    byte(0x80 | (cp & 0x3F));
+  }
+}
+
+/// Random well-formed UTF-8 text: control characters, quotes,
+/// backslashes and two- to four-byte sequences — everything the escaper
+/// must get right and the parser must give back unchanged.  (Ill-formed
+/// bytes are replaced on output; JsonWriter.RandomBytes... covers them.)
 std::string randomString(Prng& rng) {
   const std::int64_t len = rng.uniform(0, 24);
   std::string out;
   for (std::int64_t i = 0; i < len; ++i) {
-    out += static_cast<char>(rng.uniform(1, 255));
+    switch (rng.uniform(0, 5)) {
+      case 0: appendUtf8(out, rng.uniform(0x80, 0x7FF)); break;
+      case 1: {
+        const std::int64_t cp = rng.uniform(0x800, 0xFFFF);
+        appendUtf8(out, cp >= 0xD800 && cp <= 0xDFFF ? 0xFFFD : cp);
+        break;
+      }
+      case 2: appendUtf8(out, rng.uniform(0x10000, 0x10FFFF)); break;
+      default: appendUtf8(out, rng.uniform(1, 0x7F));
+    }
   }
   return out;
 }
@@ -204,6 +235,183 @@ TEST(JsonFuzz, RandomizedApiResponsesRoundTrip) {
     response.elapsedMs = static_cast<double>(rng.uniform(0, 10'000)) / 16.0;
     tpdf::test::expectRoundTrip(response.toJson());
   }
+}
+
+// ---- Writer -------------------------------------------------------------
+
+TEST(JsonWriter, PushCallsProduceValueLayouts) {
+  // The same document pushed by hand and built as a Value: one formatter,
+  // so both layouts agree byte for byte.
+  auto doc = Value::object();
+  doc.set("name", "a\"b");
+  doc.set("n", 3);
+  doc.set("x", 2.0);
+  doc.set("empty", Value::array());
+  doc.set("obj",
+          Value::object().set("k", Value::array().push(1).push(nullptr)));
+  const auto push = [](Writer& w) {
+    w.beginObject().member("name", "a\"b").member("n", 3).member("x", 2.0);
+    w.key("empty").beginArray().endArray();
+    w.key("obj").beginObject().key("k").beginArray().value(1).value(nullptr);
+    w.endArray().endObject().endObject();
+  };
+  Writer pretty(Layout::Pretty);
+  push(pretty);
+  EXPECT_EQ(pretty.finish(), doc.pretty());
+  Writer compact(Layout::Compact);
+  push(compact);
+  EXPECT_EQ(compact.finish(),
+            "{\"name\":\"a\\\"b\",\"n\":3,\"x\":2.0,\"empty\":[],"
+            "\"obj\":{\"k\":[1,null]}}");
+  Writer reread(Layout::Compact);
+  push(reread);
+  EXPECT_EQ(parse(reread.finish()), doc);
+}
+
+TEST(JsonWriter, IllFormedUtf8BecomesReplacementCharacter) {
+  // One U+FFFD per maximal ill-formed subsequence (the Unicode
+  // recommendation, which Python's errors="replace" decoder also uses).
+  const std::string fffd = "\xEF\xBF\xBD";
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"\xFF", fffd},
+      {"\xE2\x82", fffd},                          // truncated 3-byte
+      {"\xE2\x82" "A", fffd + "A"},
+      {"\xF0\x80\x80\x80", fffd + fffd + fffd + fffd},  // overlong
+      {"\xED\xA0\x80", fffd + fffd + fffd},          // surrogate
+      {"\xC0\xAF", fffd + fffd},                    // overlong '/'
+      {"\xF4\x90\x80\x80", fffd + fffd + fffd + fffd},  // > U+10FFFF
+      {"\xF0\x9F\x98", fffd},                      // truncated 4-byte
+      {"\xF1\x80\x80\xC0", fffd + fffd},
+      {"a\xF0\x9F\x98\x80" "b", "a\xF0\x9F\x98\x80" "b"},  // valid U+1F600
+      {"\xC2\xB5s", "\xC2\xB5s"},                    // valid "µs"
+  };
+  for (const auto& [in, want] : cases) {
+    EXPECT_EQ(Value(in).dump(), "\"" + want + "\"") << Value(want).dump();
+    Writer w(Layout::Compact);
+    w.beginObject().member(in, in).endObject();
+    EXPECT_EQ(w.finish(), "{\"" + want + "\":\"" + want + "\"}");
+  }
+}
+
+/// True when `s` is well-formed UTF-8 (an oracle independent of the
+/// writer's: decode each sequence and check its scalar value).
+bool wellFormedUtf8(const std::string& s) {
+  for (std::size_t i = 0; i < s.size();) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    const std::size_t n = c < 0x80 ? 1 : c >> 5 == 0x6 ? 2 : c >> 4 == 0xE ? 3
+                          : c >> 3 == 0x1E ? 4 : 0;
+    if (n == 0 || i + n > s.size()) return false;
+    std::uint32_t cp = n == 1 ? c : c & (0x7F >> n);
+    for (std::size_t k = 1; k < n; ++k) {
+      const auto b = static_cast<unsigned char>(s[i + k]);
+      if (b >> 6 != 0x2) return false;
+      cp = cp << 6 | (b & 0x3F);
+    }
+    const std::uint32_t least[] = {0, 0, 0x80, 0x800, 0x10000};
+    if (cp < least[n] || cp > 0x10FFFF || (cp >= 0xD800 && cp <= 0xDFFF)) {
+      return false;
+    }
+    i += n;
+  }
+  return true;
+}
+
+TEST(JsonWriter, RandomBytesAlwaysSerializeToValidUtf8) {
+  Prng rng(0xB17E5);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string bytes;
+    const std::int64_t len = rng.uniform(0, 12);
+    for (std::int64_t i = 0; i < len; ++i) {
+      // Bias towards lead and continuation bytes, where the cases are.
+      bytes += static_cast<char>(rng.chance(0.7) ? rng.uniform(0x80, 0xFF)
+                                                 : rng.uniform(1, 0x7F));
+    }
+    const std::string text = Value(bytes).dump();
+    ASSERT_TRUE(wellFormedUtf8(text)) << trial;
+    const Value back = parse(text);
+    ASSERT_TRUE(wellFormedUtf8(back.asString())) << trial;
+    EXPECT_EQ(back.dump(), text) << trial;  // replacement is idempotent
+    if (wellFormedUtf8(bytes)) {
+      EXPECT_EQ(back.asString(), bytes) << trial;
+    }
+  }
+}
+
+/// A random document that may hold non-finite doubles, and what it must
+/// read back as: the same document with each of those replaced by null.
+struct RandomDoc {
+  Value raw;
+  Value expected;
+};
+
+RandomDoc same(const Value& v) { return {v, v}; }
+
+RandomDoc randomDoc(Prng& rng, int depth) {
+  switch (rng.uniform(0, depth > 0 ? 8 : 6)) {
+    case 0: return same(nullptr);
+    case 1: return same(rng.chance(0.5));
+    case 2: return same(static_cast<std::int64_t>(rng.next()));
+    case 3:  // integral doubles must stay doubles ("3.0")
+      return same(static_cast<double>(rng.uniform(-1000, 1000)));
+    case 4: {
+      const double special[] = {std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity(),
+                                std::nan(""), 0.1, -0.0, 1e300, 5e-324};
+      const double d = special[rng.uniform(0, 6)];
+      return {Value(d), std::isfinite(d) ? Value(d) : Value(nullptr)};
+    }
+    case 5:
+    case 6: return same(randomString(rng));
+    case 7: {
+      RandomDoc arr{Value::array(), Value::array()};
+      for (std::int64_t i = rng.uniform(0, 4); i > 0; --i) {
+        RandomDoc item = randomDoc(rng, depth - 1);
+        arr.raw.push(std::move(item.raw));
+        arr.expected.push(std::move(item.expected));
+      }
+      return arr;
+    }
+    default: {
+      RandomDoc obj{Value::object(), Value::object()};
+      for (std::int64_t i = rng.uniform(0, 4); i > 0; --i) {
+        RandomDoc member = randomDoc(rng, depth - 1);
+        const std::string key = randomString(rng) + "#" + std::to_string(i);
+        obj.raw.set(key, std::move(member.raw));
+        obj.expected.set(key, std::move(member.expected));
+      }
+      return obj;
+    }
+  }
+}
+
+TEST(JsonWriter, RandomDocumentsReadBackFromBothLayouts) {
+  Prng rng(0xD0C);
+  for (int trial = 0; trial < 500; ++trial) {
+    const RandomDoc doc = randomDoc(rng, 5);
+    EXPECT_EQ(parse(doc.raw.pretty()), doc.expected) << doc.raw.dump();
+    EXPECT_EQ(parse(doc.raw.dump()), doc.expected) << doc.raw.dump();
+    EXPECT_EQ(doc.raw.pretty(), doc.expected.pretty());
+  }
+}
+
+// ---- Parser ------------------------------------------------------------
+
+TEST(JsonParse, DuplicateMemberNamesAreRejectedAtTheirPosition) {
+  try {
+    parse("{\"command\": \"analyze\",\n  \"command\": \"map\"}");
+    FAIL() << "duplicate member accepted";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("duplicate member name \"command\""),
+              std::string::npos)
+        << e.what();
+    EXPECT_EQ(e.line(), 2);
+    EXPECT_EQ(e.column(), 3);
+  }
+  // Nested objects are checked too; equal names in sibling objects are
+  // fine.
+  EXPECT_THROW(parse("{\"a\": {\"b\": 1, \"b\": 1}}"), ParseError);
+  EXPECT_THROW(parse("[{\"\\u0061\": 1, \"a\": 2}]"), ParseError);
+  EXPECT_NO_THROW(parse("[{\"a\": 1}, {\"a\": 2}]"));
 }
 
 // ---- Streamed writer ------------------------------------------------

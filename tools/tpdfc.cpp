@@ -46,11 +46,15 @@
 //      internal fault
 //   4  resource limit (deadline, work budget, or cancellation) — the
 //      analysis was cut off, not judged
+// Whatever the outcome, a failed write to stdout (a full disk, a closed
+// pipe) turns the exit code into 3 with a "write error on stdout"
+// message on stderr.
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
 #include <fstream>
 #include <mutex>
@@ -130,28 +134,23 @@ struct Cli {
   std::size_t coldEvery = 0;
 };
 
-/// Writes doc.pretty() to stdout in 64 KiB pieces instead of rendering
-/// it into one string first.
-void printPretty(const support::json::Value& doc) {
-  doc.prettyTo([](std::string_view chunk) {
-    std::fwrite(chunk.data(), 1, chunk.size(), stdout);
-  });
-}
+using support::json::Writer;
 
-/// Prints the final document: the envelope identifies the tool and the
-/// command, then the response members (status, diagnostics, payload)
-/// follow verbatim.  The document is taken by value and its members are
-/// moved, not copied, into the envelope (a map or sim document can be
-/// tens of megabytes), and the envelope is streamed to stdout.
-void emitJson(const Cli& cli, support::json::Value responseDoc) {
-  auto envelope = support::json::Value::object();
-  envelope.set("tool", "tpdfc");
-  envelope.set("version", api::version().semver);
-  envelope.set("command", cli.command);
-  for (auto& [key, value] : responseDoc.members()) {
-    envelope.set(key, std::move(value));
-  }
-  printPretty(envelope);
+/// Pretty JSON goes to stdout in 64 KiB chunks, never as one string.
+const support::json::ChunkOut kStdout = [](std::string_view chunk) {
+  std::fwrite(chunk.data(), 1, chunk.size(), stdout);
+};
+
+/// Prints the final document, streamed: the envelope identifies the tool
+/// and the command, then `write` puts the response members (status,
+/// diagnostics, payload) straight into it — no document is built first
+/// (a map or sim envelope can be tens of megabytes).
+template <typename Members>
+void emitJson(const Cli& cli, Members&& write) {
+  Writer w(support::json::Layout::Pretty, &kStdout);
+  api::beginEnvelope(w, "tpdfc", cli.command);
+  write(w);
+  w.endObject().finish();
 }
 
 /// Text mode: diagnostics go to stderr, one line each.
@@ -162,13 +161,12 @@ void emitDiagnostics(const api::Response& response) {
 }
 
 /// Renders a response whose text payload was already printed (or that
-/// has none), returning the documented exit code.  `toJson` builds the
-/// response document and runs only under --json: text mode never builds
-/// a document it would not print.
-template <typename ToJson>
-int finish(const Cli& cli, const api::Response& response, ToJson&& toJson) {
+/// has none), returning the documented exit code.  `write` puts the
+/// response members and runs only under --json.
+template <typename Members>
+int finish(const Cli& cli, const api::Response& response, Members&& write) {
   if (cli.json) {
-    emitJson(cli, toJson());
+    emitJson(cli, write);
   } else {
     emitDiagnostics(response);
   }
@@ -179,12 +177,7 @@ int finish(const Cli& cli, const api::Response& response, ToJson&& toJson) {
 /// diagnostics under --json, `text` on stderr.  Returns the exit code.
 int failed(const Cli& cli, const api::Response& response,
            const std::string& text) {
-  if (cli.json) {
-    auto doc = support::json::Value::object();
-    doc.set("status", toString(response.status));
-    doc.set("diagnostics", response.diagnosticsJson());
-    emitJson(cli, std::move(doc));
-  }
+  if (cli.json) emitJson(cli, [&](Writer& w) { response.write(w); });
   std::fprintf(stderr, "tpdfc: %s", text.c_str());
   return api::exitCode(response.status);
 }
@@ -214,11 +207,10 @@ void printElapsed(double elapsedMs, std::size_t jobs) {
 
 int runVersion(const Cli& cli) {
   if (cli.json) {
-    auto doc = support::json::Value::object();
-    doc.set("status", "ok");
-    doc.set("diagnostics", support::json::Value::array());
-    doc.set("release", api::version().toJson());
-    emitJson(cli, std::move(doc));
+    emitJson(cli, [](Writer& w) {
+      api::Response().write(w);
+      api::version().write(w.key("release"));
+    });
   } else {
     std::printf("%s\n", api::version().toString().c_str());
   }
@@ -229,7 +221,7 @@ int runRequest(const Cli& cli, api::Session& session,
                const api::BatchRequest& request) {
   const api::BatchResponse response = session.batch(request);
   if (cli.json) {
-    emitJson(cli, response.toJson());
+    emitJson(cli, [&](Writer& w) { response.write(w); });
     return api::exitCode(response.status);
   }
   emitDiagnostics(response);
@@ -249,7 +241,7 @@ int runRequest(const Cli& cli, api::Session& session,
                const api::VerifyRequest& request) {
   const api::VerifyResponse response = session.verify(request);
   if (cli.json) {
-    emitJson(cli, response.toJson());
+    emitJson(cli, [&](Writer& w) { response.write(w); });
     return api::exitCode(response.status);
   }
   emitDiagnostics(response);
@@ -281,20 +273,15 @@ int runScenarios(const Cli& cli) {
   }
   const std::vector<apps::Scenario> corpus = apps::scenarioCorpus();
   if (cli.json) {
-    auto doc = support::json::Value::object();
-    doc.set("status", "ok");
-    doc.set("diagnostics", support::json::Value::array());
-    doc.set("directory", cli.input);
-    auto list = support::json::Value::array();
-    for (const apps::Scenario& s : corpus) {
-      auto entry = support::json::Value::object();
-      entry.set("name", s.name);
-      entry.set("family", s.family);
-      entry.set("file", cli.input + "/" + s.name + ".tpdf");
-      list.push(std::move(entry));
-    }
-    doc.set("scenarios", std::move(list));
-    emitJson(cli, std::move(doc));
+    emitJson(cli, [&](Writer& w) {
+      api::Response().write(w);
+      w.member("directory", cli.input).key("scenarios").beginArray();
+      for (const apps::Scenario& s : corpus) {
+        w.beginObject().member("name", s.name).member("family", s.family);
+        w.member("file", cli.input + "/" + s.name + ".tpdf").endObject();
+      }
+      w.endArray();
+    });
   } else {
     std::printf("wrote %zu scenario graphs to %s\n", corpus.size(),
                 cli.input.c_str());
@@ -358,7 +345,7 @@ int runRequest(const Cli& cli, api::Session& session,
       }
     }
   }
-  return finish(cli, response, [&] { return response.toJson(); });
+  return finish(cli, response, [&](Writer& w) { response.write(w); });
 }
 
 int runRequest(const Cli& cli, api::Session& session,
@@ -369,7 +356,7 @@ int runRequest(const Cli& cli, api::Session& session,
     std::printf("%s", response.report.toString(*session.graph(id)).c_str());
   }
   return finish(cli, response,
-                [&] { return response.toJson(session.graph(id)); });
+                [&](Writer& w) { response.write(w, session.graph(id)); });
 }
 
 int runRequest(const Cli& cli, api::Session& session,
@@ -395,7 +382,7 @@ int runRequest(const Cli& cli, api::Session& session,
     }
   }
   return finish(cli, response,
-                [&] { return response.toJson(session.graph(id)); });
+                [&](Writer& w) { response.write(w, session.graph(id)); });
 }
 
 int runRequest(const Cli& cli, api::Session& session,
@@ -406,7 +393,7 @@ int runRequest(const Cli& cli, api::Session& session,
                 response.period->size());
     std::printf("%s", response.schedule.toString(*response.period).c_str());
   }
-  return finish(cli, response, [&] { return response.toJson(); });
+  return finish(cli, response, [&](Writer& w) { response.write(w); });
 }
 
 int runRequest(const Cli& cli, api::Session& session,
@@ -424,17 +411,16 @@ int runRequest(const Cli& cli, api::Session& session,
     }
   }
   return finish(cli, response,
-                [&] { return response.toJson(session.graph(id)); });
+                [&](Writer& w) { response.write(w, session.graph(id)); });
 }
 
 int runDot(const Cli& cli, api::Session& session, const std::string& id) {
   const graph::Graph& g = *session.graph(id);
   if (cli.json) {
-    auto doc = support::json::Value::object();
-    doc.set("status", "ok");
-    doc.set("diagnostics", support::json::Value::array());
-    doc.set("dot", g.toDot());
-    emitJson(cli, std::move(doc));
+    emitJson(cli, [&](Writer& w) {
+      api::Response().write(w);
+      w.member("dot", g.toDot());
+    });
   } else {
     std::printf("%s", g.toDot().c_str());
   }
@@ -444,12 +430,11 @@ int runDot(const Cli& cli, api::Session& session, const std::string& id) {
 int runEcho(const Cli& cli, api::Session& session, const std::string& id) {
   const graph::Graph& g = *session.graph(id);
   if (cli.json) {
-    auto doc = support::json::Value::object();
-    doc.set("status", "ok");
-    doc.set("diagnostics", support::json::Value::array());
-    doc.set("tpdf", io::writeGraph(g));
-    doc.set("graph", io::toJson(g));
-    emitJson(cli, std::move(doc));
+    emitJson(cli, [&](Writer& w) {
+      api::Response().write(w);
+      w.member("tpdf", io::writeGraph(g));
+      io::writeJson(w.key("graph"), g);
+    });
   } else {
     std::printf("%s", io::writeGraph(g).c_str());
   }
@@ -478,7 +463,7 @@ bool slurpFile(const std::string& path, std::string& out,
 int emitEnvelope(const std::string& line) {
   try {
     const support::json::Value doc = support::json::parse(line);
-    printPretty(doc);
+    doc.prettyTo(kStdout);
     const support::json::Value* status = doc.find("status");
     if (status != nullptr && status->isString()) {
       if (const auto s = api::statusFromString(status->asString())) {
@@ -626,26 +611,6 @@ int runLoadtest(const Cli& cli, const support::json::Value& request,
                       " requests did not return ok");
   }
 
-  auto doc = support::json::Value::object();
-  doc.set("status", toString(response.status));
-  doc.set("diagnostics", response.diagnosticsJson());
-  doc.set("clients", static_cast<std::int64_t>(cli.clients));
-  doc.set("requestsPerClient", static_cast<std::int64_t>(cli.requests));
-  doc.set("requests", static_cast<std::int64_t>(samples.size()));
-  doc.set("elapsedMs", elapsedMs);
-  doc.set("throughputRps", throughput);
-  auto latency = support::json::Value::object();
-  latency.set("p50Us", percentile(0.50));
-  latency.set("p90Us", percentile(0.90));
-  latency.set("p99Us", percentile(0.99));
-  latency.set("maxUs", latencies.back());
-  doc.set("latency", std::move(latency));
-  doc.set("cacheHitRate", hitRate);
-  doc.set("serverAnalysisUsMean",
-          analysisSum / static_cast<double>(samples.size()));
-  doc.set("serverAnalysisUsHot", hotAnalysisUs);
-  doc.set("cache", std::move(cacheStats));
-
   if (!cli.json) {
     std::printf("loadtest: %zu clients x %zu requests against %s\n",
                 cli.clients, cli.requests, cli.connect.c_str());
@@ -659,7 +624,18 @@ int runLoadtest(const Cli& cli, const support::json::Value& request,
                 hotAnalysisUs,
                 analysisSum / static_cast<double>(samples.size()));
   }
-  return finish(cli, response, [&] { return std::move(doc); });
+  return finish(cli, response, [&](Writer& w) {
+    response.write(w);
+    w.member("clients", cli.clients).member("requestsPerClient", cli.requests);
+    w.member("requests", samples.size()).member("elapsedMs", elapsedMs);
+    w.member("throughputRps", throughput).key("latency").beginObject();
+    w.member("p50Us", percentile(0.50)).member("p90Us", percentile(0.90));
+    w.member("p99Us", percentile(0.99)).member("maxUs", latencies.back());
+    w.endObject().member("cacheHitRate", hitRate);
+    w.member("serverAnalysisUsMean",
+             analysisSum / static_cast<double>(samples.size()));
+    w.member("serverAnalysisUsHot", hotAnalysisUs).member("cache", cacheStats);
+  });
 }
 
 /// Forwards the command to a tpdfd daemon: the request document tpdfc
@@ -735,7 +711,7 @@ int run(const Cli& cli) {
     loadRequest.path = cli.input;
     const api::LoadResponse loaded = session.load(loadRequest);
     if (!loaded.ok()) {
-      return finish(cli, loaded, [&] { return loaded.toJson(); });
+      return finish(cli, loaded, [&](Writer& w) { loaded.write(w); });
     }
     id = loaded.id;
     if (cli.command == "dot") return runDot(cli, session, id);
@@ -850,8 +826,16 @@ bool parseArgs(int argc, char** argv, Cli& cli, std::string& error) {
 int main(int argc, char** argv) {
   Cli cli;
   std::string error;
-  if (!parseArgs(argc, argv, cli, error)) {
-    return usageError(cli, error);
+  const int code =
+      parseArgs(argc, argv, cli, error) ? run(cli) : usageError(cli, error);
+  // Output that never reached its destination (a full disk, a closed
+  // pipe) is an input/output failure, not the verdict the code reports.
+  // errno still holds the failed write's reason when an earlier write,
+  // not this flush, failed.
+  if (std::fflush(stdout) != 0 || std::ferror(stdout) != 0) {
+    std::fprintf(stderr, "tpdfc: write error on stdout: %s\n",
+                 std::strerror(errno != 0 ? errno : EIO));
+    return api::exitCode(api::Status::InputError);
   }
-  return run(cli);
+  return code;
 }
