@@ -1,6 +1,7 @@
 #include "csdf/liveness.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <optional>
 #include <set>
@@ -18,13 +19,16 @@ namespace {
 
 /// Per-port integer rates for fast simulation; the spans point into an
 /// EvaluatedRates table owned by the caller (or by findSchedule's local
-/// fallback).  Output ports carry the channel's consumer so the
-/// scheduler can wake exactly the actors a firing may have enabled.
+/// fallback).  Each port also carries the channel's other end, so the
+/// scheduler can wake exactly the consumers a run may have enabled and
+/// tell which of a consumer's inputs the running actor feeds.
 struct EvalPort {
   std::size_t channel;
   std::span<const std::int64_t> rates;  // length tau(actor)
-  /// Consumer of `channel` (for an input port that is the owning actor).
-  std::size_t dstActor;
+  /// The actor at the channel's other end (the consumer for an output
+  /// port, the producer for an input port) and its rates on the channel.
+  std::size_t peer;
+  std::span<const std::int64_t> peerRates;
 };
 
 struct EvalActor {
@@ -44,11 +48,13 @@ std::vector<EvalActor> buildEvalActors(const Graph& g,
     ea.delta.assign(static_cast<std::size_t>(tau), 0);
     for (graph::PortId pid : a.ports) {
       const graph::Port& p = g.port(pid);
+      const graph::Channel& c = g.channel(p.channel);
+      const bool input = graph::isInput(p.kind);
       EvalPort ep;
       ep.channel = p.channel.index();
-      const bool input = graph::isInput(p.kind);
-      ep.dstActor = input ? a.id.index() : g.destActor(p.channel).index();
       ep.rates = er.of(pid);
+      ep.peer = (input ? g.sourceActor(c.id) : g.destActor(c.id)).index();
+      ep.peerRates = er.of(input ? c.src : c.dst);
       for (std::int64_t i = 0; i < tau; ++i) {
         ea.delta[static_cast<std::size_t>(i)] +=
             input ? -ep.rates[static_cast<std::size_t>(i)]
@@ -115,23 +121,15 @@ LivenessResult findSchedule(const Graph& g, const RepetitionVector& rv,
     return true;
   };
 
-  auto fire = [&](std::size_t ai) {
-    const std::size_t phase = static_cast<std::size_t>(fired[ai]) % tau[ai];
-    for (const EvalPort& p : eval[ai].inputs) {
-      occupancy[p.channel] -= p.rates[phase];
-    }
-    for (const EvalPort& p : eval[ai].outputs) {
-      occupancy[p.channel] += p.rates[phase];
-    }
-    out.schedule.push(ActorId(static_cast<std::uint32_t>(ai)), fired[ai]);
-    ++fired[ai];
+  auto deltaOf = [&](std::size_t ai) {
+    return eval[ai].delta[static_cast<std::size_t>(fired[ai]) % tau[ai]];
   };
 
   // Ready set: exactly the enabled actors, in id order.  A firing of `ai`
   // changes occupancy only on ai's own channels, so the only actors whose
   // status can flip are ai itself and the consumers of channels ai just
   // produced on; everything else in the set stays enabled.  That keeps
-  // the per-firing work proportional to the fired actor's degree instead
+  // the work per run proportional to the fired actor's degree instead
   // of a full actor/port rescan.
   std::set<std::size_t> ready;
   std::vector<char> inReady(n, 0);
@@ -143,12 +141,30 @@ LivenessResult findSchedule(const Graph& g, const RepetitionVector& rv,
   }
 
   // Re-derives membership of `ai` after its inputs may have gained
-  // tokens; returns true when ai newly entered the set.
-  auto wake = [&](std::size_t ai) -> bool {
-    if (inReady[ai] || !enabled(ai)) return false;
+  // tokens.
+  auto wake = [&](std::size_t ai) {
+    if (inReady[ai] || !enabled(ai)) return;
     ready.insert(ai);
     inReady[ai] = 1;
-    return true;
+  };
+
+  // While single-phase `chosen` runs, a consumer `c` gains tokens only
+  // on the inputs `chosen` feeds, the rest of its inputs stay put.
+  // Returns the 1-based firing of the run that first enables `c`, or
+  // kNever when no firing of the run does.
+  constexpr std::int64_t kNever = std::numeric_limits<std::int64_t>::max();
+  auto wakesAfter = [&](std::size_t c, std::size_t chosen) {
+    if (fired[c] >= out.q[c]) return kNever;
+    const std::size_t phase = static_cast<std::size_t>(fired[c]) % tau[c];
+    std::int64_t at = 1;
+    for (const EvalPort& p : eval[c].inputs) {
+      const std::int64_t deficit = p.rates[phase] - occupancy[p.channel];
+      if (deficit <= 0) continue;
+      const std::int64_t gain = p.peer == chosen ? p.peerRates[0] : 0;
+      if (gain == 0) return kNever;
+      at = std::max(at, deficit / gain + (deficit % gain != 0 ? 1 : 0));
+    }
+    return at;
   };
 
   auto deadlock = [&]() {
@@ -186,53 +202,70 @@ LivenessResult findSchedule(const Graph& g, const RepetitionVector& rv,
       return out;
     }
 
-    std::size_t chosen;
-    if (policy == SchedulePolicy::Eager) {
-      // The eager choice is the lowest-id enabled actor.
-      chosen = *ready.begin();
-    } else {
-      // Lowest occupancy delta, ties to the lowest id (the set iterates
-      // in id order and the comparison is strict).
-      auto it = ready.begin();
-      chosen = *it;
-      std::int64_t best =
-          eval[chosen]
-              .delta[static_cast<std::size_t>(fired[chosen]) % tau[chosen]];
-      for (++it; it != ready.end(); ++it) {
-        const std::size_t ai = *it;
-        const std::int64_t delta =
-            eval[ai].delta[static_cast<std::size_t>(fired[ai]) % tau[ai]];
-        if (delta < best) {
+    // The eager choice is the lowest-id enabled actor; MinOccupancy
+    // takes the lowest occupancy delta, ties to the lowest id (the set
+    // iterates in id order and the comparison is strict).
+    std::size_t chosen = *ready.begin();
+    std::int64_t best = deltaOf(chosen);
+    if (policy == SchedulePolicy::MinOccupancy) {
+      for (const std::size_t ai : ready) {
+        if (deltaOf(ai) < best) {
           chosen = ai;
-          best = delta;
+          best = deltaOf(ai);
         }
       }
     }
+    // Whether a consumer `c` that wakes up would take the next pick from
+    // `chosen`.  Nothing already ready does, and firing `chosen` changes
+    // no other actor's phase, so only a newly woken consumer can end a
+    // run early.
+    auto outranks = [&](std::size_t c) {
+      if (policy == SchedulePolicy::Eager) return c < chosen;
+      return deltaOf(c) < best || (deltaOf(c) == best && c < chosen);
+    };
 
-    // Fire `chosen`; under Eager, keep firing it through consecutive
-    // phases while it stays both enabled and the lowest-id enabled actor
-    // (no consumer with a smaller id woke up), so long runs cost one
-    // ready-set update instead of one per firing.  A budgeted batch is
-    // additionally capped at kMaxBatch firings; the outer loop re-picks
-    // the same actor, so the firing order is unchanged.
-    const std::int64_t batchStart =
-        static_cast<std::int64_t>(out.schedule.size());
-    const std::int64_t stopAt =
-        budget == nullptr ? totalFirings
-                          : std::min(totalFirings, batchStart + kMaxBatch);
-    bool lowerWoke = false;
-    do {
-      const std::size_t phase =
-          static_cast<std::size_t>(fired[chosen]) % tau[chosen];
-      fire(chosen);
-      for (const EvalPort& p : eval[chosen].outputs) {
-        if (p.rates[phase] == 0 || p.dstActor == chosen) continue;
-        if (wake(p.dstActor) && p.dstActor < chosen) lowerWoke = true;
+    // Fire `chosen` k times in one step, k being the firings it makes
+    // before the policy would pick another actor: the rest of its q, the
+    // kMaxBatch cap of a budgeted run, as many as its inputs cover (a
+    // self-loop refills its channel by the producer rate each firing, so
+    // only a net loss limits), and the firing that first wakes an
+    // outranking consumer.  A multi-phase actor's rates change each
+    // firing, so it fires one at a time; the outer loop re-picks it.
+    const std::size_t phase =
+        static_cast<std::size_t>(fired[chosen]) % tau[chosen];
+    std::int64_t k = tau[chosen] == 1 ? out.q[chosen] - fired[chosen] : 1;
+    if (budget != nullptr) k = std::min(k, kMaxBatch);
+    if (k > 1) {
+      for (const EvalPort& p : eval[chosen].inputs) {
+        const std::int64_t net =
+            (p.peer == chosen ? p.peerRates[0] : 0) - p.rates[0];
+        if (net < 0) {
+          k = std::min(k, (occupancy[p.channel] - p.rates[0]) / -net + 1);
+        }
       }
-    } while (policy == SchedulePolicy::Eager && !lowerWoke &&
-             static_cast<std::int64_t>(out.schedule.size()) < stopAt &&
-             enabled(chosen));
-    pending += static_cast<std::int64_t>(out.schedule.size()) - batchStart;
+      for (const EvalPort& p : eval[chosen].outputs) {
+        if (p.rates[0] == 0 || p.peer == chosen || inReady[p.peer] ||
+            !outranks(p.peer)) {
+          continue;
+        }
+        k = std::min(k, wakesAfter(p.peer, chosen));
+      }
+    }
+    for (const EvalPort& p : eval[chosen].inputs) {
+      occupancy[p.channel] -= k * p.rates[phase];
+    }
+    for (const EvalPort& p : eval[chosen].outputs) {
+      occupancy[p.channel] += k * p.rates[phase];
+    }
+    out.schedule.push(ActorId(static_cast<std::uint32_t>(chosen)),
+                      fired[chosen], k);
+    fired[chosen] += k;
+    // Consumers only gain tokens during a run, so one wake-up at its end
+    // admits exactly the actors a per-firing check would have.
+    for (const EvalPort& p : eval[chosen].outputs) {
+      if (p.rates[phase] != 0 && p.peer != chosen) wake(p.peer);
+    }
+    pending += k;
     if (budget != nullptr && pending >= kMaxBatch) {
       budget->charge(static_cast<std::uint64_t>(pending));
       pending = 0;

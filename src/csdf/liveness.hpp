@@ -5,16 +5,20 @@
 // simulation under a parameter environment and returns the schedule it
 // found (the CSDF PASS), or a deadlock diagnosis.
 //
-// The simulation is incremental: all rates are pre-evaluated to integer
-// tables (one entry per phase), and an id-ordered ready set tracks the
-// enabled actors.  A firing only re-examines the fired actor and the
-// consumers of channels it produced on — every channel has exactly one
-// consumer port, so nothing else can change status — making the cost per
-// firing O(degree * log |ready|) instead of a full actor/port rescan.
-// Under the Eager policy an actor that stays the lowest-id enabled actor
-// is fired through consecutive phases in one batch.  Firing orders are
-// exactly those of the reference rescan loop (see the golden-schedule
-// tests).
+// The simulation works in runs, the looped form Schedule stores: all
+// rates are pre-evaluated to integer tables (one entry per phase), an
+// id-ordered ready set tracks the enabled actors, and once the policy
+// picks an actor it fires every firing it would make before the policy
+// picks another in one closed-form step.  For a single-phase actor that
+// run length is the least of its remaining firings, what its inputs
+// cover, and the firing that first wakes a consumer which would outrank
+// it (a lower id under Eager, a smaller occupancy delta under
+// MinOccupancy); a multi-phase actor fires one at a time.  A run only
+// changes the fired actor's channels, so it re-examines the fired actor
+// and the consumers it fed — every channel has exactly one consumer —
+// and costs O(degree * log |ready|) however many firings it holds.
+// Firing orders are exactly those of the reference per-firing rescan
+// loop (see the golden-schedule tests).
 #pragma once
 
 #include <span>
@@ -55,8 +59,9 @@ struct LivenessResult {
 /// dependencies that could cure a deadlock).  When `rates` is non-null
 /// the integer rate tables are reused instead of re-evaluating every
 /// rate expression (`rates` must have been built from `g` under `env`).
-/// A non-null `budget` is checkpointed once per firing and may abort the
-/// search with support::BudgetExceeded.
+/// A non-null `budget` is charged one unit per firing, in lumps of at
+/// least 4096 (runs are capped at that length when budgeted), and may
+/// abort the search with support::BudgetExceeded.
 ///
 /// A non-empty `actorMask` (one entry per actor; any other size throws
 /// support::Error) restricts the simulation to the masked-in actors:

@@ -5,6 +5,7 @@
 // a schedule forever keeps every buffer bounded.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -43,18 +44,30 @@ static_assert(sizeof(ScheduleRun) == 16);
 class Schedule {
  public:
   /// Appends one firing: firing index `k` of actor `a`.
-  void push(graph::ActorId a, std::int64_t k) {
+  void push(graph::ActorId a, std::int64_t k) { push(a, k, 1); }
+
+  /// Appends `count` firings of `a`, indices firstK .. firstK+count-1,
+  /// exactly as `count` single pushes would: the first extends the last
+  /// run when it continues it, and the rest go into runs of at most
+  /// 2^32 - 1 firings each.
+  void push(graph::ActorId a, std::int64_t firstK, std::int64_t count) {
+    constexpr std::int64_t kMaxRun = std::numeric_limits<std::uint32_t>::max();
+    firings_ += static_cast<std::size_t>(count);
     if (!runs_.empty()) {
       ScheduleRun& last = runs_.back();
-      if (last.actor == a && last.firstK + last.count == k &&
-          last.count != std::numeric_limits<std::uint32_t>::max()) {
-        ++last.count;
-        ++firings_;
-        return;
+      if (last.actor == a && last.firstK + last.count == firstK) {
+        const std::int64_t add = std::min(count, kMaxRun - last.count);
+        last.count += static_cast<std::uint32_t>(add);
+        firstK += add;
+        count -= add;
       }
     }
-    runs_.push_back({.firstK = k, .actor = a, .count = 1});
-    ++firings_;
+    for (; count > 0; count -= kMaxRun, firstK += kMaxRun) {
+      runs_.push_back({.firstK = firstK,
+                       .actor = a,
+                       .count = static_cast<std::uint32_t>(
+                           std::min(count, kMaxRun))});
+    }
   }
 
   bool empty() const { return firings_ == 0; }

@@ -1,9 +1,11 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "support/checked.hpp"
 #include "support/error.hpp"
+#include "support/strings.hpp"
 
 namespace tpdf::graph {
 
@@ -186,6 +188,13 @@ void Graph::setExecTime(ActorId actor, std::span<const double> perPhase) {
     throw support::ModelError("execution time vector must be non-empty");
   }
   Actor& a = actors_.at(actor.index());
+  for (const double v : perPhase) {
+    if (!std::isfinite(v) || v < 0) {
+      throw support::ModelError("actor '" + a.name + "' has execution time " +
+                                support::formatDouble(v) +
+                                "; times must be finite and non-negative");
+    }
+  }
   a.execTime.clear();
   a.execTime.reserve(perPhase.size());
   for (double v : perPhase) a.execTime.push_back(v);

@@ -1,6 +1,8 @@
 // Structural validation of graphs against Definition 2's well-formedness
 // rules.  Analyses assume a validated graph.
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "graph/graph.hpp"
 #include "support/error.hpp"
@@ -78,7 +80,7 @@ void Graph::validate() const {
     }
   }
 
-  std::set<std::uint32_t> connectedPorts;
+  std::vector<char> connected(ports_.size(), 0);  // indexed by port id
   for (const Channel& c : channels_) {
     const Port& src = ports_[c.src.index()];
     const Port& dst = ports_[c.dst.index()];
@@ -94,11 +96,11 @@ void Graph::validate() const {
       fail("channel '" + c.name +
            "' mixes a control port with a data port");
     }
-    if (!connectedPorts.insert(c.src.value).second) {
+    if (std::exchange(connected[c.src.index()], 1) != 0) {
       fail("output port of channel '" + c.name +
            "' is attached to more than one channel");
     }
-    if (!connectedPorts.insert(c.dst.value).second) {
+    if (std::exchange(connected[c.dst.index()], 1) != 0) {
       fail("input port of channel '" + c.name +
            "' is attached to more than one channel");
     }

@@ -203,6 +203,8 @@ struct Lexer {
 
   double real() {
     skipSpaceAndComments();
+    const int startLine = line;
+    const int startColumn = column;
     std::string buf;
     while (!eof() && (std::isdigit(static_cast<unsigned char>(cur())) ||
                       cur() == '.' || cur() == '-' || cur() == 'e' ||
@@ -211,11 +213,20 @@ struct Lexer {
       advance();
     }
     if (buf.empty()) fail("expected number");
+    // std::stod accepts the longest number prefix; the token must be one
+    // number as a whole ("1-2" or "3e5e7" is not).
+    std::size_t used = 0;
+    double value = 0;
     try {
-      return std::stod(buf);
+      value = std::stod(buf, &used);
     } catch (const std::exception&) {
-      fail("malformed number '" + buf + "'");
+      used = 0;  // no number at all, or out of range
     }
+    if (used != buf.size()) {
+      throw support::ParseError("malformed number '" + buf + "'", startLine,
+                                startColumn);
+    }
+    return value;
   }
 
   /// Reads a rate specification: either a bracketed list "[...]" or a

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <tuple>
+#include <vector>
+
 #include "apps/papergraphs.hpp"
 #include "csdf/buffer.hpp"
 #include "csdf/liveness.hpp"
@@ -165,6 +170,54 @@ TEST(Schedule, SizeCountsFiringsAndCountOfSumsRuns) {
   EXPECT_EQ(s.countOf(a3), 3);
   EXPECT_EQ(s.countOf(a1), 3);
   EXPECT_EQ(s.countOf(*g.findActor("a2")), 0);
+}
+
+TEST(Schedule, BulkPushMatchesSinglePushes) {
+  const Graph g = apps::fig1Csdf();
+  const graph::ActorId a1 = *g.findActor("a1");
+  const graph::ActorId a3 = *g.findActor("a3");
+  // (actor, firstK, count): continuations, gaps, reorders, other actors
+  // and an empty push.
+  const std::vector<std::tuple<graph::ActorId, std::int64_t, std::int64_t>>
+      pushes = {{a3, 0, 2}, {a3, 2, 3}, {a1, 0, 1}, {a1, 1, 0},
+                {a1, 1, 4}, {a1, 7, 2}, {a3, 5, 1}, {a3, 0, 2}};
+  Schedule bulk;
+  Schedule single;
+  for (const auto& [a, firstK, count] : pushes) {
+    bulk.push(a, firstK, count);
+    for (std::int64_t i = 0; i < count; ++i) single.push(a, firstK + i);
+  }
+  EXPECT_EQ(bulk.runs(), single.runs());
+  EXPECT_EQ(bulk.size(), single.size());
+}
+
+TEST(Schedule, BulkPushSplitsRunsAtTheCountLimit) {
+  const Graph g = apps::fig1Csdf();
+  const graph::ActorId a3 = *g.findActor("a3");
+  constexpr std::int64_t kMax = std::numeric_limits<std::uint32_t>::max();
+
+  // One push of 2^32 + 5 firings: two runs, no firing materialized.
+  Schedule s;
+  s.push(a3, 0, kMax + 6);
+  ASSERT_EQ(s.runs().size(), 2u);
+  EXPECT_EQ(s.runs()[0],
+            (ScheduleRun{.firstK = 0, .actor = a3, .count = 0xFFFFFFFFu}));
+  EXPECT_EQ(s.runs()[1], (ScheduleRun{.firstK = kMax, .actor = a3, .count = 6}));
+  EXPECT_EQ(s.size(), static_cast<std::size_t>(kMax + 6));
+  EXPECT_EQ(s.countOf(a3), kMax + 6);
+
+  // Continuing a run 3 short of the limit: a bulk push of 5 fills it and
+  // spills 2, exactly as 5 single pushes do.
+  Schedule bulk;
+  Schedule single;
+  bulk.push(a3, 0, kMax - 3);
+  single.push(a3, 0, kMax - 3);
+  bulk.push(a3, kMax - 3, 5);
+  for (std::int64_t k = kMax - 3; k < kMax + 2; ++k) single.push(a3, k);
+  EXPECT_EQ(bulk.runs(), single.runs());
+  ASSERT_EQ(bulk.runs().size(), 2u);
+  EXPECT_EQ(bulk.runs()[1], (ScheduleRun{.firstK = kMax, .actor = a3, .count = 2}));
+  EXPECT_EQ(bulk.size(), single.size());
 }
 
 TEST(Schedule, EagerChainScheduleHoldsOneRunPerActor) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <vector>
 
 #include "graph/builder.hpp"
 #include "support/error.hpp"
@@ -214,6 +215,66 @@ TEST(Validate, PortReuseAcrossChannelsRejected) {
   g.addChannel("e1", o, i1);
   g.addChannel("e2", o, i2);
   EXPECT_THROW(g.validate(), ModelError);
+}
+
+TEST(Validate, PortOnTwoChannelsNamesTheSecondChannel) {
+  Graph out("reuse-out");
+  const ActorId a = out.addActor("A");
+  const PortId o = out.addPort(a, "o", PortKind::DataOut, RateSeq::constant(1));
+  const ActorId b = out.addActor("B");
+  const PortId i1 = out.addPort(b, "i1", PortKind::DataIn, RateSeq::constant(1));
+  const PortId i2 = out.addPort(b, "i2", PortKind::DataIn, RateSeq::constant(1));
+  out.addChannel("e1", o, i1);
+  out.addChannel("e2", o, i2);
+  try {
+    out.validate();
+    FAIL() << "expected ModelError";
+  } catch (const ModelError& e) {
+    EXPECT_STREQ(e.what(),
+                 "output port of channel 'e2' is attached to more than one "
+                 "channel");
+  }
+
+  Graph in("reuse-in");
+  const ActorId c = in.addActor("C");
+  const PortId o1 = in.addPort(c, "o1", PortKind::DataOut, RateSeq::constant(1));
+  const PortId o2 = in.addPort(c, "o2", PortKind::DataOut, RateSeq::constant(1));
+  const ActorId d = in.addActor("D");
+  const PortId i = in.addPort(d, "i", PortKind::DataIn, RateSeq::constant(1));
+  in.addChannel("e1", o1, i);
+  in.addChannel("e2", o2, i);
+  try {
+    in.validate();
+    FAIL() << "expected ModelError";
+  } catch (const ModelError& e) {
+    EXPECT_STREQ(e.what(),
+                 "input port of channel 'e2' is attached to more than one "
+                 "channel");
+  }
+}
+
+TEST(Graph, SetExecTimeRejectsNegativeAndNonFiniteTimes) {
+  Graph g("exec");
+  const ActorId a = g.addActor("A");
+  const double bad[] = {-4.0, -1e-9, std::numeric_limits<double>::infinity(),
+                        std::numeric_limits<double>::quiet_NaN()};
+  for (const double t : bad) {
+    const std::vector<double> times = {1.0, t};
+    EXPECT_THROW(g.setExecTime(a, times), ModelError) << t;
+  }
+  const std::vector<double> zero = {0.0, 2.5};
+  g.setExecTime(a, zero);
+  EXPECT_EQ(std::vector<double>(g.actor(a).execTime.begin(),
+                                g.actor(a).execTime.end()),
+            zero);
+  // A rejected call leaves the previous times in place.
+  const std::vector<double> negative = {-1.0};
+  EXPECT_THROW(g.setExecTime(a, negative), ModelError);
+  EXPECT_EQ(g.actor(a).execTime.size(), 2u);
+
+  GraphBuilder b("builder");
+  b.kernel("K");
+  EXPECT_THROW(b.execTime({-4.0}), ModelError);
 }
 
 TEST(Graph, AddParamRejectsEmptyName) {

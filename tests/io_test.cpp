@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "apps/edgegraph.hpp"
 #include "apps/ofdm.hpp"
 #include "apps/papergraphs.hpp"
@@ -115,6 +118,40 @@ TEST(IoRead, ExecTimes) {
   const auto& et = g.actor(*g.findActor("A")).execTime;
   EXPECT_EQ(std::vector<double>(et.begin(), et.end()),
             (std::vector<double>{2.5, 4.0}));
+}
+
+/// A one-kernel-plus-sink document whose kernel A declares `exec`.
+std::string withExec(const std::string& exec) {
+  return "graph t {\n"
+         "  kernel A { out o rates [1]; exec " + exec + "; }\n"
+         "  kernel B { in i rates [1]; }\n"
+         "  channel e from A.o to B.i;\n"
+         "}\n";
+}
+
+TEST(IoRead, MalformedExecTimeIsAPositionedParseError) {
+  // std::stod would read "1-2" as 1 and "3e5e7" as 300000; the whole
+  // token must be one number.
+  for (const std::string bad : {"1-2", "3e5e7", "2.5.1", "e4", "-"}) {
+    try {
+      readGraph(withExec("0.5 " + bad));
+      FAIL() << "expected ParseError for exec " << bad;
+    } catch (const ParseError& e) {
+      EXPECT_EQ(std::string(e.message()), "malformed number '" + bad + "'");
+      EXPECT_EQ(e.line(), 2) << bad;
+      EXPECT_EQ(e.column(), 40) << bad;  // where the token starts
+    }
+  }
+}
+
+TEST(IoRead, NegativeExecTimeIsAModelError) {
+  EXPECT_THROW(readGraph(withExec("-4")), support::ModelError);
+  EXPECT_THROW(readGraph(withExec("1 -0.5")), support::ModelError);
+  EXPECT_THROW(readGraph(withExec("1e999")), ParseError);  // overflows
+  const Graph g = readGraph(withExec("0 1.5e1"));
+  const auto& et = g.actor(*g.findActor("A")).execTime;
+  EXPECT_EQ(std::vector<double>(et.begin(), et.end()),
+            (std::vector<double>{0.0, 15.0}));
 }
 
 TEST(IoRead, ControlActorsAndPorts) {
