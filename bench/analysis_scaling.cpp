@@ -142,6 +142,22 @@ void BM_LivenessOnChainHuge(benchmark::State& state) {
 BENCHMARK(BM_LivenessOnChainHuge)
     ->Arg(100000)->Iterations(1)->Unit(benchmark::kMillisecond);
 
+/// Graph load: io::readGraph over the text of a random chain (the
+/// shape `tpdfc analyze` reads on the 100k cli-chain workload), written
+/// once outside the timed loop.  Each iteration lexes, resolves every
+/// name, builds the Graph and destroys it.
+void BM_ReadGraphChain(benchmark::State& state) {
+  const std::string text =
+      io::writeGraph(randomChain(static_cast<int>(state.range(0)), 42));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(io::readGraph(text));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_ReadGraphChain)
+    ->Arg(1000)->Arg(100000)->Unit(benchmark::kMillisecond);
+
 void BM_ScheduleMinOccupancyOnChain(benchmark::State& state) {
   const Graph g = randomChain(static_cast<int>(state.range(0)), 42);
   for (auto _ : state) {

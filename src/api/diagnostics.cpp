@@ -128,7 +128,8 @@ void guardedRun(Response& response, const std::string& file,
     response.fail(Status::InputError, "parse-error", e.what(), file, e.line(),
                   e.column());
   } catch (const support::ModelError& e) {
-    response.fail(Status::InputError, "model-error", e.what(), file);
+    response.fail(Status::InputError, "model-error", e.what(), file, e.line(),
+                  e.column());
   } catch (const support::OverflowError& e) {
     response.fail(Status::InputError, "overflow", e.what(), file);
   } catch (const support::DivisionByZeroError& e) {

@@ -3,11 +3,11 @@
 // The façade (api/session.hpp) never lets an exception cross the API
 // boundary: every outcome — success, negative analysis verdict, bad
 // request, malformed input, internal fault — is a Status plus a list of
-// structured Diagnostics on the response.  Parse positions
-// (support::ParseError's line/column) and input file names survive as
-// fields instead of being flattened into message text, so clients (CI
-// gates, dashboards, the `tpdfc --json` output) can point at the
-// offending source line.
+// structured Diagnostics on the response.  Source positions
+// (support::ParseError's line/column, and a read-time ModelError's) and
+// input file names survive as fields instead of being flattened into
+// message text, so clients (CI gates, dashboards, the `tpdfc --json`
+// output) can point at the offending source line.
 //
 // Diagnostic codes are stable kebab-case identifiers (documented in
 // docs/api.md); clients should branch on `code`, never on message text.
@@ -116,10 +116,11 @@ struct Response {
 
 /// Runs `fn` under the façade's no-throw guarantee: every exception type
 /// the toolkit can raise is mapped to a Status + structured Diagnostic
-/// on `response` (ParseError keeps its line/column; `file` names the
-/// input the failure refers to, when known).  Session methods and the
-/// tpdfd request executor share this one mapping so a given failure
-/// produces the same diagnostic through either surface.
+/// on `response` (ParseError and a positioned ModelError keep their
+/// line/column; `file` names the input the failure refers to, when
+/// known).  Session methods and the tpdfd request executor share this
+/// one mapping so a given failure produces the same diagnostic through
+/// either surface.
 void guardedRun(Response& response, const std::string& file,
                 const std::function<void()>& fn);
 

@@ -105,6 +105,10 @@ BatchResult runBatch(
         entry.error = e.what();
         entry.errorLine = e.line();
         entry.errorColumn = e.column();
+      } catch (const support::ModelError& e) {
+        entry.error = e.what();  // positioned when the reader raised it
+        entry.errorLine = e.line();
+        entry.errorColumn = e.column();
       } catch (const std::exception& e) {
         entry.error = e.what();
       } catch (...) {

@@ -60,8 +60,8 @@ struct BatchEntry {
   /// work cap or cancellation) rather than a load/analysis error.
   bool resourceLimited = false;
   /// Source position of the failure when the loader threw a ParseError
-  /// (1-based; -1 when the failure carries no position), so batch
-  /// consumers can point at the offending line.
+  /// or a positioned ModelError (1-based; -1 when the failure carries no
+  /// position), so batch consumers can point at the offending line.
   int errorLine = -1;
   int errorColumn = -1;
   AnalysisReport report;

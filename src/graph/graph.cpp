@@ -33,11 +33,13 @@ Graph::Graph(const Graph& o)
       ports_(o.ports_),
       channels_(o.channels_),
       params_(o.params_),
+      actorIndex_(o.actorIndex_),
+      channelIndex_(o.channelIndex_),
       revision_(o.revision_),
       shapeRevision_(o.shapeRevision_),
       touchLog_(o.touchLog_),
       oldestLoggedRevision_(o.oldestLoggedRevision_) {
-  reindexAfterCopy();
+  repoolNames();
 }
 
 Graph& Graph::operator=(const Graph& o) {
@@ -48,21 +50,32 @@ Graph& Graph::operator=(const Graph& o) {
 }
 
 // The element vectors were copied verbatim, so every Name still views the
-// *source* graph's pool: re-intern each into this graph's own pool and
-// rebuild the name indices over the new views.
-void Graph::reindexAfterCopy() {
-  actorByName_.clear();
-  channelByName_.clear();
-  for (Actor& a : actors_) {
-    a.name = intern(a.name);
-    actorByName_.emplace(a.name.view(), a.id);
-  }
+// *source* graph's pool: copy each into this graph's own pool.  The name
+// indices hold (hash, id) slots, not views, so the copied ones stay valid.
+void Graph::repoolNames() {
+  for (Actor& a : actors_) a.name = copyName(a.name);
   for (Port& p : ports_) p.name = intern(p.name);
-  for (Channel& c : channels_) {
-    c.name = intern(c.name);
-    channelByName_.emplace(c.name.view(), c.id);
-  }
+  for (Channel& c : channels_) c.name = copyName(c.name);
   frozenRevision_ = kNeverFrozen;
+}
+
+void Graph::NameIndex::insert(std::uint32_t h, std::uint32_t index) {
+  const auto place = [this](std::uint64_t slot) {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = (slot >> 32) & mask;
+    while (slots_[i] != 0) i = (i + 1) & mask;
+    slots_[i] = slot;
+  };
+  if (2 * (size_ + 1) > slots_.size()) {
+    std::vector<std::uint64_t> old(
+        std::max<std::size_t>(16, 2 * slots_.size()));
+    old.swap(slots_);
+    for (const std::uint64_t slot : old) {
+      if (slot != 0) place(slot);
+    }
+  }
+  place(std::uint64_t{h} << 32 | (std::uint64_t{index} + 1));
+  ++size_;
 }
 
 void Graph::touch(Touch::Kind kind, std::uint32_t index) {
@@ -91,7 +104,7 @@ void Graph::addParam(const std::string& name) {
   if (hasParam(name)) {
     throw support::ModelError("duplicate parameter name '" + name + "'");
   }
-  if (actorByName_.count(name) != 0) {
+  if (findActor(name)) {
     throw support::ModelError("parameter '" + name +
                               "' collides with an actor of the same name");
   }
@@ -109,7 +122,8 @@ bool Graph::hasParam(std::string_view name) const {
 }
 
 ActorId Graph::addActor(const std::string& name, ActorKind kind) {
-  if (actorByName_.count(name) != 0) {
+  const std::uint32_t h = NameIndex::hash(name);
+  if (actorIndex_.find(name, h, actors_)) {
     throw support::ModelError("duplicate actor name '" + name + "'");
   }
   if (hasParam(name)) {
@@ -119,10 +133,10 @@ ActorId Graph::addActor(const std::string& name, ActorKind kind) {
   const ActorId id(static_cast<std::uint32_t>(actors_.size()));
   Actor a;
   a.id = id;
-  a.name = intern(name);
+  a.name = copyName(name);
   a.kind = kind;
-  actorByName_.emplace(a.name.view(), id);
   actors_.push_back(std::move(a));
+  actorIndex_.insert(h, id.value);
   ++shapeRevision_;
   touch(Touch::Kind::Actor, id.value);
   return id;
@@ -157,7 +171,8 @@ PortId Graph::addPort(ActorId actor, const std::string& name, PortKind kind,
 
 ChannelId Graph::addChannel(const std::string& name, PortId src, PortId dst,
                             std::int64_t initialTokens) {
-  if (channelByName_.count(name) != 0) {
+  const std::uint32_t h = NameIndex::hash(name);
+  if (channelIndex_.find(name, h, channels_)) {
     throw support::ModelError("duplicate channel name '" + name + "'");
   }
   if (!src.valid() || src.index() >= ports_.size() || !dst.valid() ||
@@ -171,12 +186,12 @@ ChannelId Graph::addChannel(const std::string& name, PortId src, PortId dst,
   const ChannelId id(static_cast<std::uint32_t>(channels_.size()));
   Channel c;
   c.id = id;
-  c.name = intern(name);
+  c.name = copyName(name);
   c.src = src;
   c.dst = dst;
   c.initialTokens = initialTokens;
-  channelByName_.emplace(c.name.view(), id);
   channels_.push_back(std::move(c));
+  channelIndex_.insert(h, id.value);
   ports_[src.index()].channel = id;
   ports_[dst.index()].channel = id;
   touch(Touch::Kind::Channel, id.value);
@@ -202,25 +217,25 @@ void Graph::setExecTime(ActorId actor, std::span<const double> perPhase) {
 }
 
 std::optional<ActorId> Graph::findActor(std::string_view name) const {
-  const auto it = actorByName_.find(name);
-  if (it == actorByName_.end()) return std::nullopt;
-  return it->second;
+  return actorIndex_.find(name, NameIndex::hash(name), actors_);
 }
 
 std::optional<ChannelId> Graph::findChannel(std::string_view name) const {
-  const auto it = channelByName_.find(name);
-  if (it == channelByName_.end()) return std::nullopt;
-  return it->second;
+  return channelIndex_.find(name, NameIndex::hash(name), channels_);
 }
 
 std::optional<PortId> Graph::findPort(std::string_view qualifiedName) const {
   const auto dot = qualifiedName.find('.');
   if (dot == std::string_view::npos) return std::nullopt;
-  const auto actor = findActor(qualifiedName.substr(0, dot));
-  if (!actor) return std::nullopt;
-  const std::string_view portName = qualifiedName.substr(dot + 1);
-  for (PortId p : actors_[actor->index()].ports) {
-    if (ports_[p.index()].name == portName) return p;
+  return findPort(qualifiedName.substr(0, dot), qualifiedName.substr(dot + 1));
+}
+
+std::optional<PortId> Graph::findPort(std::string_view actor,
+                                      std::string_view port) const {
+  const auto a = findActor(actor);
+  if (!a) return std::nullopt;
+  for (PortId p : actors_[a->index()].ports) {
+    if (ports_[p.index()].name == port) return p;
   }
   return std::nullopt;
 }

@@ -7,21 +7,20 @@
 // mutate a Graph.
 //
 // Storage is built for million-actor graphs: entity names live in one
-// arena-backed interned pool (a Name is a 16-byte view, not a
-// std::string), per-actor adjacency is a CSR block frozen once per
-// revision and served as spans, and every mutator bumps a revision
-// counter (with a bounded touch log) so analysis caches can invalidate
-// incrementally instead of recomputing from scratch.  See
-// docs/analysis-pipeline.md ("Memory layout").
+// arena-backed pool (a Name is a 16-byte view, not a std::string) and
+// are looked up through flat (hash, id) indices, per-actor adjacency is
+// a CSR block frozen once per revision and served as spans, and every
+// mutator bumps a revision counter (with a bounded touch log) so
+// analysis caches can invalidate incrementally instead of recomputing
+// from scratch.  See docs/analysis-pipeline.md ("Memory layout").
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <deque>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/ids.hpp"
@@ -97,8 +96,8 @@ class Graph {
  public:
   explicit Graph(std::string name = "graph") : name_(std::move(name)) {}
 
-  // Deep copy: names are re-interned into the copy's own pool so the
-  // copy is self-contained (the source may die first).
+  // Deep copy: names are copied into the copy's own pool so the copy is
+  // self-contained (the source may die first).
   Graph(const Graph& o);
   Graph& operator=(const Graph& o);
   // Interner chunks are pointer-stable, so a move keeps every Name valid.
@@ -149,6 +148,9 @@ class Graph {
 
   /// Resolves "actor.port".
   std::optional<PortId> findPort(std::string_view qualifiedName) const;
+  /// Resolves port `port` of actor `actor`.
+  std::optional<PortId> findPort(std::string_view actor,
+                                 std::string_view port) const;
 
   /// Channels whose source port belongs to `a`, in port order.  Served
   /// from the frozen CSR block: no per-call allocation; the span is
@@ -258,7 +260,8 @@ class Graph {
   bool touchesSince(std::uint64_t sinceRevision,
                     std::vector<Touch>& out) const;
 
-  /// Bytes held by the interned-name pool (diagnostics/bench).
+  /// Bytes held by the name pool (diagnostics/bench): every actor and
+  /// channel name plus each distinct port name once.
   std::size_t namePoolBytes() const { return interner_.bytesUsed(); }
 
   /// Bytes held by the frozen CSR arena (0 until freeze() first runs).
@@ -274,9 +277,43 @@ class Graph {
   std::string toDot() const;
 
  private:
+  /// Name -> index map over names the element vectors hold themselves.
+  /// Open addressing with linear probing; a slot packs (32-bit hash,
+  /// index + 1), 0 marks it empty, and growth re-places slots by their
+  /// stored hash.  It holds no pointers, so copies and moves keep it.
+  class NameIndex {
+   public:
+    static std::uint32_t hash(std::string_view s) {
+      return static_cast<std::uint32_t>(std::hash<std::string_view>{}(s));
+    }
+
+    /// Id of the element of `elems` named `key` (hash `h`), if any.
+    template <typename Elem>
+    auto find(std::string_view key, std::uint32_t h,
+              const std::vector<Elem>& elems) const
+        -> std::optional<decltype(Elem::id)> {
+      if (slots_.empty()) return std::nullopt;
+      const std::size_t mask = slots_.size() - 1;
+      for (std::size_t i = h & mask;; i = (i + 1) & mask) {
+        const std::uint64_t slot = slots_[i];
+        if (slot == 0) return std::nullopt;
+        const Elem& e = elems[static_cast<std::uint32_t>(slot) - 1];
+        if ((slot >> 32) == h && e.name == key) return e.id;
+      }
+    }
+
+    /// Records `index` under hash `h`; its name must not be present.
+    void insert(std::uint32_t h, std::uint32_t index);
+
+   private:
+    std::vector<std::uint64_t> slots_;  // power-of-two size, <= half full
+    std::size_t size_ = 0;
+  };
+
   Name intern(std::string_view s) { return Name(interner_.intern(s)); }
+  Name copyName(std::string_view s) { return Name(interner_.copy(s)); }
   void touch(Touch::Kind kind, std::uint32_t index);
-  void reindexAfterCopy();
+  void repoolNames();
   void refreeze() const;
 
   std::string name_;
@@ -285,9 +322,8 @@ class Graph {
   std::vector<Port> ports_;
   std::vector<Channel> channels_;
   std::vector<std::string> params_;  // sorted
-  // Keys view into the interner pool (stable across growth and moves).
-  std::unordered_map<std::string_view, ActorId> actorByName_;
-  std::unordered_map<std::string_view, ChannelId> channelByName_;
+  NameIndex actorIndex_;
+  NameIndex channelIndex_;
 
   std::uint64_t revision_ = 0;
   std::uint64_t shapeRevision_ = 0;

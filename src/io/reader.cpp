@@ -86,8 +86,17 @@ struct Lexer {
   Source& src;
   int line = 1;
   int column = 1;
+  // First token of the declaration or clause being read: where a
+  // ModelError raised by its Graph call is reported.
+  int clauseLine = 1;
+  int clauseColumn = 1;
 
   explicit Lexer(Source& s) : src(s) {}
+
+  void startClause() {
+    clauseLine = line;
+    clauseColumn = column;
+  }
 
   [[noreturn]] void fail(const std::string& message) const {
     throw support::ParseError(message, line, column);
@@ -307,6 +316,7 @@ void parsePortClause(Lexer& lex, Graph& g, graph::ActorId actor,
 void parseActorBody(Lexer& lex, Graph& g, graph::ActorId actor) {
   lex.expect('{');
   while (!lex.tryConsume('}')) {
+    lex.startClause();
     if (lex.tryKeyword("in")) {
       parsePortClause(lex, g, actor, PortKind::DataIn);
     } else if (lex.tryKeyword("out")) {
@@ -326,12 +336,9 @@ void parseActorBody(Lexer& lex, Graph& g, graph::ActorId actor) {
   }
 }
 
-Graph parseDocument(Lexer& lex) {
-  lex.expectKeyword("graph");
-  Graph g(lex.identifier());
-  lex.expect('{');
-
+void parseDeclarations(Lexer& lex, Graph& g) {
   while (!lex.tryConsume('}')) {
+    lex.startClause();
     if (lex.tryKeyword("param")) {
       g.addParam(lex.identifier());
       lex.expect(';');
@@ -357,14 +364,27 @@ Graph parseDocument(Lexer& lex) {
       if (lex.tryKeyword("init")) initial = lex.integer();
       lex.expect(';');
 
-      const auto src = g.findPort(fromActor + "." + fromPort);
-      const auto dst = g.findPort(toActor + "." + toPort);
+      const auto src = g.findPort(fromActor, fromPort);
+      const auto dst = g.findPort(toActor, toPort);
       if (!src) lex.fail("unknown port '" + fromActor + "." + fromPort + "'");
       if (!dst) lex.fail("unknown port '" + toActor + "." + toPort + "'");
       g.addChannel(name, *src, *dst, initial);
     } else {
       lex.fail("expected 'param', 'kernel', 'control', 'channel' or '}'");
     }
+  }
+}
+
+Graph parseDocument(Lexer& lex) {
+  lex.expectKeyword("graph");
+  Graph g(lex.identifier());
+  lex.expect('{');
+  try {
+    parseDeclarations(lex, g);
+  } catch (const support::ModelError& e) {
+    // The lexer and the rate parser raise ParseError: this came from the
+    // Graph call of the clause being read.
+    throw support::ModelError(e.what(), lex.clauseLine, lex.clauseColumn);
   }
   if (!lex.atEnd()) lex.fail("unexpected trailing input");
 

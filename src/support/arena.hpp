@@ -154,6 +154,9 @@ class StringInterner {
     return stored;
   }
 
+  /// Stores `s` without the dedupe lookup, for strings known unique.
+  std::string_view copy(std::string_view s) { return arena_.copyString(s); }
+
   bool contains(std::string_view s) const { return index_.count(s) != 0; }
   std::size_t size() const { return index_.size(); }
   std::size_t bytesUsed() const { return arena_.bytesUsed(); }

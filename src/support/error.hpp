@@ -32,9 +32,21 @@ class DivisionByZeroError : public Error {
 /// Thrown when a graph is structurally malformed (dangling port, duplicate
 /// name, control channel into a data port, ...).  Distinct from an analysis
 /// returning "not consistent": a malformed graph cannot even be analyzed.
+/// The .tpdf reader attaches the position of the declaration that failed;
+/// what() never includes it.
 class ModelError : public Error {
  public:
-  explicit ModelError(const std::string& what) : Error(what) {}
+  explicit ModelError(const std::string& what, int line = -1,
+                      int column = -1)
+      : Error(what), line_(line), column_(column) {}
+
+  /// 1-based source position; -1 when the error carries none.
+  int line() const { return line_; }
+  int column() const { return column_; }
+
+ private:
+  int line_;
+  int column_;
 };
 
 /// Thrown by the .tpdf text-format reader on syntax errors.

@@ -125,6 +125,19 @@ TEST(ApiLoad, ParseErrorKeepsLineAndColumn) {
   EXPECT_GE(response.diagnostics[0].column, 1);
 }
 
+TEST(ApiLoad, ReadTimeModelErrorKeepsLineAndColumn) {
+  Session session;
+  LoadRequest request;
+  request.text = "graph dup {\n  kernel A { }\n  kernel A { }\n}\n";
+  const LoadResponse response = session.load(request);
+  EXPECT_EQ(response.status, Status::InputError);
+  ASSERT_FALSE(response.diagnostics.empty());
+  EXPECT_EQ(response.diagnostics[0].code, "model-error");
+  EXPECT_EQ(response.diagnostics[0].message, "duplicate actor name 'A'");
+  EXPECT_EQ(response.diagnostics[0].line, 3);
+  EXPECT_EQ(response.diagnostics[0].column, 3);
+}
+
 TEST(ApiLoad, MissingFileIsInputError) {
   Session session;
   LoadRequest request;

@@ -316,5 +316,22 @@ TEST(CliOutput, IllFormedUtf8FileNameStaysValidJson) {
             std::string::npos);
 }
 
+TEST(CliOutput, ReadTimeModelErrorNamesItsLine) {
+  const fs::path file = fs::temp_directory_path() /
+                        ("tpdf_cli_dup_" + std::to_string(getpid()) +
+                         ".tpdf");
+  std::ofstream(file) << "graph dup {\n  kernel A { }\n\n  kernel A { }\n}\n";
+  const Outcome run = tpdfc({"analyze", file.string(), "--json"});
+  fs::remove(file);
+  EXPECT_EQ(run.exitCode, 3);
+  const Value doc = support::json::parse(run.out);
+  const Value& diagnostic = doc.find("diagnostics")->items().at(0);
+  EXPECT_EQ(diagnostic.find("code")->asString(), "model-error");
+  EXPECT_EQ(diagnostic.find("message")->asString(),
+            "duplicate actor name 'A'");
+  EXPECT_EQ(diagnostic.find("line")->asInt(), 4);
+  EXPECT_EQ(diagnostic.find("column")->asInt(), 3);
+}
+
 }  // namespace
 }  // namespace tpdf

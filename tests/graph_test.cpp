@@ -3,10 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <map>
+#include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/builder.hpp"
 #include "support/error.hpp"
+#include "support/prng.hpp"
 
 namespace tpdf::graph {
 namespace {
@@ -323,6 +328,194 @@ TEST(Actor, ExecTimeOfPhaseRejectsNegativeIndex) {
   EXPECT_THROW(a.execTimeOfPhase(-1), support::Error);
   EXPECT_THROW(a.execTimeOfPhase(std::numeric_limits<std::int64_t>::min()),
                support::Error);
+}
+
+// ---- Name indices against a std::map oracle ---------------------------
+
+/// A random graph plus an independent record of every name it holds.
+struct NamedGraph {
+  Graph g;
+  std::map<std::string, ActorId> actors;
+  std::map<std::string, ChannelId> channels;
+  std::map<std::pair<std::string, std::string>, PortId> ports;
+};
+
+/// The message of the ModelError `fn` throws ("" when it throws none).
+template <typename Fn>
+std::string modelErrorOf(Fn&& fn) {
+  try {
+    fn();
+  } catch (const ModelError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// Every name a random graph draws from: one letter of "KeA" and a
+/// number below 3000, so actor, channel and port names overlap across
+/// kinds and are prefixes of one another (K1, K10, K100, K1000).
+std::string drawName(support::Prng& prng) {
+  return std::string(1, "KeA"[prng.uniform(0, 2)]) +
+         std::to_string(prng.uniform(0, 2999));
+}
+
+NamedGraph randomNamedGraph(std::uint64_t seed) {
+  support::Prng prng(seed);
+  NamedGraph out{Graph("names" + std::to_string(seed)), {}, {}, {}};
+  std::vector<PortId> allPorts;
+  for (int i = 0; i < 3000; ++i) {
+    const std::string name = drawName(prng);
+    if (out.actors.count(name) != 0) {
+      EXPECT_EQ(modelErrorOf([&] { out.g.addActor(name); }),
+                "duplicate actor name '" + name + "'");
+      continue;
+    }
+    const ActorId a = out.g.addActor(name);
+    out.actors.emplace(name, a);
+    const int ports = static_cast<int>(prng.uniform(1, 3));
+    for (int k = 0; k < ports; ++k) {
+      const std::string port = prng.chance(0.5) ? drawName(prng)
+                               : k == 0        ? "i"
+                                               : "o";
+      if (out.ports.count({name, port}) != 0) {
+        EXPECT_EQ(modelErrorOf([&] {
+                    out.g.addPort(a, port, PortKind::DataOut,
+                                  RateSeq::constant(1));
+                  }),
+                  "duplicate port name '" + port + "' on actor '" + name +
+                      "'");
+        continue;
+      }
+      const PortId p =
+          out.g.addPort(a, port, PortKind::DataOut, RateSeq::constant(1));
+      out.ports.emplace(std::make_pair(name, port), p);
+      allPorts.push_back(p);
+    }
+  }
+  for (int i = 0; i < 3000; ++i) {
+    const std::string name = drawName(prng);
+    const PortId src = allPorts[static_cast<std::size_t>(prng.uniform(
+        0, static_cast<std::int64_t>(allPorts.size()) - 1))];
+    const PortId dst = allPorts[static_cast<std::size_t>(prng.uniform(
+        0, static_cast<std::int64_t>(allPorts.size()) - 1))];
+    if (out.channels.count(name) != 0) {
+      EXPECT_EQ(modelErrorOf([&] { out.g.addChannel(name, src, dst); }),
+                "duplicate channel name '" + name + "'");
+      continue;
+    }
+    out.channels.emplace(name, out.g.addChannel(name, src, dst));
+  }
+  return out;
+}
+
+/// findActor/findChannel/findPort agree with the oracle on every name
+/// the generator can draw (hits and misses alike) and on a few that it
+/// cannot.
+void expectIndexMatches(const Graph& g, const NamedGraph& oracle) {
+  EXPECT_EQ(g.actorCount(), oracle.actors.size());
+  EXPECT_EQ(g.channelCount(), oracle.channels.size());
+  EXPECT_EQ(g.portCount(), oracle.ports.size());
+  std::vector<std::string> probes = {"", "K", "e", "A", "K01", "k1", "K1x",
+                                     "i", "o", "K3000", "e-1"};
+  for (const char letter : std::string("KeA")) {
+    for (int n = 0; n < 3000; ++n) {
+      probes.push_back(std::string(1, letter) + std::to_string(n));
+    }
+  }
+  for (const std::string& name : probes) {
+    const auto a = oracle.actors.find(name);
+    const auto c = oracle.channels.find(name);
+    EXPECT_EQ(g.findActor(name),
+              a == oracle.actors.end() ? std::nullopt
+                                       : std::optional<ActorId>(a->second))
+        << name;
+    EXPECT_EQ(g.findChannel(name),
+              c == oracle.channels.end()
+                  ? std::nullopt
+                  : std::optional<ChannelId>(c->second))
+        << name;
+    if (a == oracle.actors.end()) {
+      EXPECT_EQ(g.findPort(name + ".i"), std::nullopt) << name;
+    }
+  }
+  for (const auto& [key, id] : oracle.ports) {
+    EXPECT_EQ(g.findPort(key.first, key.second), id);
+    EXPECT_EQ(g.findPort(key.first + "." + key.second), id);
+    EXPECT_EQ(g.port(id).name, key.second);
+    EXPECT_EQ(g.actor(g.port(id).actor).name, key.first);
+    // A port name that is a prefix or an extension of a real one misses.
+    if (oracle.ports.count({key.first, key.second + "0"}) == 0) {
+      EXPECT_EQ(g.findPort(key.first, key.second + "0"), std::nullopt);
+    }
+  }
+  for (const auto& [name, id] : oracle.actors) {
+    EXPECT_EQ(g.actor(id).name, name);
+  }
+  for (const auto& [name, id] : oracle.channels) {
+    EXPECT_EQ(g.channel(id).name, name);
+  }
+}
+
+TEST(NameIndex, AgreesWithMapOracleOnRandomGraphs) {
+  for (const std::uint64_t seed : {1u, 2u, 0xC0FFEEu}) {
+    SCOPED_TRACE(seed);
+    const NamedGraph oracle = randomNamedGraph(seed);
+    EXPECT_GT(oracle.actors.size(), 2000u);
+    EXPECT_GT(oracle.channels.size(), 2000u);
+    expectIndexMatches(oracle.g, oracle);
+  }
+}
+
+TEST(NameIndex, CollisionsThrowTheExactMessages) {
+  NamedGraph oracle = randomNamedGraph(7);
+  Graph& g = oracle.g;
+  const std::string actor = oracle.actors.begin()->first;
+  g.addParam("p");
+  EXPECT_EQ(modelErrorOf([&] { g.addParam(actor); }),
+            "parameter '" + actor +
+                "' collides with an actor of the same name");
+  EXPECT_EQ(modelErrorOf([&] { g.addActor("p"); }),
+            "actor 'p' collides with a parameter of the same name");
+  EXPECT_EQ(modelErrorOf([&] { g.addActor(actor); }),
+            "duplicate actor name '" + actor + "'");
+  const std::string channel = oracle.channels.rbegin()->first;
+  const PortId port = oracle.ports.begin()->second;
+  EXPECT_EQ(modelErrorOf([&] { g.addChannel(channel, port, port); }),
+            "duplicate channel name '" + channel + "'");
+  // A rejected channel leaves no trace in the index.
+  EXPECT_EQ(modelErrorOf([&] { g.addChannel("fresh", port, port, -1); }),
+            "channel 'fresh' has negative initial tokens");
+  EXPECT_EQ(g.findChannel("fresh"), std::nullopt);
+  EXPECT_EQ(modelErrorOf([&] { g.addChannel("fresh", port, PortId{}); }),
+            "channel 'fresh' uses an unknown port");
+  EXPECT_EQ(g.findChannel("fresh"), std::nullopt);
+  expectIndexMatches(g, oracle);
+}
+
+TEST(NameIndex, LookupsSurviveCopiesAndMoves) {
+  NamedGraph oracle = randomNamedGraph(11);
+  std::optional<Graph> source(oracle.g);
+  Graph copy(*source);
+  Graph assigned("other");
+  assigned.addActor("gone");
+  assigned = *source;
+  source.reset();  // the copies own their names
+  expectIndexMatches(copy, oracle);
+  expectIndexMatches(assigned, oracle);
+  EXPECT_EQ(assigned.findActor("gone"), std::nullopt);
+  EXPECT_EQ(copy.namePoolBytes(), oracle.g.namePoolBytes());
+
+  const Graph moved(std::move(copy));
+  expectIndexMatches(moved, oracle);
+  Graph moveAssigned("other");
+  moveAssigned = std::move(assigned);
+  expectIndexMatches(moveAssigned, oracle);
+
+  // The copy still grows its own index.
+  Graph grown(moved);
+  const ActorId fresh = grown.addActor("fresh");
+  EXPECT_EQ(grown.findActor("fresh"), fresh);
+  EXPECT_EQ(moved.findActor("fresh"), std::nullopt);
 }
 
 TEST(Dot, RendersActorsAndChannels) {

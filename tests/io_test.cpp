@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <map>
+#include <optional>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -257,6 +262,89 @@ TEST(IoRead, MalformedGraphFailsValidation) {
                support::ModelError);
 }
 
+/// The ModelError reading `text` throws, from the whole-string reader;
+/// the streaming reader must throw the same one.
+std::optional<support::ModelError> readModelError(const std::string& text) {
+  std::optional<support::ModelError> fromString;
+  std::optional<support::ModelError> fromStream;
+  try {
+    readGraph(text);
+  } catch (const support::ModelError& e) {
+    fromString = e;
+  }
+  try {
+    std::istringstream in(text);
+    readGraph(in, 16);
+  } catch (const support::ModelError& e) {
+    fromStream = e;
+  }
+  EXPECT_EQ(fromString.has_value(), fromStream.has_value());
+  if (fromString && fromStream) {
+    EXPECT_EQ(std::string(fromString->what()), fromStream->what());
+    EXPECT_EQ(fromString->line(), fromStream->line());
+    EXPECT_EQ(fromString->column(), fromStream->column());
+  }
+  return fromString;
+}
+
+// A model error raised while reading names the first token of the
+// declaration or clause whose Graph call threw; the message is the one
+// the Graph call raised, with no position in it.
+TEST(IoRead, ModelErrorsCarryTheDeclarationPosition) {
+  const std::string head =
+      "graph g {\n"
+      "  param p;\n"
+      "  kernel A { out o rates [1]; }\n"
+      "  kernel B { in i rates [1]; }\n"
+      "  channel e from A.o to B.i;\n";
+  struct Case {
+    std::string tail;
+    std::string message;
+    int line;
+    int column;
+  };
+  const std::vector<Case> cases = {
+      {"  kernel A { }\n}\n", "duplicate actor name 'A'", 6, 3},
+      {"\n  control B { }\n}\n", "duplicate actor name 'B'", 7, 3},
+      {"  kernel p { }\n}\n",
+       "actor 'p' collides with a parameter of the same name", 6, 3},
+      {"    param A;\n}\n",
+       "parameter 'A' collides with an actor of the same name", 6, 5},
+      {"param p;\n}\n", "duplicate parameter name 'p'", 6, 1},
+      {"  channel e from A.o to B.i;\n}\n", "duplicate channel name 'e'", 6,
+       3},
+      {"  kernel C { out x rates [1];\n     out x rates [2]; }\n}\n",
+       "duplicate port name 'x' on actor 'C'", 7, 6},
+      {"  kernel C { in i rates [1]; ctl_in i rates [1]; }\n}\n",
+       "duplicate port name 'i' on actor 'C'", 6, 30},
+      {"  kernel C { exec 1 -2; }\n}\n",
+       "actor 'C' has execution time -2; times must be finite and "
+       "non-negative",
+       6, 14},
+      {"  kernel C { out o rates [1]; }\n  kernel D { in i rates [1]; }\n"
+       "  channel f from C.o to D.i init -1;\n}\n",
+       "channel 'f' has negative initial tokens", 8, 3},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.message);
+    const auto e = readModelError(head + c.tail);
+    ASSERT_TRUE(e.has_value());
+    EXPECT_EQ(std::string(e->what()), c.message);
+    EXPECT_EQ(e->line(), c.line);
+    EXPECT_EQ(e->column(), c.column);
+  }
+}
+
+TEST(IoRead, ValidationErrorsStayUnpositioned) {
+  // Dangling port: every declaration reads fine, validate() rejects the
+  // whole graph, so there is no one declaration to point at.
+  const auto e = readModelError(
+      "graph dangling {\n  kernel A { out o rates [1]; }\n}\n");
+  ASSERT_TRUE(e.has_value());
+  EXPECT_EQ(e->line(), -1);
+  EXPECT_EQ(e->column(), -1);
+}
+
 TEST(IoRead, TrailingGarbageRejected) {
   EXPECT_THROW(readGraph(R"(
     graph g {
@@ -267,6 +355,58 @@ TEST(IoRead, TrailingGarbageRejected) {
     leftover
   )"),
                ParseError);
+}
+
+// The name pool holds every actor and channel name and each distinct
+// port name once (tpdfd's cache charges an entry by it).  The committed
+// corpus pins the figure per file.  It equals a whole-pool dedupe except
+// where a channel shares a port's name: the video_pipe graphs' channel
+// `fb` and port `fb` are stored once each, 2 bytes more than when one
+// copy served both.
+TEST(IoFiles, NamePoolBytesOnCorpus) {
+  const std::map<std::string, std::size_t> expected = {
+      {"fig1.tpdf", 14},
+      {"fig2.tpdf", 33},
+      {"fig4a.tpdf", 15},
+      {"ofdm.tpdf", 64},
+      {"quickstart.tpdf", 33},
+      {"adv_disconnected.tpdf", 18},
+      {"adv_inconsistent.tpdf", 12},
+      {"adv_near_overflow.tpdf", 5},
+      {"adv_nested_cycles.tpdf", 56},
+      {"adv_nested_deep.tpdf", 84},
+      {"adv_starved_cycle.tpdf", 36},
+      {"adv_zero_phase.tpdf", 12},
+      {"lte_frame.tpdf", 32},
+      {"lte_huge_q.tpdf", 24},
+      {"lte_prb.tpdf", 20},
+      {"param_gated_phase.tpdf", 9},
+      {"param_regime_p.tpdf", 21},
+      {"param_regime_pq.tpdf", 12},
+      {"video_pipe_deep.tpdf", 32},
+      {"video_pipe_phased.tpdf", 24},
+      {"video_pipe_small.tpdf", 20},
+  };
+  std::size_t seen = 0;
+  for (const auto& entry : std::filesystem::recursive_directory_iterator(
+           std::filesystem::path(TPDF_SOURCE_DIR) / "examples" / "graphs")) {
+    if (entry.path().extension() != ".tpdf") continue;
+    const std::string file = entry.path().filename().string();
+    SCOPED_TRACE(file);
+    const Graph g = readGraphFile(entry.path().string());
+    std::size_t bytes = 0;
+    std::set<std::string> portNames;
+    for (const graph::Actor& a : g.actors()) bytes += a.name.size();
+    for (const graph::Channel& c : g.channels()) bytes += c.name.size();
+    for (const graph::Port& p : g.ports()) portNames.insert(p.name);
+    for (const std::string& name : portNames) bytes += name.size();
+    EXPECT_EQ(g.namePoolBytes(), bytes);
+    EXPECT_EQ(Graph(g).namePoolBytes(), bytes);
+    ASSERT_EQ(expected.count(file), 1u) << "new corpus file: pin its figure";
+    EXPECT_EQ(g.namePoolBytes(), expected.at(file));
+    ++seen;
+  }
+  EXPECT_EQ(seen, expected.size());
 }
 
 TEST(IoFiles, WriteAndReadBack) {
