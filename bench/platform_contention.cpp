@@ -10,6 +10,12 @@
 //   /2  the same mesh with actors spread round-robin — transfers
 //       serialize on shared links and contention emerges.
 //
+// BM_SimChain/<actors>/<fabric> times one run of a generated consistent
+// chain (apps::randomConsistentChain), the `tpdfc sim` inner loop: with
+// fabric 0 no platform, with fabric 1 on `mesh:2x2,bw=4` with actors
+// placed round-robin, as `tpdfc sim --platform` places them.  The
+// analysis context is shared, so only Simulator::run is timed.
+//
 // BM_MapTopologyOfdm measures the full map request (canonical period,
 // hop-aware list schedule, contention report) on the OFDM case study
 // over a 4x4 mesh.
@@ -22,7 +28,9 @@
 #include "api/session.hpp"
 #include "apps/ofdm.hpp"
 #include "apps/randomgraphs.hpp"
+#include "core/context.hpp"
 #include "core/model.hpp"
+#include "platform/spec.hpp"
 #include "platform/topology.hpp"
 #include "sim/simulator.hpp"
 #include "symbolic/env.hpp"
@@ -54,6 +62,38 @@ void BM_SimContendedMesh(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimContendedMesh)->Arg(0)->Arg(1)->Arg(2);
+
+void BM_SimChain(benchmark::State& state) {
+  const core::TpdfGraph model(
+      apps::randomConsistentChain(static_cast<int>(state.range(0)), 1));
+  const core::AnalysisContext ctx(model.graph());
+  const platform::Topology mesh =
+      platform::parsePlatformSpec("mesh:2x2,bw=4").spec.build(4);
+  const std::size_t actors = model.graph().actorCount();
+
+  sim::SimOptions options;
+  if (state.range(1) != 0) {
+    options.fabric = &mesh;
+    options.actorPe.resize(actors);
+    for (std::size_t i = 0; i < actors; ++i) {
+      options.actorPe[i] = i % mesh.peCount();
+    }
+  }
+  sim::Simulator simulator(model, symbolic::Environment{}, &ctx);
+  std::int64_t firings = 0;
+  for (auto _ : state) {
+    const sim::SimResult result = simulator.run(options);
+    firings = result.totalFirings;
+    benchmark::DoNotOptimize(result);
+  }
+  state.counters["firings"] = static_cast<double>(firings);
+}
+BENCHMARK(BM_SimChain)
+    ->Args({100, 0})
+    ->Args({100, 1})
+    ->Args({1000, 0})
+    ->Args({1000, 1})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_MapTopologyOfdm(benchmark::State& state) {
   api::Session session;

@@ -12,6 +12,8 @@
 #include <fstream>
 #include <istream>
 #include <limits>
+#include <string>
+#include <string_view>
 #include <utility>
 
 #include "io/format.hpp"
@@ -48,7 +50,12 @@ class Source {
   /// The i-th unread character; requires ensure(i + 1).
   char at(std::size_t i) const { return data_[cur_ + i]; }
 
-  void consume() { ++cur_; }
+  /// The unread characters already addressable (no refill).
+  std::string_view buffered() const {
+    return {data_ + cur_, size_ - cur_};
+  }
+
+  void consume(std::size_t n = 1) { cur_ += n; }
 
  private:
   void refill(std::size_t need) {
@@ -81,6 +88,14 @@ class Source {
   bool eof_ = false;
   std::string buf_;
 };
+
+bool isIdentifierStart(char c) {
+  return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
+}
+
+bool isIdentifierChar(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+}
 
 struct Lexer {
   Source& src;
@@ -152,15 +167,18 @@ struct Lexer {
 
   std::string identifier() {
     skipSpaceAndComments();
-    if (eof() || (!std::isalpha(static_cast<unsigned char>(cur())) &&
-                  cur() != '_')) {
-      fail("expected identifier");
-    }
+    if (eof() || !isIdentifierStart(cur())) fail("expected identifier");
+    // Appends each buffered run of identifier characters at once; an
+    // identifier holds no newline, so only the column moves.
     std::string out;
-    while (!eof() && (std::isalnum(static_cast<unsigned char>(cur())) ||
-                      cur() == '_')) {
-      out += cur();
-      advance();
+    while (!eof()) {
+      const std::string_view run = src.buffered();
+      std::size_t n = 0;
+      while (n < run.size() && isIdentifierChar(run[n])) ++n;
+      out.append(run.data(), n);
+      column += static_cast<int>(n);
+      src.consume(n);
+      if (n < run.size()) break;
     }
     return out;
   }
@@ -169,7 +187,7 @@ struct Lexer {
   /// success.  Pure lookahead: nothing is consumed on a miss, so no
   /// position rollback is needed (the property that lets the streaming
   /// window stay tiny).
-  bool tryKeyword(const std::string& kw) {
+  bool tryKeyword(std::string_view kw) {
     skipSpaceAndComments();
     src.ensure(kw.size() + 1);  // best effort; EOF may cut it short
     for (std::size_t i = 0; i < kw.size(); ++i) {
@@ -177,16 +195,15 @@ struct Lexer {
     }
     if (src.ensure(kw.size() + 1)) {
       const char next = src.at(kw.size());
-      if (std::isalnum(static_cast<unsigned char>(next)) || next == '_') {
-        return false;
-      }
+      if (isIdentifierChar(next)) return false;
     }
-    for (std::size_t i = 0; i < kw.size(); ++i) advance();
+    column += static_cast<int>(kw.size());  // keywords hold no newline
+    src.consume(kw.size());
     return true;
   }
 
-  void expectKeyword(const std::string& kw) {
-    if (!tryKeyword(kw)) fail("expected keyword '" + kw + "'");
+  void expectKeyword(std::string_view kw) {
+    if (!tryKeyword(kw)) fail("expected keyword '" + std::string(kw) + "'");
   }
 
   std::int64_t integer() {

@@ -74,8 +74,8 @@ ListSchedule listSchedule(const CanonicalPeriod& cp, const Platform& platform,
     rank[i] = cp.execTime(i) + best;
   }
 
-  // Per-actor control flag, derived once: the ready-queue priority scan
-  // below consults it O(n * ready) times.
+  // Per-actor control flag, derived once: every ready-heap comparison
+  // below consults it.
   std::vector<char> actorIsControl(g.actorCount(), 0);
   for (const graph::Actor& a : g.actors()) {
     actorIsControl[a.id.index()] = a.kind == ActorKind::Control ? 1 : 0;
@@ -103,10 +103,22 @@ ListSchedule listSchedule(const CanonicalPeriod& cp, const Platform& platform,
   ListSchedule out;
   out.entries.reserve(n);
 
+  // Ready nodes as a binary heap whose top is the highest-priority one:
+  // control actors first (rule 1), then by descending rank, then by node
+  // index for determinism — a strict total order, so the pick does not
+  // depend on the heap's layout.
+  auto lowerPriority = [&](std::size_t a, std::size_t b) {
+    const bool aCtl = options.controlPriority && isControlNode(a);
+    const bool bCtl = options.controlPriority && isControlNode(b);
+    if (aCtl != bCtl) return bCtl;
+    if (rank[a] != rank[b]) return rank[a] < rank[b];
+    return a > b;
+  };
   std::vector<std::size_t> ready;
   for (std::size_t i = 0; i < n; ++i) {
     if (unscheduledPreds[i] == 0) ready.push_back(i);
   }
+  std::make_heap(ready.begin(), ready.end(), lowerPriority);
 
   // Cross-PE communication cost: the uncontended traversal of the
   // topology route when both PEs are on the fabric, the legacy uniform
@@ -135,26 +147,9 @@ ListSchedule listSchedule(const CanonicalPeriod& cp, const Platform& platform,
 
   while (!ready.empty()) {
     support::Budget::checkpoint(budget);
-    // Pick the highest-priority ready node: control actors first (rule 1),
-    // then by descending rank, then by node index for determinism.
-    std::size_t bestIdx = 0;
-    for (std::size_t r = 1; r < ready.size(); ++r) {
-      const std::size_t a = ready[r];
-      const std::size_t b = ready[bestIdx];
-      const bool aCtl = options.controlPriority && isControlNode(a);
-      const bool bCtl = options.controlPriority && isControlNode(b);
-      if (aCtl != bCtl) {
-        if (aCtl) bestIdx = r;
-        continue;
-      }
-      if (rank[a] != rank[b]) {
-        if (rank[a] > rank[b]) bestIdx = r;
-        continue;
-      }
-      if (a < b) bestIdx = r;
-    }
-    const std::size_t node = ready[bestIdx];
-    ready.erase(ready.begin() + static_cast<std::ptrdiff_t>(bestIdx));
+    std::pop_heap(ready.begin(), ready.end(), lowerPriority);
+    const std::size_t node = ready.back();
+    ready.pop_back();
 
     // Choose the PE minimizing start time.
     std::size_t chosenPe = 0;
@@ -184,7 +179,10 @@ ListSchedule listSchedule(const CanonicalPeriod& cp, const Platform& platform,
     out.makespan = std::max(out.makespan, so.finish);
 
     for (std::size_t s : cp.successors(node)) {
-      if (--unscheduledPreds[s] == 0) ready.push_back(s);
+      if (--unscheduledPreds[s] == 0) {
+        ready.push_back(s);
+        std::push_heap(ready.begin(), ready.end(), lowerPriority);
+      }
     }
   }
 

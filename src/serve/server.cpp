@@ -42,10 +42,13 @@ struct Server::Connection {
              RequestPolicy policy)
       : fd(fd), framer(maxLineBytes), session(cache, policy) {}
 
+  /// Closed (-1) only by the IO thread, under Server::ioMutex_: workers
+  /// write responses to it.
   int fd;
   LineFramer framer;
   ClientSession session;
-  /// Framed lines awaiting dispatch (IO thread only).
+  /// Framed lines awaiting dispatch: changed by the IO thread under
+  /// Server::ioMutex_, read by workers under it.
   std::deque<std::string> pending;
   /// Response bytes awaiting write; guarded by Server::ioMutex_ (workers
   /// append, the IO thread flushes).
@@ -53,7 +56,9 @@ struct Server::Connection {
   /// One request on the pool right now; guarded by Server::ioMutex_.
   bool inFlight = false;
   bool closeAfterFlush = false;
+  /// Set by the IO thread under Server::ioMutex_.
   bool closed = false;
+  /// Guarded by Server::ioMutex_.
   Clock::time_point lastActivity = Clock::now();
 };
 
@@ -177,7 +182,6 @@ void Server::readReady(Connection& conn) {
       return;
     }
     if (n < 0) return;  // EAGAIN (or error: surfaces as POLLERR/HUP later)
-    conn.lastActivity = Clock::now();
     std::vector<std::string> lines;
     if (!conn.framer.feed(std::string_view(buffer,
                                            static_cast<std::size_t>(n)),
@@ -187,16 +191,18 @@ void Server::readReady(Connection& conn) {
       ++stats_.rejectedOversized;
       const ClientSession::Result r =
           ClientSession::oversizedLineReject(config_.maxLineBytes);
-      {
-        std::lock_guard<std::mutex> lock(ioMutex_);
-        conn.outbuf += r.line;
-        conn.outbuf += '\n';
-      }
+      std::lock_guard<std::mutex> lock(ioMutex_);
+      conn.outbuf += r.line;
+      conn.outbuf += '\n';
       conn.closeAfterFlush = true;
       conn.pending.clear();
       return;
     }
-    for (std::string& line : lines) conn.pending.push_back(std::move(line));
+    {
+      std::lock_guard<std::mutex> lock(ioMutex_);
+      conn.lastActivity = Clock::now();
+      for (std::string& line : lines) conn.pending.push_back(std::move(line));
+    }
     if (static_cast<std::size_t>(n) < sizeof(buffer)) return;
   }
 }
@@ -225,18 +231,26 @@ void Server::dispatchPending(const std::shared_ptr<Connection>& conn) {
     std::shared_ptr<Connection> self = conn;
     pool_->submit([this, self, line = std::move(line)]() mutable {
       const ClientSession::Result result = self->session.handle(line);
+      bool wake;
       {
         std::lock_guard<std::mutex> workerLock(ioMutex_);
         if (!self->closed) {
           self->outbuf += result.line;
           self->outbuf += '\n';
+          // Written here, not by the IO thread, so the reply does not
+          // wait for that thread to wake.
+          writeLocked(*self);
         }
         self->inFlight = false;
         --inFlight_;
+        // The IO thread has work only for a line waiting on this
+        // connection, bytes the socket did not take, a connection to
+        // close or reap, or a drain waiting for the pool.
+        wake = !self->pending.empty() || !self->outbuf.empty() ||
+               self->closed || self->closeAfterFlush ||
+               stopRequests_.load(std::memory_order_relaxed) > 0;
       }
-      // Wake the IO thread to flush the response / dispatch the next
-      // pending line on this connection.
-      if (wakeWrite_ >= 0) {
+      if (wake && wakeWrite_ >= 0) {
         const char byte = 'r';
         [[maybe_unused]] const auto n = ::write(wakeWrite_, &byte, 1);
       }
@@ -246,6 +260,11 @@ void Server::dispatchPending(const std::shared_ptr<Connection>& conn) {
 
 void Server::flushReady(Connection& conn) {
   std::lock_guard<std::mutex> lock(ioMutex_);
+  writeLocked(conn);
+  if (conn.outbuf.empty() && conn.closeAfterFlush) closeLocked(conn);
+}
+
+void Server::writeLocked(Connection& conn) {
   while (!conn.outbuf.empty()) {
     const ssize_t n =
         ::write(conn.fd, conn.outbuf.data(), conn.outbuf.size());
@@ -253,10 +272,14 @@ void Server::flushReady(Connection& conn) {
     conn.outbuf.erase(0, static_cast<std::size_t>(n));
     conn.lastActivity = Clock::now();
   }
-  if (conn.closeAfterFlush) closeConnection(conn);
 }
 
 void Server::closeConnection(Connection& conn) {
+  std::lock_guard<std::mutex> lock(ioMutex_);
+  closeLocked(conn);
+}
+
+void Server::closeLocked(Connection& conn) {
   if (conn.fd >= 0) ::close(conn.fd);
   conn.fd = -1;
   conn.closed = true;
@@ -363,9 +386,9 @@ void Server::run() {
       if ((revents & (POLLOUT | POLLHUP | POLLERR)) != 0 || draining) {
         flushReady(conn);
       }
-      if (!conn.closed && (revents & (POLLHUP | POLLERR)) != 0 &&
-          !conn.inFlight) {
-        closeConnection(conn);
+      if ((revents & (POLLHUP | POLLERR)) != 0) {
+        std::lock_guard<std::mutex> lock(ioMutex_);
+        if (!conn.closed && !conn.inFlight) closeLocked(conn);
       }
     }
 
@@ -373,21 +396,16 @@ void Server::run() {
     if (config_.idleTimeoutMs > 0 && !draining) {
       const auto now = Clock::now();
       for (const auto& conn : connections_) {
-        if (conn->closed || conn->inFlight || !conn->pending.empty()) {
-          continue;
-        }
-        bool quiet;
-        {
-          std::lock_guard<std::mutex> lock(ioMutex_);
-          quiet = conn->outbuf.empty();
-        }
-        if (quiet &&
+        std::lock_guard<std::mutex> lock(ioMutex_);
+        if (conn->closed || conn->inFlight || !conn->pending.empty() ||
+            !conn->outbuf.empty() ||
             std::chrono::duration_cast<std::chrono::milliseconds>(
                 now - conn->lastActivity)
-                    .count() > config_.idleTimeoutMs) {
-          ++stats_.idleDisconnects;
-          closeConnection(*conn);
+                    .count() <= config_.idleTimeoutMs) {
+          continue;
         }
+        ++stats_.idleDisconnects;
+        closeLocked(*conn);
       }
     }
   }

@@ -5,10 +5,13 @@
 // LineFramers, and flushes response bytes.  Framed request lines are
 // dispatched to a support::ThreadPool of workers, each executing
 // ClientSession::handle() (an api::Session operation under the shared
-// GraphCache).  Workers never touch sockets: they append the finished
-// envelope to the connection's output buffer and wake the IO thread
-// through the self-pipe, so a slow or dead client can never stall a
-// worker.
+// GraphCache).  A worker appends the finished envelope to the
+// connection's output buffer and writes what the non-blocking socket
+// takes at once, so a reply does not wait for the IO thread to wake,
+// and a slow or dead client can never stall a worker.  It wakes the IO
+// thread through the self-pipe only when that thread has work: a line
+// queued behind the request, bytes the socket did not take, a
+// connection to close, or a drain in progress.
 //
 // Ordering.  At most ONE request per connection is in flight at a time
 // (later lines queue on the connection), so responses arrive in request
@@ -123,6 +126,9 @@ class Server {
   void flushReady(Connection& conn);
   void dispatchPending(const std::shared_ptr<Connection>& conn);
   void closeConnection(Connection& conn);
+  // Both require ioMutex_.
+  void writeLocked(Connection& conn);
+  void closeLocked(Connection& conn);
 
   ServerConfig config_;
   GraphCache cache_;
@@ -138,7 +144,9 @@ class Server {
   // IO-thread state.
   std::vector<std::shared_ptr<Connection>> connections_;
   std::size_t inFlight_ = 0;  // worker jobs outstanding (guarded by ioMutex_)
-  std::mutex ioMutex_;        // guards inFlight_ + per-connection outbufs
+  // Guards inFlight_ and each connection's outbuf, pending lines,
+  // in-flight flag, fd/closed and lastActivity.
+  std::mutex ioMutex_;
   ServerStats stats_;
 
   std::unique_ptr<support::ThreadPool> pool_;

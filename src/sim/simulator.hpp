@@ -13,11 +13,18 @@
 //   * clock control actors fire on every multiple of their period and
 //     emit watchdog control tokens (Section II-B's "Clock").
 //
-// The run loop is event-driven: port rates are pre-evaluated to integer
-// tables, completions and clock ticks live in a priority queue, and a
-// wake set re-examines only the actors adjacent to channels that just
+// The run loop is event-driven over tables built once per run(): each
+// actor's ports by kind with their channel indices and integer rate
+// tables, its resolved mode table, clock period and behaviour.  Firing
+// completions, clock ticks and fabric transfer arrivals share one binary
+// heap keyed by time, then arrivals before completions, then actor id.
+// A wake heap re-examines only the actors adjacent to channels that just
 // received tokens (plus the actor whose firing completed) instead of
-// rescanning the whole graph until fixpoint at every instant.
+// rescanning the whole graph at every instant.
+// Channels whose producer has no behaviour only ever carry default
+// tokens, so they are counters; the others keep their token values in a
+// ring that holds the present tokens followed by those in flight.  A
+// behaviour-less firing therefore allocates nothing.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +32,7 @@
 #include <limits>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -41,10 +49,6 @@ namespace tpdf::sim {
 /// Passed to an actor behaviour when a firing starts.
 class FiringContext {
  public:
-  FiringContext(const graph::Graph& g, graph::ActorId actor,
-                std::int64_t firingIndex, int modeIndex, double now,
-                double duration);
-
   graph::ActorId actor() const { return actor_; }
   /// 0-based firing count of this actor.
   std::int64_t firingIndex() const { return firingIndex_; }
@@ -69,14 +73,24 @@ class FiringContext {
  private:
   friend class Simulator;
 
+  /// One context per behaviour-driven actor and run, reused by every
+  /// firing of that actor.
+  FiringContext(const graph::Graph& g, graph::ActorId actor);
+
+  /// Position in Actor::ports of the input (or output) port named
+  /// `port`; npos when the actor has none.
+  std::size_t slotOf(std::string_view port, bool input) const;
+
   const graph::Graph* graph_;
   graph::ActorId actor_;
-  std::int64_t firingIndex_;
-  int modeIndex_;
-  double now_;
-  double duration_;
-  std::map<std::string, std::vector<Token>> inputs_;
-  std::map<std::string, std::vector<Token>> outputs_;
+  std::int64_t firingIndex_ = 0;
+  int modeIndex_ = 0;
+  double now_ = 0.0;
+  double duration_ = 0.0;
+  /// Token buffers by position in Actor::ports: what each input port
+  /// consumed and what each output port emitted in the current firing.
+  std::vector<std::vector<Token>> inputs_;
+  std::vector<std::vector<Token>> outputs_;
 };
 
 /// Behaviour hook: invoked at firing start, after inputs were consumed.
@@ -191,22 +205,6 @@ class Simulator {
   SimResult run(const SimOptions& options = {});
 
  private:
-  struct PendingFiring {
-    double finish = 0.0;
-    /// Output tokens resolved to their channel index at start time, so
-    /// delivery is a straight push with no name lookups.
-    std::vector<std::pair<std::size_t, std::vector<Token>>> outputs;
-    bool active = false;
-  };
-
-  struct ActorState {
-    std::int64_t fired = 0;
-    std::int64_t limit = 0;          // q * iterations (clocks: unbounded)
-    PendingFiring pending;
-    int currentMode = 0;
-    double nextClockTick = 0.0;      // clocks only
-  };
-
   const core::TpdfGraph* model_;
   symbolic::Environment env_;
   /// Shared intermediates; null when the simulator owns no context and

@@ -6,8 +6,10 @@
 // TCP path).  Pins the daemon's externally observable contracts:
 // concurrent clients sharing the cache, deadline requests surfacing as
 // resource-limit through the wire, backpressure rejects, oversized-line
-// reject-then-disconnect, idle disconnects, and the graceful-drain
-// shutdown (every in-flight request still gets its full envelope).
+// reject-then-disconnect, idle disconnects, pipelined requests answered
+// in order without waiting on the IO loop's poll timeout, and the
+// graceful-drain shutdown (every in-flight request still gets its full
+// envelope).
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
@@ -230,6 +232,27 @@ TEST_F(ServeServerTest, IdleConnectionsAreDropped) {
   EXPECT_EQ(statusOf(client.request("{\"command\":\"ping\"}")), "ok");
   // Stay silent past the idle bound: the server hangs up (EOF here).
   EXPECT_THROW(client.receive(), support::Error);
+}
+
+TEST_F(ServeServerTest, PipelinedRequestsAreAnsweredInOrderWithoutStalls) {
+  ServedDaemon daemon(configOn(socket_));
+  Client client = Client::connect(socket_);
+  // Workers write replies straight to the socket and wake the IO loop
+  // only when a line is waiting; a line that arrives while its
+  // predecessor runs must still be dispatched at once, not when the
+  // loop's 250 ms poll timeout next fires (40 such stalls take 10 s).
+  constexpr int kRequests = 40;
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kRequests; ++i) {
+    client.send(analyzeRequest("p" + std::to_string(i)));
+  }
+  for (int i = 0; i < kRequests; ++i) {
+    const support::json::Value doc = support::json::parse(client.receive());
+    ASSERT_EQ(doc.find("status")->asString(), "ok");
+    EXPECT_EQ(doc.find("report")->find("graph")->asString(),
+              "g_p" + std::to_string(i));
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
 }
 
 TEST_F(ServeServerTest, GracefulShutdownDrainsInFlightRequests) {

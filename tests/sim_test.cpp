@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "apps/edgegraph.hpp"
 #include "apps/papergraphs.hpp"
+#include "apps/randomgraphs.hpp"
 #include "graph/builder.hpp"
+#include "graph/rates.hpp"
+#include "io/format.hpp"
+#include "platform/spec.hpp"
+#include "support/json.hpp"
 
 namespace tpdf::sim {
 namespace {
@@ -367,6 +374,238 @@ TEST(SimulatorEdge, DefaultCapBoundaryAtExactlyOneMillionFirings) {
   ASSERT_TRUE(result.ok) << result.diagnostic;
   EXPECT_EQ(result.totalFirings, 1'000'000);
   EXPECT_TRUE(result.returnedToInitialState);
+}
+
+// ---- The behaviour contract ---------------------------------------------
+
+std::string errorOf(Simulator& sim, const SimOptions& options = {}) {
+  try {
+    sim.run(options);
+  } catch (const support::Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(SimulatorContract, OveremitErrorNamesActorPortCountAndRate) {
+  const Graph g = GraphBuilder("over")
+      .kernel("A").out("o", "[1, 2]")
+      .kernel("B").in("i", "[3]")
+      .channel("e", "A.o", "B.i")
+      .build();
+  core::TpdfGraph model(g);
+  Simulator sim(model, Environment{});
+  sim.setBehaviour("A", [](FiringContext& ctx) {
+    for (int i = 0; i < 3; ++i) ctx.emit("o", Token{});
+  });
+  EXPECT_EQ(errorOf(sim),
+            "behaviour of 'A' emitted 3 tokens on port 'o' whose phase "
+            "rate is 1");
+}
+
+TEST(SimulatorContract, NegativeDurationIsRejected) {
+  const Graph g = GraphBuilder("neg")
+      .kernel("A").out("o", "[1]")
+      .kernel("B").in("i", "[1]")
+      .channel("e", "A.o", "B.i")
+      .build();
+  core::TpdfGraph model(g);
+  Simulator sim(model, Environment{});
+  sim.setBehaviour("B", [](FiringContext& ctx) { ctx.setDuration(-0.5); });
+  EXPECT_EQ(errorOf(sim), "negative firing duration");
+}
+
+TEST(SimulatorContract, RejectedAndUnknownPortsGiveEmptyInputs) {
+  // F's mode takes `a` only: `b`'s token is discarded, never shown.
+  const Graph g = GraphBuilder("rejected")
+      .kernel("P1").out("o", "[1]")
+      .kernel("P2").out("o", "[1]")
+      .kernel("S").out("sig", "[1]")
+      .control("CTL").in("i", "[1]").ctlOut("o", "[1]")
+      .kernel("F").in("a", "[1]", 1).in("b", "[1]", 2).ctlIn("c", "[1]")
+      .out("y", "[1]")
+      .kernel("SNK").in("i", "[1]")
+      .channel("ea", "P1.o", "F.a")
+      .channel("eb", "P2.o", "F.b")
+      .channel("sig", "S.sig", "CTL.i")
+      .channel("ctl", "CTL.o", "F.c")
+      .channel("out", "F.y", "SNK.i")
+      .build();
+  core::TpdfGraph model(g);
+  model.setModes(*g.findActor("F"),
+                 {core::ModeSpec{"take_a", core::Mode::SelectOne,
+                                 {*g.findPort("F.a")}, {}}});
+  Simulator sim(model, Environment{});
+  sim.setBehaviour("P1",
+                   [](FiringContext& ctx) { ctx.emit("o", Token{7, {}}); });
+  sim.setBehaviour("P2",
+                   [](FiringContext& ctx) { ctx.emit("o", Token{9, {}}); });
+  std::vector<std::size_t> sizes;
+  std::int64_t taken = -1;
+  sim.setBehaviour("F", [&](FiringContext& ctx) {
+    sizes = {ctx.inputs("a").size(), ctx.inputs("b").size(),
+             ctx.inputs("c").size(), ctx.inputs("y").size(),
+             ctx.inputs("nope").size()};
+    taken = ctx.inputs("a").at(0).tag;
+    ctx.emit("nope", Token{});  // not an output: dropped
+    ctx.emit("a", Token{});     // an input: dropped
+  });
+  const SimResult result = sim.run();
+  ASSERT_TRUE(result.ok) << result.diagnostic;
+  EXPECT_EQ(sizes, (std::vector<std::size_t>{1, 0, 1, 0, 0}));
+  EXPECT_EQ(taken, 7);
+  EXPECT_EQ(result.channel(*g.findChannel("eb")).discarded, 1);
+  EXPECT_EQ(result.channel(*g.findChannel("out")).produced, 1);
+  EXPECT_TRUE(result.returnedToInitialState);
+}
+
+TEST(SimulatorContract, HighestPriorityLosersGiveEmptyInputs) {
+  core::TpdfGraph model = apps::edgeDetectionGraph(500.0);
+  Simulator sim(model, Environment{});
+  std::vector<std::size_t> sizes;
+  sim.setBehaviour("Trans", [&](FiringContext& ctx) {
+    for (const std::string& name : apps::edgeDetectorNames()) {
+      sizes.push_back(ctx.inputs("i" + name).size());
+    }
+  });
+  SimOptions options;
+  options.stopTime = 1100.0;
+  ASSERT_TRUE(sim.run(options).ok);
+  EXPECT_EQ(sizes, (std::vector<std::size_t>{0, 1, 0, 0}));  // Sobel wins
+}
+
+/// Round-robin placement over `fabric`, as `tpdfc sim --platform` does.
+SimOptions spreadOver(const platform::Topology& fabric, std::size_t actors) {
+  SimOptions options;
+  options.fabric = &fabric;
+  options.actorPe.resize(actors);
+  for (std::size_t i = 0; i < actors; ++i) {
+    options.actorPe[i] = i % fabric.peCount();
+  }
+  return options;
+}
+
+TEST(SimulatorContract, ClockTokensAreNotRoutedOnAFabric) {
+  // Clock (actor 6, PE 2) and Trans (actor 7, PE 3) sit on different PEs
+  // of the mesh; the deadline token still reaches Trans at the tick.
+  core::TpdfGraph model = apps::edgeDetectionGraph(500.0);
+  const Graph& g = model.graph();
+  const platform::Topology mesh =
+      platform::parsePlatformSpec("mesh:2x2,bw=4").spec.build(4);
+  Simulator sim(model, Environment{});
+  SimOptions options = spreadOver(mesh, g.actorCount());
+  options.stopTime = 1600.0;
+  options.recordTrace = true;
+  const SimResult result = sim.run(options);
+  ASSERT_TRUE(result.ok) << result.diagnostic;
+  ASSERT_NE(options.actorPe[g.findActor("Clock")->index()],
+            options.actorPe[g.findActor("Trans")->index()]);
+
+  std::vector<double> clockTicks;
+  std::vector<double> transStarts;
+  for (const TraceEvent& e : result.trace) {
+    if (e.actor == *g.findActor("Clock")) clockTicks.push_back(e.start);
+    if (e.actor == *g.findActor("Trans")) transStarts.push_back(e.start);
+  }
+  EXPECT_EQ(clockTicks, (std::vector<double>{500.0, 1000.0, 1500.0}));
+  ASSERT_FALSE(transStarts.empty());
+  EXPECT_EQ(transStarts[0], 500.0);
+  EXPECT_EQ(result.channel(*g.findChannel("deadline")).produced, 3);
+  std::int64_t transfers = 0;
+  for (const LinkStats& l : result.links) transfers += l.transfers;
+  EXPECT_GT(transfers, 0);  // data tokens do cross the mesh
+}
+
+std::string resultJson(const SimResult& result, const Graph& g) {
+  support::json::Writer w(support::json::Layout::Compact);
+  result.write(w, g);
+  return w.finish();
+}
+
+TEST(SimulatorContract, NoOpBehaviourMatchesNoBehaviour) {
+  const platform::Topology bus =
+      platform::parsePlatformSpec("bus:4,bw=1,lat=1").spec.build(4);
+  std::vector<core::TpdfGraph> models;
+  models.push_back(apps::fig3SelectDuplicate());
+  models.push_back(apps::edgeDetectionGraph(500.0));
+  models.push_back(apps::fig2TpdfModel());
+  const std::filesystem::path dir =
+      std::filesystem::path(TPDF_SOURCE_DIR) / "examples" / "graphs";
+  for (const char* name : {"ofdm.tpdf", "fig4a.tpdf", "quickstart.tpdf"}) {
+    models.emplace_back(io::readGraphFile((dir / name).string()));
+  }
+  for (const core::TpdfGraph& model : models) {
+    const Graph& g = model.graph();
+    for (const bool onFabric : {false, true}) {
+      SimOptions options;
+      if (onFabric) options = spreadOver(bus, g.actorCount());
+      options.iterations = 3;
+      options.stopTime = 2000.0;
+      options.recordTrace = true;
+      const Environment env{{"p", 2}, {"b", 2}, {"N", 8}, {"L", 2}, {"M", 2}};
+      Simulator plain(model, env);
+      Simulator noOp(model, env);
+      for (const graph::Actor& a : g.actors()) {
+        noOp.setBehaviour(a.id, [](FiringContext&) {});
+      }
+      const SimResult expected = plain.run(options);
+      ASSERT_TRUE(expected.ok) << g.name() << ": " << expected.diagnostic;
+      EXPECT_GT(expected.totalFirings, 0) << g.name();
+      EXPECT_EQ(resultJson(expected, g), resultJson(noOp.run(options), g))
+          << g.name() << (onFabric ? " on the bus" : "");
+    }
+  }
+}
+
+TEST(SimulatorContract, FabricTransfersOfAChannelArriveInIssueOrder) {
+  // Every producer stamps each token with its position in its output
+  // stream and every consumer checks it reads 0, 1, 2, ...: the FIFO
+  // order of each channel survives store-and-forward routing, varying
+  // firing durations and link contention.
+  const platform::Topology mesh =
+      platform::parsePlatformSpec("mesh:2x2,bw=4").spec.build(4);
+  const platform::Topology bus =
+      platform::parsePlatformSpec("bus:4,bw=1,lat=1").spec.build(4);
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    const core::TpdfGraph model(apps::randomConsistentChain(10, seed));
+    const Graph& g = model.graph();
+    const graph::EvaluatedRates rates(g, Environment{});
+    for (const platform::Topology* fabric : {&mesh, &bus}) {
+      Simulator sim(model, Environment{});
+      std::vector<std::int64_t> sent(g.actorCount(), 0);
+      std::vector<std::int64_t> expected(g.actorCount(), 0);
+      std::int64_t outOfOrder = 0;
+      std::int64_t received = 0;
+      for (const graph::Actor& a : g.actors()) {
+        const std::size_t i = a.id.index();
+        const std::optional<graph::PortId> out = g.findPort(a.name.view(), "o");
+        sim.setBehaviour(a.id, [&, i, out](FiringContext& ctx) {
+          for (const Token& t : ctx.inputs("i")) {
+            if (t.tag != expected[i]++) ++outOfOrder;
+            ++received;
+          }
+          if (out) {
+            const std::int64_t n = rates.at(*out, ctx.firingIndex());
+            for (std::int64_t k = 0; k < n; ++k) {
+              ctx.emit("o", Token{sent[i]++, {}});
+            }
+          }
+          ctx.setDuration(0.25 + 0.5 * static_cast<double>(
+                                     (ctx.firingIndex() * 7 + i) % 5));
+        });
+      }
+      SimOptions options = spreadOver(*fabric, g.actorCount());
+      options.iterations = 3;
+      const SimResult result = sim.run(options);
+      ASSERT_TRUE(result.ok) << result.diagnostic;
+      EXPECT_TRUE(result.returnedToInitialState) << "seed " << seed;
+      EXPECT_EQ(outOfOrder, 0) << "seed " << seed;
+      std::int64_t consumed = 0;
+      for (const ChannelStats& c : result.channels) consumed += c.consumed;
+      EXPECT_EQ(received, consumed) << "seed " << seed;
+      EXPECT_GT(received, 0);
+    }
+  }
 }
 
 }  // namespace
