@@ -131,6 +131,30 @@ void BM_RepetitionVectorOnChainHuge(benchmark::State& state) {
 BENCHMARK(BM_RepetitionVectorOnChainHuge)
     ->Arg(1000000)->Iterations(1)->Unit(benchmark::kMillisecond);
 
+/// N disconnected A -[2:1]-> B pairs: one component per pair, so the
+/// cost of grouping each component's members for normalization shows
+/// (it rescanned every actor per component: 3.4 s at 20,000 pairs).
+void BM_RepetitionVectorManyComponents(benchmark::State& state) {
+  const auto pairs = static_cast<int>(state.range(0));
+  Graph g("pairs");
+  for (int i = 0; i < pairs; ++i) {
+    const std::string k = std::to_string(i);
+    const graph::ActorId a = g.addActor("A" + k);
+    const graph::ActorId b = g.addActor("B" + k);
+    g.addChannel("e" + k,
+                 g.addPort(a, "o", graph::PortKind::DataOut,
+                           graph::RateSeq::constant(2)),
+                 g.addPort(b, "i", graph::PortKind::DataIn,
+                           graph::RateSeq::constant(1)));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(csdf::computeRepetitionVector(g));
+  }
+  state.counters["actors"] = static_cast<double>(g.actorCount());
+}
+BENCHMARK(BM_RepetitionVectorManyComponents)
+    ->Arg(20000)->Unit(benchmark::kMillisecond);
+
 void BM_LivenessOnChainHuge(benchmark::State& state) {
   const Graph g = randomChain(static_cast<int>(state.range(0)), 42);
   for (auto _ : state) {

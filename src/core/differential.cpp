@@ -64,7 +64,7 @@ Graph withChannelCapacities(const Graph& g,
     const graph::ActorId id = out.addActor(a.name, a.kind);
     for (graph::PortId pid : a.ports) {
       const graph::Port& p = g.port(pid);
-      out.addPort(id, p.name, p.kind, p.rates, p.priority);
+      out.addPort(id, p.name, p.kind, p.rates(), p.priority);
     }
     out.setExecTime(id, a.execTime);
   }
@@ -88,9 +88,9 @@ Graph withChannelCapacities(const Graph& g,
     const graph::Port& src = g.port(c.src);
     const graph::Port& dst = g.port(c.dst);
     const graph::PortId ro = out.addPort(
-        dst.actor, "__bp_o_" + c.name, graph::PortKind::DataOut, dst.rates);
+        dst.actor, "__bp_o_" + c.name, graph::PortKind::DataOut, dst.rates());
     const graph::PortId ri = out.addPort(
-        src.actor, "__bp_i_" + c.name, graph::PortKind::DataIn, src.rates);
+        src.actor, "__bp_i_" + c.name, graph::PortKind::DataIn, src.rates());
     out.addChannel("__bp_" + c.name, ro, ri, cap - c.initialTokens);
   }
   out.validate();

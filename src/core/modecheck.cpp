@@ -37,7 +37,7 @@ Graph modeRestrictedTopology(const TpdfGraph& model, ActorId kernel,
     const ActorId id = restricted.addActor(a.name, a.kind);
     for (PortId pid : a.ports) {
       const graph::Port& p = g.port(pid);
-      restricted.addPort(id, p.name, p.kind, p.rates, p.priority);
+      restricted.addPort(id, p.name, p.kind, p.rates(), p.priority);
     }
     restricted.setExecTime(id, a.execTime);
   }

@@ -6,6 +6,12 @@
 // component, propagate along tree channels, then verify every remaining
 // channel ("set one of the solutions to 1 and recursively find other
 // solutions; finally normalize the solutions to integers").
+//
+// A component whose rates are all constant with non-zero period sums
+// (every SDF/CSDF component) is solved in exact int64 fractions in one
+// walk of the frozen adjacency; the symbolic solve takes parametric
+// components and every constant one that is inconsistent, has a zero
+// period sum or overflows, so each diagnostic comes from one place.
 #pragma once
 
 #include <span>
@@ -61,6 +67,11 @@ struct RepetitionVector {
 /// exactly one masked-in endpoint is an error).
 RepetitionVector computeRepetitionVector(const graph::Graph& g,
                                          std::span<const char> actorMask = {});
+
+/// computeRepetitionVector with every component taken by the symbolic
+/// solve: the reference the constant-rate solve is checked against.
+RepetitionVector computeRepetitionVectorSymbolic(
+    const graph::Graph& g, std::span<const char> actorMask = {});
 
 /// The topology matrix Gamma of Equation (3): one row per channel, one
 /// column per actor; entry = total period production (positive) or

@@ -89,7 +89,7 @@ ScheduleCheck validateSchedule(const Graph& g, const Schedule& s,
 
   for (const ScheduleRun& run : s.runs()) {
     const ActorId a = run.actor;
-    const std::vector<graph::PortId>& ports = g.actor(a).ports;
+    const auto& ports = g.actor(a).ports;
     for (std::int64_t k = run.firstK; k < run.firstK + run.count; ++k) {
       support::Budget::checkpoint(budget);
       // Indices inside a run are consecutive, so only its first firing

@@ -19,7 +19,7 @@ std::string Graph::toDot() const {
     const Port& dst = ports_[c.dst.index()];
     os << "  \"" << actors_[src.actor.index()].name << "\" -> \""
        << actors_[dst.actor.index()].name << "\" [label=\"" << c.name << " "
-       << src.rates.toString() << "->" << dst.rates.toString();
+       << src.rates().toString() << "->" << dst.rates().toString();
     if (c.initialTokens > 0) {
       os << " (" << c.initialTokens << ")";
     }

@@ -39,7 +39,7 @@ Graph::Graph(const Graph& o)
       shapeRevision_(o.shapeRevision_),
       touchLog_(o.touchLog_),
       oldestLoggedRevision_(o.oldestLoggedRevision_) {
-  repoolNames();
+  rehome();
 }
 
 Graph& Graph::operator=(const Graph& o) {
@@ -49,14 +49,34 @@ Graph& Graph::operator=(const Graph& o) {
   return *this;
 }
 
-// The element vectors were copied verbatim, so every Name still views the
-// *source* graph's pool: copy each into this graph's own pool.  The name
-// indices hold (hash, id) slots, not views, so the copied ones stay valid.
-void Graph::repoolNames() {
+// The element vectors were copied verbatim, so every Name and rate
+// pointer still refers to the *source* graph: copy each into this graph's
+// own pool and store.  The name indices hold (hash, id) slots, not views,
+// so the copied ones stay valid.
+void Graph::rehome() {
   for (Actor& a : actors_) a.name = copyName(a.name);
-  for (Port& p : ports_) p.name = intern(p.name);
+  for (Port& p : ports_) {
+    p.name = intern(p.name);
+    p.rates_ = storeRates(*p.rates_);
+  }
   for (Channel& c : channels_) c.name = copyName(c.name);
   frozenRevision_ = kNeverFrozen;
+}
+
+const RateSeq* Graph::storeRates(RateSeq rates) {
+  if (rates.length() == 1 && rates.at(0).isConstant()) {
+    const support::Rational v = rates.at(0).constant();
+    if (v.isInteger() && v.num() >= 0 &&
+        v.num() < static_cast<std::int64_t>(kSharedRates)) {
+      const RateSeq*& shared =
+          sharedRates_[static_cast<std::size_t>(v.num())];
+      if (shared == nullptr) {
+        shared = &rateStore_.emplace_back(std::move(rates));
+      }
+      return shared;
+    }
+  }
+  return &rateStore_.emplace_back(std::move(rates));
 }
 
 void Graph::NameIndex::insert(std::uint32_t h, std::uint32_t index) {
@@ -160,7 +180,7 @@ PortId Graph::addPort(ActorId actor, const std::string& name, PortKind kind,
   p.actor = actor;
   p.name = intern(name);
   p.kind = kind;
-  p.rates = std::move(rates);
+  p.rates_ = storeRates(std::move(rates));
   p.priority = priority;
   ports_.push_back(std::move(p));
   actors_[actor.index()].ports.push_back(id);
@@ -263,7 +283,7 @@ void Graph::refreeze() const {
     std::int64_t t = 1;
     for (PortId pid : a.ports) {
       t = support::lcm64(
-          t, static_cast<std::int64_t>(ports_[pid.index()].rates.length()));
+          t, static_cast<std::int64_t>(ports_[pid.index()].rates().length()));
     }
     tau[a.id.index()] = t;
   }
@@ -315,13 +335,13 @@ void Graph::refreeze() const {
   std::size_t offset = 0;
   for (const Port& pt : ports_) {
     const std::int64_t t = tau[pt.actor.index()];
-    if (static_cast<std::int64_t>(pt.rates.length()) == t) {
-      effective[pt.id.index()] = &pt.rates;
+    if (static_cast<std::int64_t>(pt.rates().length()) == t) {
+      effective[pt.id.index()] = pt.rates_;
     } else {
       std::vector<symbolic::Expr> entries;
       entries.reserve(static_cast<std::size_t>(t));
       for (std::int64_t i = 0; i < t; ++i) {
-        entries.push_back(pt.rates.at(i));
+        entries.push_back(pt.rates().at(i));
       }
       effective[pt.id.index()] =
           &extendedStore_.emplace_back(std::move(entries));

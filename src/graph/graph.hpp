@@ -8,13 +8,17 @@
 //
 // Storage is built for million-actor graphs: entity names live in one
 // arena-backed pool (a Name is a 16-byte view, not a std::string) and
-// are looked up through flat (hash, id) indices, per-actor adjacency is
+// are looked up through flat (hash, id) indices, rate sequences live out
+// of line and an actor's first two port ids inline (so the element
+// vectors hold small records and an actor needs no heap block of its
+// own), per-actor adjacency is
 // a CSR block frozen once per revision and served as spans, and every
 // mutator bumps a revision counter (with a bounded touch log) so
 // analysis caches can invalidate incrementally instead of recomputing
 // from scratch.  See docs/analysis-pipeline.md ("Memory layout").
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -53,19 +57,27 @@ struct Port {
   ActorId actor;
   Name name;
   PortKind kind = PortKind::DataIn;
-  RateSeq rates;
   /// Port priority (the paper's alpha function); larger value wins.  Used
   /// by the HighestPriority mode of Transaction kernels.
   int priority = 0;
   /// The channel attached to this port, if any.
   ChannelId channel;
+
+  /// The port's rate sequence, held by the owning Graph (ports with the
+  /// same small constant rate share one) and valid as long as it is.
+  const RateSeq& rates() const { return *rates_; }
+
+ private:
+  friend class Graph;
+  const RateSeq* rates_ = nullptr;
 };
 
 struct Actor {
   ActorId id;
   Name name;
   ActorKind kind = ActorKind::Kernel;
-  std::vector<PortId> ports;
+  /// Ports in declaration order; two inline slots cover a chain stage.
+  support::InlineVec<PortId, 2> ports;
   /// Worst-case execution time per phase (defaults to a single 1.0);
   /// consumed by the scheduler and the simulator.  Two inline slots cover
   /// the default and every committed example without a heap allocation.
@@ -312,8 +324,13 @@ class Graph {
 
   Name intern(std::string_view s) { return Name(interner_.intern(s)); }
   Name copyName(std::string_view s) { return Name(interner_.copy(s)); }
+  /// Stores `rates` for a port; the constant sequences [0] to
+  /// [kSharedRates - 1] are stored once and shared.
+  const RateSeq* storeRates(RateSeq rates);
   void touch(Touch::Kind kind, std::uint32_t index);
-  void repoolNames();
+  /// Points every Name and rate sequence of elements copied from another
+  /// graph into this graph's own pool and store.
+  void rehome();
   void refreeze() const;
 
   std::string name_;
@@ -322,6 +339,11 @@ class Graph {
   std::vector<Port> ports_;
   std::vector<Channel> channels_;
   std::vector<std::string> params_;  // sorted
+  // Rate sequences the ports point into; a deque never moves an element
+  // (not on growth, not when the Graph is moved).
+  std::deque<RateSeq> rateStore_;
+  static constexpr std::size_t kSharedRates = 16;
+  std::array<const RateSeq*, kSharedRates> sharedRates_{};
   NameIndex actorIndex_;
   NameIndex channelIndex_;
 

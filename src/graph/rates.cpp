@@ -1,6 +1,7 @@
 #include "graph/rates.hpp"
 
 #include <cctype>
+#include <string_view>
 #include <utility>
 
 #include "graph/graph.hpp"
@@ -87,7 +88,7 @@ namespace {
 /// Line/column of 1-based `offset` within `text` (both 1-based), so a
 /// parse failure inside a multi-line bracketed list still points at the
 /// right spot of the specification.
-std::pair<int, int> positionAt(const std::string& text, std::size_t offset) {
+std::pair<int, int> positionAt(std::string_view text, std::size_t offset) {
   int line = 1;
   int column = 1;
   for (std::size_t i = 0; i + 1 < offset && i < text.size(); ++i) {
@@ -101,38 +102,57 @@ std::pair<int, int> positionAt(const std::string& text, std::size_t offset) {
   return {line, column};
 }
 
+bool isSpace(char c) { return std::isspace(static_cast<unsigned char>(c)); }
+
+/// The value of an entry that is one plain decimal literal (surrounding
+/// space allowed), or -1 for anything else, which the expression parser
+/// then reads.  Literals of more than 18 digits also go there, so its
+/// overflow diagnostic stays the only one.
+std::int64_t plainInteger(std::string_view field) {
+  while (!field.empty() && isSpace(field.front())) field.remove_prefix(1);
+  while (!field.empty() && isSpace(field.back())) field.remove_suffix(1);
+  if (field.empty() || field.size() > 18) return -1;
+  std::int64_t value = 0;
+  for (const char c : field) {
+    if (c < '0' || c > '9') return -1;
+    value = value * 10 + (c - '0');
+  }
+  return value;
+}
+
 }  // namespace
 
-RateSeq RateSeq::parse(const std::string& text) {
+RateSeq RateSeq::parse(std::string_view text) {
   // Track offsets into `text` so every ParseError carries a position
   // relative to the whole specification, not to one entry's substring —
   // callers (the .tpdf reader) then remap it to a file position.
   std::size_t begin = 0;
   std::size_t end = text.size();
-  while (begin < end &&
-         std::isspace(static_cast<unsigned char>(text[begin]))) {
-    ++begin;
-  }
-  while (end > begin &&
-         std::isspace(static_cast<unsigned char>(text[end - 1]))) {
-    --end;
-  }
+  while (begin < end && isSpace(text[begin])) ++begin;
+  while (end > begin && isSpace(text[end - 1])) --end;
   if (begin < end && text[begin] == '[') {
     if (text[end - 1] != ']') {
       const auto [line, column] = positionAt(text, begin + 1);
-      throw support::ParseError("unterminated rate sequence '" + text + "'",
-                                line, column);
+      throw support::ParseError(
+          "unterminated rate sequence '" + std::string(text) + "'", line,
+          column);
     }
     ++begin;
     --end;
   }
-  std::vector<Expr> entries;
+  EntryVec entries;
   std::size_t fieldStart = begin;
   for (std::size_t i = begin; i <= end; ++i) {
     if (i != end && text[i] != ',') continue;
+    const std::string_view field = text.substr(fieldStart, i - fieldStart);
+    // A constant entry ("[2]", "[1,0,1]") is built directly.
+    if (const std::int64_t v = plainInteger(field); v >= 0) {
+      entries.emplace_back(v);
+      fieldStart = i + 1;
+      continue;
+    }
     try {
-      entries.push_back(
-          symbolic::parseExpr(text.substr(fieldStart, i - fieldStart)));
+      entries.push_back(symbolic::parseExpr(field));
     } catch (const support::ParseError& e) {
       // The expression parser reports (1, offset-in-entry); shift to the
       // entry's place in the specification.

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "graph/ids.hpp"
@@ -37,9 +38,9 @@ class RateSeq {
 
   /// Convenience: a length-1 sequence.
   static RateSeq constant(std::int64_t v) {
-    return RateSeq({symbolic::Expr(v)});
+    return RateSeq(EntryVec{symbolic::Expr(v)});
   }
-  static RateSeq of(const symbolic::Expr& e) { return RateSeq({e}); }
+  static RateSeq of(const symbolic::Expr& e) { return RateSeq(EntryVec{e}); }
 
   const EntryVec& entries() const { return entries_; }
   std::size_t length() const { return entries_.size(); }
@@ -75,9 +76,11 @@ class RateSeq {
   std::string toString() const;
 
   /// Parses "[1,0,1]", "p", "[2p, 0]" (brackets optional for length 1).
-  static RateSeq parse(const std::string& text);
+  static RateSeq parse(std::string_view text);
 
  private:
+  explicit RateSeq(EntryVec entries) : entries_(std::move(entries)) {}
+
   EntryVec entries_;
 };
 

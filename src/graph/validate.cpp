@@ -27,9 +27,9 @@ void Graph::validate() const {
       const Port& p = ports_[pid.index()];
 
       // Every parameter used in a rate must be declared.
-      for (const symbolic::Expr& e : p.rates.entries()) {
+      for (const symbolic::Expr& e : p.rates().entries()) {
         std::set<std::string> used;
-        e.collectParams(used);
+        if (!e.isConstant()) e.collectParams(used);
         for (const std::string& name : used) {
           if (knownParams.count(name) == 0) {
             fail("port '" + a.name + "." + p.name +
@@ -50,7 +50,7 @@ void Graph::validate() const {
           if (a.kind == ActorKind::Kernel) {
             // Kernels may have at most one control port and its per-firing
             // rate must be 0 or 1 (Definition 2: Rk(m, c, n) in {0,1}).
-            for (const symbolic::Expr& e : p.rates.entries()) {
+            for (const symbolic::Expr& e : p.rates().entries()) {
               if (!e.isConstant() || (e.constant() != 0 &&
                                       e.constant() != 1)) {
                 fail("control port '" + a.name + "." + p.name +

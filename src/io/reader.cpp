@@ -6,9 +6,11 @@
 // document.  The grammar needs at most ~9 characters of lookahead (the
 // "priority" clause boundary inside a bare rate expression), so the
 // window can be tiny; both modes run the identical lexer code and report
-// identical line/column diagnostics.
+// identical line/column diagnostics.  The lexer scans the window's
+// buffered runs in place, so a rate specification reaches RateSeq::parse
+// as a view, copied only when it crosses a refill.
 #include <algorithm>
-#include <cctype>
+#include <array>
 #include <fstream>
 #include <istream>
 #include <limits>
@@ -89,14 +91,34 @@ class Source {
   std::string buf_;
 };
 
-bool isIdentifierStart(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
+// Character classes, as the C locale's isspace/isalpha/isalnum/isdigit
+// define them (the reader never depends on the global locale).
+enum : unsigned char {
+  kSpace = 1,
+  kIdentStart = 2,
+  kIdentChar = 4,
+  kDigit = 8,
+};
+
+constexpr std::array<unsigned char, 256> kCharClass = [] {
+  std::array<unsigned char, 256> t{};
+  for (const char c : std::string_view(" \t\n\v\f\r")) {
+    t[static_cast<unsigned char>(c)] = kSpace;
+  }
+  for (int c = 'a'; c <= 'z'; ++c) t[c] = kIdentStart | kIdentChar;
+  for (int c = 'A'; c <= 'Z'; ++c) t[c] = kIdentStart | kIdentChar;
+  t['_'] = kIdentStart | kIdentChar;
+  for (int c = '0'; c <= '9'; ++c) t[c] = kIdentChar | kDigit;
+  return t;
+}();
+
+bool hasClass(char c, unsigned char cls) {
+  return (kCharClass[static_cast<unsigned char>(c)] & cls) != 0;
 }
 
-bool isIdentifierChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-}
-
+// Every scanning loop below works on Source::buffered() runs: it walks
+// the run in place, updates line/column as it goes and consumes the run
+// (or the part it took) at once, refilling only when the run is used up.
 struct Lexer {
   Source& src;
   int line = 1;
@@ -105,6 +127,8 @@ struct Lexer {
   // ModelError raised by its Graph call is reported.
   int clauseLine = 1;
   int clauseColumn = 1;
+  // Holds a rate specification that crossed a refill of the window.
+  std::string specBuffer;
 
   explicit Lexer(Source& s) : src(s) {}
 
@@ -120,26 +144,38 @@ struct Lexer {
   bool eof() { return !src.ensure(1); }
   char cur() { return src.at(0); }
 
-  void advance() {
-    if (src.at(0) == '\n') {
+  /// Moves line/column over character `c` (which the caller consumes).
+  void step(char c) {
+    if (c == '\n') {
       ++line;
       column = 1;
     } else {
       ++column;
     }
+  }
+
+  void advance() {
+    step(src.at(0));
     src.consume();
   }
 
   void skipSpaceAndComments() {
+    bool inComment = false;  // a comment runs up to (not over) its '\n'
     while (!eof()) {
-      const char c = cur();
-      if (std::isspace(static_cast<unsigned char>(c))) {
-        advance();
-      } else if (c == '#') {
-        while (!eof() && cur() != '\n') advance();
-      } else {
-        break;
+      const std::string_view run = src.buffered();
+      std::size_t n = 0;
+      for (; n < run.size(); ++n) {
+        const char c = run[n];
+        if (c == '\n') {
+          inComment = false;
+        } else if (!inComment && !hasClass(c, kSpace)) {
+          if (c != '#') break;
+          inComment = true;
+        }
+        step(c);
       }
+      src.consume(n);
+      if (n < run.size()) return;
     }
   }
 
@@ -167,14 +203,13 @@ struct Lexer {
 
   std::string identifier() {
     skipSpaceAndComments();
-    if (eof() || !isIdentifierStart(cur())) fail("expected identifier");
-    // Appends each buffered run of identifier characters at once; an
-    // identifier holds no newline, so only the column moves.
+    if (eof() || !hasClass(cur(), kIdentStart)) fail("expected identifier");
+    // An identifier holds no newline, so only the column moves.
     std::string out;
     while (!eof()) {
       const std::string_view run = src.buffered();
       std::size_t n = 0;
-      while (n < run.size() && isIdentifierChar(run[n])) ++n;
+      while (n < run.size() && hasClass(run[n], kIdentChar)) ++n;
       out.append(run.data(), n);
       column += static_cast<int>(n);
       src.consume(n);
@@ -189,13 +224,14 @@ struct Lexer {
   /// window stay tiny).
   bool tryKeyword(std::string_view kw) {
     skipSpaceAndComments();
-    src.ensure(kw.size() + 1);  // best effort; EOF may cut it short
-    for (std::size_t i = 0; i < kw.size(); ++i) {
-      if (!src.ensure(i + 1) || src.at(i) != kw[i]) return false;
+    std::string_view run = src.buffered();
+    if (run.size() <= kw.size()) {
+      src.ensure(kw.size() + 1);  // best effort; EOF may cut it short
+      run = src.buffered();
     }
-    if (src.ensure(kw.size() + 1)) {
-      const char next = src.at(kw.size());
-      if (isIdentifierChar(next)) return false;
+    if (!run.starts_with(kw)) return false;
+    if (run.size() > kw.size() && hasClass(run[kw.size()], kIdentChar)) {
+      return false;
     }
     column += static_cast<int>(kw.size());  // keywords hold no newline
     src.consume(kw.size());
@@ -213,16 +249,23 @@ struct Lexer {
       negative = true;
       advance();
     }
-    if (eof() || !std::isdigit(static_cast<unsigned char>(cur()))) {
-      fail("expected integer");
-    }
+    if (eof() || !hasClass(cur(), kDigit)) fail("expected integer");
     std::int64_t value = 0;
     constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
-    while (!eof() && std::isdigit(static_cast<unsigned char>(cur()))) {
-      const std::int64_t digit = cur() - '0';
-      if (value > (kMax - digit) / 10) fail("integer literal overflows");
-      value = value * 10 + digit;
-      advance();
+    while (!eof()) {
+      const std::string_view run = src.buffered();
+      std::size_t n = 0;
+      for (; n < run.size() && hasClass(run[n], kDigit); ++n) {
+        const std::int64_t digit = run[n] - '0';
+        if (value > (kMax - digit) / 10) {
+          column += static_cast<int>(n);
+          fail("integer literal overflows");
+        }
+        value = value * 10 + digit;
+      }
+      column += static_cast<int>(n);
+      src.consume(n);
+      if (n < run.size()) break;
     }
     return negative ? -value : value;
   }
@@ -232,9 +275,8 @@ struct Lexer {
     const int startLine = line;
     const int startColumn = column;
     std::string buf;
-    while (!eof() && (std::isdigit(static_cast<unsigned char>(cur())) ||
-                      cur() == '.' || cur() == '-' || cur() == 'e' ||
-                      cur() == 'E' || cur() == '+')) {
+    while (!eof() && (hasClass(cur(), kDigit) || cur() == '.' || cur() == '-' ||
+                      cur() == 'e' || cur() == 'E' || cur() == '+')) {
       buf += cur();
       advance();
     }
@@ -256,49 +298,77 @@ struct Lexer {
   }
 
   /// Reads a rate specification: either a bracketed list "[...]" or a
-  /// bare expression up to the next ';' / keyword boundary.
-  std::string rateSpec() {
-    skipSpaceAndComments();
-    std::string out;
-    if (peek() == '[') {
+  /// bare expression up to the next ';' / keyword boundary.  The view
+  /// points into the window (or into specBuffer when the specification
+  /// crossed a refill) and is valid until the next read.
+  std::string_view rateSpec() {
+    const bool bracketed = peek() == '[';  // skips space and comments
+    specBuffer.clear();
+    // The characters taken from the current run so far; moved into
+    // specBuffer (and consumed) whenever the window must be refilled.
+    std::string_view run = src.buffered();
+    std::size_t n = 0;
+    const auto flush = [&] {
+      specBuffer.append(run.data(), n);
+      src.consume(n);
+      n = 0;
+    };
+    const auto result = [&]() -> std::string_view {
+      src.consume(n);
+      if (specBuffer.empty()) return run.substr(0, n);
+      specBuffer.append(run.data(), n);
+      return specBuffer;
+    };
+    if (bracketed) {
       // Brackets nest one level in well-formed specs ("[2 p [1 0]^3]" is
       // not a thing; nesting comes only from expressions).  Cap the
       // depth so adversarially deep "[[[[…" input fails here with a
       // position instead of feeding an enormous spec to RateSeq::parse.
       constexpr int kMaxBracketDepth = 16;
       int depth = 0;
-      do {
-        if (eof()) fail("unterminated rate list");
-        const char c = cur();
+      while (true) {
+        if (n == run.size()) {
+          flush();
+          if (eof()) fail("unterminated rate list");
+          run = src.buffered();
+        }
+        const char c = run[n];
         if (c == '[' && ++depth > kMaxBracketDepth) {
           fail("rate list nested too deeply (limit " +
                std::to_string(kMaxBracketDepth) + ")");
         }
-        if (c == ']') --depth;
-        out += c;
-        advance();
-      } while (depth > 0);
-      return out;
+        step(c);
+        ++n;
+        if (c == ']' && --depth == 0) return result();
+      }
     }
     static constexpr std::string_view kPriority = "priority";
-    while (!eof() && cur() != ';' && cur() != '\n') {
-      // A bare expression ends where a trailing "priority" clause starts.
-      if (std::isspace(static_cast<unsigned char>(cur())) &&
-          src.ensure(kPriority.size() + 1)) {
-        bool isPriority = true;
-        for (std::size_t i = 0; i < kPriority.size(); ++i) {
-          if (src.at(i + 1) != kPriority[i]) {
-            isPriority = false;
-            break;
-          }
-        }
-        if (isPriority) break;
+    while (true) {
+      if (n == run.size()) {
+        flush();
+        if (eof()) break;
+        run = src.buffered();
       }
-      out += cur();
-      advance();
+      const char c = run[n];
+      if (c == ';' || c == '\n') break;
+      // A bare expression ends where a trailing "priority" clause starts.
+      if (hasClass(c, kSpace)) {
+        if (run.size() - n <= kPriority.size()) {
+          flush();
+          src.ensure(kPriority.size() + 1);  // best effort, as at EOF
+          run = src.buffered();
+        }
+        if (run.size() - n > kPriority.size() &&
+            run.substr(n + 1, kPriority.size()) == kPriority) {
+          break;
+        }
+      }
+      ++column;  // a bare expression holds no newline
+      ++n;
     }
-    if (out.empty()) fail("expected rate specification");
-    return out;
+    const std::string_view spec = result();
+    if (spec.empty()) fail("expected rate specification");
+    return spec;
   }
 };
 
@@ -312,16 +382,17 @@ void parsePortClause(Lexer& lex, Graph& g, graph::ActorId actor,
   lex.skipSpaceAndComments();
   const int specLine = lex.line;
   const int specColumn = lex.column;
-  const std::string rates = lex.rateSpec();
-  graph::RateSeq seq;
-  try {
-    seq = RateSeq::parse(rates);
-  } catch (const support::ParseError& e) {
-    const int line = specLine + e.line() - 1;
-    const int column = e.line() == 1 ? specColumn + e.column() - 1
-                                     : e.column();
-    throw support::ParseError(e.message(), line, column);
-  }
+  const std::string_view spec = lex.rateSpec();
+  RateSeq seq = [&] {
+    try {
+      return RateSeq::parse(spec);
+    } catch (const support::ParseError& e) {
+      const int line = specLine + e.line() - 1;
+      const int column = e.line() == 1 ? specColumn + e.column() - 1
+                                       : e.column();
+      throw support::ParseError(e.message(), line, column);
+    }
+  }();
   int priority = 0;
   if (lex.tryKeyword("priority")) {
     priority = static_cast<int>(lex.integer());

@@ -44,7 +44,7 @@ std::string writeGraph(const Graph& g) {
     for (graph::PortId pid : a.ports) {
       const graph::Port& p = g.port(pid);
       os << "    " << portKeyword(p.kind) << " " << p.name << " rates "
-         << p.rates.toString();
+         << p.rates().toString();
       if (p.priority != 0) os << " priority " << p.priority;
       os << ";\n";
     }
@@ -91,7 +91,8 @@ void writeJson(support::json::Writer& w, const Graph& g) {
     for (const graph::PortId pid : a.ports) {
       const graph::Port& p = g.port(pid);
       w.beginObject().member("name", p.name);
-      w.member("kind", portKeyword(p.kind)).member("rates", p.rates.toString());
+      w.member("kind", portKeyword(p.kind))
+          .member("rates", p.rates().toString());
       if (p.priority != 0) w.member("priority", p.priority);
       w.endObject();
     }

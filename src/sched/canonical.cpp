@@ -96,8 +96,10 @@ void CanonicalPeriod::build(const csdf::RepetitionVector& rv,
 }
 
 void CanonicalPeriod::addEdge(std::size_t from, std::size_t to) {
-  if (std::find(succ_[from].begin(), succ_[from].end(), to) !=
-      succ_[from].end()) {
+  // Dedupe against `to`'s predecessors, at most one per input channel of
+  // its actor plus the sequential one, not `from`'s successors, which
+  // grow with the consumer's repetition count (one firing can feed 2^20).
+  if (std::find(pred_[to].begin(), pred_[to].end(), from) != pred_[to].end()) {
     return;
   }
   succ_[from].push_back(to);

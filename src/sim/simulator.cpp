@@ -35,7 +35,7 @@ FiringContext::FiringContext(const Graph& g, ActorId actor)
       outputs_(g.actor(actor).ports.size()) {}
 
 std::size_t FiringContext::slotOf(std::string_view port, bool input) const {
-  const std::vector<PortId>& ports = graph_->actor(actor_).ports;
+  const auto& ports = graph_->actor(actor_).ports;
   for (std::size_t i = 0; i < ports.size(); ++i) {
     const graph::Port& p = graph_->port(ports[i]);
     if (isInputKind(p.kind) == input && p.name == port) return i;

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <initializer_list>
 #include <new>
@@ -171,7 +172,7 @@ class InlineVec {
     } else {
       for (std::size_t i = 0; i < n; ++i) ::new (data_ + i) T(src[i]);
     }
-    size_ = n;
+    size_ = static_cast<std::uint32_t>(n);
   }
 
   /// Takes `o`'s elements into this empty vector: steals `o`'s heap
@@ -213,13 +214,15 @@ class InlineVec {
       for (std::size_t i = 0; i < size_; ++i) old[i].~T();
     }
     if (old != reinterpret_cast<T*>(inline_)) ::operator delete(old);
-    cap_ = cap;
+    cap_ = static_cast<std::uint32_t>(cap);
   }
 
   alignas(T) unsigned char inline_[N * sizeof(T)];
+  // 32-bit counts keep the header at 16 bytes: an Expr or a Monomial is
+  // a small record, and graph-scale arrays of them stay compact.
   T* data_ = inlineData();
-  std::size_t size_ = 0;
-  std::size_t cap_ = N;
+  std::uint32_t size_ = 0;
+  std::uint32_t cap_ = N;
 };
 
 }  // namespace tpdf::support

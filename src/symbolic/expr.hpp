@@ -15,6 +15,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "support/inlinevec.hpp"
@@ -127,6 +128,6 @@ std::ostream& operator<<(std::ostream& os, const Expr& e);
 /// Parses an expression: integers, parameter names, + - * / ( ) and
 /// implicit multiplication by juxtaposition ("2p", "beta(N+L)").
 /// Division must be exact.  Throws ParseError on malformed input.
-Expr parseExpr(const std::string& text);
+Expr parseExpr(std::string_view text);
 
 }  // namespace tpdf::symbolic

@@ -9,6 +9,8 @@
 #include <cctype>
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <string_view>
 
 #include "support/checked.hpp"
 #include "support/error.hpp"
@@ -19,13 +21,14 @@ namespace {
 
 class ExprParser {
  public:
-  explicit ExprParser(const std::string& text) : text_(text) {}
+  explicit ExprParser(std::string_view text) : text_(text) {}
 
   Expr parse() {
     const Expr e = parseExprRule();
     skipSpace();
     if (pos_ != text_.size()) {
-      fail("unexpected trailing input '" + text_.substr(pos_) + "'");
+      fail("unexpected trailing input '" + std::string(text_.substr(pos_)) +
+           "'");
     }
     return e;
   }
@@ -148,25 +151,24 @@ class ExprParser {
       return Expr(value);
     }
     if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      std::string name;
+      const std::size_t start = pos_;
       while (pos_ < text_.size() &&
              (std::isalnum(static_cast<unsigned char>(text_[pos_])) ||
               text_[pos_] == '_')) {
-        name += text_[pos_];
         ++pos_;
       }
-      return Expr::param(name);
+      return Expr::param(std::string(text_.substr(start, pos_ - start)));
     }
     fail(std::string("unexpected character '") + c + "'");
   }
 
-  const std::string& text_;
+  std::string_view text_;
   std::size_t pos_ = 0;
   int depth_ = 0;
 };
 
 }  // namespace
 
-Expr parseExpr(const std::string& text) { return ExprParser(text).parse(); }
+Expr parseExpr(std::string_view text) { return ExprParser(text).parse(); }
 
 }  // namespace tpdf::symbolic

@@ -64,7 +64,7 @@ std::int64_t referencePhases(const Graph& g, ActorId a) {
   std::int64_t tau = 1;
   for (PortId p : g.actor(a).ports) {
     tau = support::lcm64(tau,
-                         static_cast<std::int64_t>(g.port(p).rates.length()));
+                         static_cast<std::int64_t>(g.port(p).rates().length()));
   }
   return tau;
 }
@@ -73,7 +73,7 @@ RateSeq referenceEffectiveRates(const Graph& g, PortId p) {
   const Port& pt = g.port(p);
   std::vector<symbolic::Expr> entries;
   for (std::int64_t i = 0; i < referencePhases(g, pt.actor); ++i) {
-    entries.push_back(pt.rates.at(i));
+    entries.push_back(pt.rates().at(i));
   }
   return RateSeq(std::move(entries));
 }
@@ -124,7 +124,7 @@ void expectFrozenMatchesReference(const Graph& g, const Environment& env) {
     const std::int64_t tau = referencePhases(g, p.actor);
     EXPECT_EQ(er.of(p.id).size(), static_cast<std::size_t>(tau));
     for (std::int64_t k = 0; k < 2 * tau; ++k) {
-      EXPECT_EQ(er.at(p.id, k), p.rates.at(k).evaluateInt(env))
+      EXPECT_EQ(er.at(p.id, k), p.rates().at(k).evaluateInt(env))
           << g.name() << " port " << p.name << " firing " << k;
     }
   }

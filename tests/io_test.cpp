@@ -40,7 +40,7 @@ void expectGraphsEquivalent(const Graph& a, const Graph& b) {
       const graph::Port& pb = b.port(b.actor(id).ports[k]);
       EXPECT_EQ(pa.name, pb.name);
       EXPECT_EQ(pa.kind, pb.kind);
-      EXPECT_EQ(pa.rates, pb.rates);
+      EXPECT_EQ(pa.rates(), pb.rates());
       EXPECT_EQ(pa.priority, pb.priority);
     }
   }
@@ -109,7 +109,7 @@ TEST(IoRead, BareRateExpressionWithPriority) {
   )");
   const graph::Port& port = g.port(*g.findPort("A.o"));
   EXPECT_EQ(port.priority, 3);
-  EXPECT_EQ(port.rates.toString(), "[2p]");
+  EXPECT_EQ(port.rates().toString(), "[2p]");
 }
 
 TEST(IoRead, ExecTimes) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "apps/papergraphs.hpp"
 #include "graph/builder.hpp"
@@ -116,6 +117,56 @@ TEST(CanonicalPeriod, Figure1Structure) {
                            cp.indexOf(*g.findActor("a3"), 1)));
   // a3's two firings are covered by the two initial tokens on e2.
   EXPECT_TRUE(cp.predecessors(cp.indexOf(*g.findActor("a3"), 0)).empty());
+}
+
+/// Edges of the period, counted from both adjacency directions.
+std::size_t edgeCount(const CanonicalPeriod& cp) {
+  std::size_t out = 0;
+  std::size_t in = 0;
+  for (std::size_t i = 0; i < cp.size(); ++i) {
+    out += cp.successors(i).size();
+    in += cp.predecessors(i).size();
+  }
+  EXPECT_EQ(out, in);
+  return out;
+}
+
+TEST(CanonicalPeriod, HighFanOutFiringBuildsInLinearTime) {
+  // One firing of A feeds all 65,536 firings of B (the near-overflow
+  // scenario at a sixteenth of its rate): 65,535 sequential edges plus
+  // one token edge per B firing.  A quadratic duplicate check on A1's
+  // successor list made this take seconds.
+  const Graph g = GraphBuilder("fanout")
+      .kernel("A").out("o", "[65536]")
+      .kernel("B").in("i", "[1]")
+      .channel("e", "A.o", "B.i")
+      .build();
+  const CanonicalPeriod cp(core::AnalysisContext(g), Environment{});
+  ASSERT_EQ(cp.size(), 1u + 65536u);
+  EXPECT_EQ(edgeCount(cp), 65535u + 65536u);
+  EXPECT_EQ(cp.successors(cp.indexOf(*g.findActor("A"), 0)).size(), 65536u);
+}
+
+TEST(CanonicalPeriod, ParallelChannelsAddEachEdgeOnce) {
+  // e1 and e2 join the same actor pair and imply the same dependencies;
+  // e3's initial token covers B1, and its A1 -> B2 is e1's too.  Each
+  // edge is listed once.
+  const Graph g = GraphBuilder("parallel")
+      .kernel("A").out("o1", "[2]").out("o2", "[2]").out("o3", "[2]")
+      .kernel("B").in("i1", "[1]").in("i2", "[1]").in("i3", "[1]")
+      .channel("e1", "A.o1", "B.i1")
+      .channel("e2", "A.o2", "B.i2")
+      .channel("e3", "A.o3", "B.i3", 1)
+      .build();
+  const CanonicalPeriod cp(core::AnalysisContext(g), Environment{});
+  const std::size_t a1 = cp.indexOf(*g.findActor("A"), 0);
+  const std::size_t b1 = cp.indexOf(*g.findActor("B"), 0);
+  const std::size_t b2 = cp.indexOf(*g.findActor("B"), 1);
+  // q = [1, 2]: B1 -> B2 sequentially, A1 -> B1 and A1 -> B2 by tokens,
+  // in first-insertion order.
+  EXPECT_EQ(cp.successors(a1), (std::vector<std::size_t>{b1, b2}));
+  EXPECT_EQ(cp.predecessors(b2), (std::vector<std::size_t>{b1, a1}));
+  EXPECT_EQ(edgeCount(cp), 3u);
 }
 
 TEST(CanonicalPeriod, InconsistentGraphRejected) {

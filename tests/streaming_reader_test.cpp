@@ -440,6 +440,95 @@ TEST(StreamingReader, WriterRoundTripSurvivesStreaming) {
   }
 }
 
+/// A generated multirate chain of `actors` stages in the shapes the
+/// corpus only samples: comments between and inside clauses, CSDF lists
+/// (some spread over lines), bare parametric rates with and without a
+/// `priority` clause, priorities on bracketed lists, exec times, initial
+/// tokens and CRLF line ends.
+std::string generatedChain(int actors, std::uint64_t seed) {
+  support::Prng rng(seed);
+  std::string doc = "# generated multirate chain\ngraph chain {\n  param p;\n";
+  const auto rates = [&](int phases) {
+    std::string out = "[";
+    for (int k = 0; k < phases; ++k) {
+      out += (k ? (rng.chance(0.2) ? ",\n      " : ", ") : "") +
+             std::to_string(rng.uniform(0, 4));
+    }
+    return out + "]";
+  };
+  for (int i = 0; i < actors; ++i) {
+    const std::string k = std::to_string(i);
+    const int phases = static_cast<int>(rng.uniform(1, 3));
+    doc += "  kernel K" + k + " {  # stage " + k + "\n";
+    if (i > 0) {
+      doc += "    in i rates " + rates(phases);
+      if (rng.chance(0.3)) {
+        doc += " priority " + std::to_string(rng.uniform(0, 9));
+      }
+      doc += ";\n";
+    }
+    if (i + 1 < actors) {
+      if (rng.chance(0.2)) {
+        doc += "    out o rates " + std::to_string(rng.uniform(1, 3)) + "p" +
+               (rng.chance(0.5) ? " priority 2" : "") + ";\n";
+      } else {
+        doc += "    out o rates # the producer side\n      " + rates(phases) +
+               ";\n";
+      }
+    }
+    if (rng.chance(0.1)) doc += "    exec 1.5 2;\n";
+    doc += rng.chance(0.1) ? "  }\r\n" : "  }\n";
+  }
+  for (int i = 0; i + 1 < actors; ++i) {
+    const std::string k = std::to_string(i);
+    doc += "  channel e" + k + " from K" + k + ".o to K" +
+           std::to_string(i + 1) + ".i";
+    if (rng.chance(0.2)) doc += " init " + std::to_string(rng.uniform(1, 5));
+    doc += rng.chance(0.1) ? ";  # edge\n" : ";\n";
+  }
+  return doc + "}\n";
+}
+
+TEST(StreamingReader, GeneratedMultirateChainParity) {
+  const std::string text = generatedChain(10000, 0x7D0F);
+  const Outcome oracle = legacyOutcome(text);
+  ASSERT_EQ(oracle.kind, Outcome::Kind::Ok) << oracle;
+  EXPECT_EQ(stringOutcome(text), oracle);
+  EXPECT_EQ(streamOutcome(text, 16), oracle);
+  EXPECT_EQ(streamOutcome(text, 65536), oracle);
+}
+
+TEST(StreamingReader, GeneratedChainMutationParity) {
+  // Single-character damage to a small generated chain: every outcome,
+  // diagnostics and their positions included, matches the legacy lexer.
+  const std::string original = generatedChain(40, 0x51AB);
+  support::Prng prng(0xA11CE);
+  const std::string palette = "{}[];.,#\n\r\t apriorty0123456789_-*";
+  for (int trial = 0; trial < 300; ++trial) {
+    std::string text = original;
+    const std::size_t at = static_cast<std::size_t>(
+        prng.uniform(0, static_cast<std::int64_t>(text.size()) - 1));
+    const char c = palette[static_cast<std::size_t>(
+        prng.uniform(0, static_cast<std::int64_t>(palette.size()) - 1))];
+    switch (prng.uniform(0, 2)) {
+      case 0:
+        text[at] = c;
+        break;
+      case 1:
+        text.insert(text.begin() + static_cast<std::ptrdiff_t>(at), c);
+        break;
+      default:
+        text.erase(at, 1);
+        break;
+    }
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const Outcome oracle = legacyOutcome(text);
+    EXPECT_EQ(stringOutcome(text), oracle);
+    EXPECT_EQ(streamOutcome(text, 16), oracle);
+    EXPECT_EQ(streamOutcome(text, 61), oracle);
+  }
+}
+
 // ---- 2. Mutation fuzz: identical diagnostics in every mode -----------
 
 TEST(StreamingReader, MutationFuzzOutcomeParity) {
