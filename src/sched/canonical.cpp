@@ -1,7 +1,7 @@
 #include "sched/canonical.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <charconv>
 
 #include "support/error.hpp"
 
@@ -53,8 +53,39 @@ void CanonicalPeriod::build(const csdf::RepetitionVector& rv,
       nodes_.push_back({ActorId(static_cast<std::uint32_t>(i)), k});
     }
   }
-  succ_.resize(nodes_.size());
-  pred_.resize(nodes_.size());
+  // Edges are found in a fixed order, (i) then (ii) below, and every row
+  // keeps it.  Predecessors go straight into slots reserved per node: the
+  // sequential edge plus one per input channel of its actor (self-loops
+  // excluded).  An edge whose source is already in its target's row is a
+  // duplicate (parallel channels between one actor pair imply the same
+  // dependency) and is dropped; the scan is over that short row, never
+  // over the source's successors, which grow with the consumer's
+  // repetition count (one firing can feed 2^20).
+  const std::size_t count = nodes_.size();
+  std::vector<std::size_t> inputs(g.actorCount(), 0);
+  for (const graph::Channel& c : g.channels()) {
+    const ActorId dst = g.destActor(c.id);
+    if (g.sourceActor(c.id) != dst) ++inputs[dst.index()];
+  }
+  predOff_.assign(count + 1, 0);
+  for (std::size_t v = 0; v < count; ++v) {
+    predOff_[v + 1] = predOff_[v] + (nodes_[v].k > 0 ? 1 : 0) +
+                      inputs[nodes_[v].actor.index()];
+  }
+  std::vector<std::size_t> slots(predOff_[count]);
+  std::vector<std::size_t> predEnd(predOff_.begin(), predOff_.end() - 1);
+  std::vector<std::size_t> from;  // the kept edges, in the order found
+  std::vector<std::size_t> to;
+  from.reserve(slots.size());
+  to.reserve(slots.size());
+  const auto addEdge = [&](std::size_t f, std::size_t t) {
+    const std::size_t* row = slots.data() + predOff_[t];
+    const std::size_t* end = slots.data() + predEnd[t];
+    if (std::find(row, end, f) != end) return;
+    slots[predEnd[t]++] = f;
+    from.push_back(f);
+    to.push_back(t);
+  };
 
   // (i) Sequential self-dependencies: an actor is one sequential process.
   for (std::size_t i = 0; i < g.actorCount(); ++i) {
@@ -93,17 +124,32 @@ void CanonicalPeriod::build(const csdf::RepetitionVector& rv,
               firstIndex_[dst.index()] + static_cast<std::size_t>(n));
     }
   }
-}
 
-void CanonicalPeriod::addEdge(std::size_t from, std::size_t to) {
-  // Dedupe against `to`'s predecessors, at most one per input channel of
-  // its actor plus the sequential one, not `from`'s successors, which
-  // grow with the consumer's repetition count (one firing can feed 2^20).
-  if (std::find(pred_[to].begin(), pred_[to].end(), from) != pred_[to].end()) {
-    return;
+  // Predecessor rows: the filled slots, packed (a consumer firing covered
+  // by initial tokens or a dropped duplicate leaves a slot unused).
+  if (from.size() == slots.size()) {
+    pred_ = std::move(slots);
+  } else {
+    pred_.resize(from.size());
+    std::size_t w = 0;
+    for (std::size_t v = 0; v < count; ++v) {
+      const std::size_t begin = predOff_[v];
+      predOff_[v] = w;
+      for (std::size_t j = begin; j < predEnd[v]; ++j) pred_[w++] = slots[j];
+    }
+    predOff_[count] = w;
   }
-  succ_[from].push_back(to);
-  pred_[to].push_back(from);
+
+  // Successor rows: the kept edges, in the order found.
+  succOff_.assign(count + 1, 0);
+  for (const std::size_t f : from) ++succOff_[f + 1];
+  for (std::size_t v = 0; v < count; ++v) succOff_[v + 1] += succOff_[v];
+  succ_.resize(from.size());
+  std::vector<std::size_t>& cursor = predEnd;
+  cursor.assign(succOff_.begin(), succOff_.end() - 1);
+  for (std::size_t e = 0; e < from.size(); ++e) {
+    succ_[cursor[from[e]]++] = to[e];
+  }
 }
 
 std::size_t CanonicalPeriod::indexOf(ActorId a, std::int64_t k) const {
@@ -116,13 +162,22 @@ std::size_t CanonicalPeriod::indexOf(ActorId a, std::int64_t k) const {
 }
 
 bool CanonicalPeriod::dependsOn(std::size_t to, std::size_t from) const {
-  return std::find(pred_[to].begin(), pred_[to].end(), from) !=
-         pred_[to].end();
+  const std::span<const std::size_t> preds = predecessors(to);
+  return std::find(preds.begin(), preds.end(), from) != preds.end();
 }
 
 std::string CanonicalPeriod::nodeName(std::size_t i) const {
+  std::string out;
+  appendNodeName(out, i);
+  return out;
+}
+
+void CanonicalPeriod::appendNodeName(std::string& out, std::size_t i) const {
   const Occurrence& o = nodes_[i];
-  return graph_->actor(o.actor).name + std::to_string(o.k + 1);
+  out += graph_->actor(o.actor).name.view();
+  char digits[24];
+  out.append(digits,
+             std::to_chars(digits, digits + sizeof(digits), o.k + 1).ptr);
 }
 
 double CanonicalPeriod::execTime(std::size_t i) const {
@@ -131,25 +186,22 @@ double CanonicalPeriod::execTime(std::size_t i) const {
 }
 
 std::vector<std::size_t> CanonicalPeriod::topologicalOrder() const {
-  std::vector<std::size_t> inDegree(nodes_.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    inDegree[i] = pred_[i].size();
-  }
-  std::deque<std::size_t> ready;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (inDegree[i] == 0) ready.push_back(i);
-  }
+  // Kahn's algorithm with the output vector as its FIFO: `order[head..]`
+  // holds the ready nodes not yet expanded.
+  const std::size_t n = nodes_.size();
+  std::vector<std::size_t> inDegree(n);
   std::vector<std::size_t> order;
-  order.reserve(nodes_.size());
-  while (!ready.empty()) {
-    const std::size_t i = ready.front();
-    ready.pop_front();
-    order.push_back(i);
-    for (std::size_t s : succ_[i]) {
-      if (--inDegree[s] == 0) ready.push_back(s);
+  order.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    inDegree[i] = predOff_[i + 1] - predOff_[i];
+    if (inDegree[i] == 0) order.push_back(i);
+  }
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    for (const std::size_t s : successors(order[head])) {
+      if (--inDegree[s] == 0) order.push_back(s);
     }
   }
-  if (order.size() != nodes_.size()) {
+  if (order.size() != n) {
     throw support::Error("canonical period contains a dependency cycle");
   }
   return order;
@@ -157,14 +209,18 @@ std::vector<std::size_t> CanonicalPeriod::topologicalOrder() const {
 
 void CanonicalPeriod::write(support::json::Writer& w) const {
   w.beginObject().member("size", nodes_.size()).key("nodes").beginArray();
+  std::string name;
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    w.beginObject().member("name", nodeName(i));
-    w.member("actor", graph_->actor(nodes_[i].actor).name);
-    w.member("k", nodes_[i].k).member("execTime", execTime(i)).endObject();
+    const Occurrence& o = nodes_[i];
+    name.clear();
+    appendNodeName(name, i);
+    w.beginObject().member("name", std::string_view(name));
+    w.member("actor", graph_->actor(o.actor).name);
+    w.member("k", o.k).member("execTime", execTime(i)).endObject();
   }
   w.endArray().key("edges").beginArray();
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    for (const std::size_t s : succ_[i]) {
+    for (const std::size_t s : successors(i)) {
       w.beginArray().value(i).value(s).endArray();
     }
   }

@@ -7,9 +7,15 @@
 // depends on the earliest producer occurrence m whose cumulative
 // production (plus initial tokens) covers the consumer's cumulative
 // demand.
+//
+// The DAG is stored flat, in compressed sparse rows: the successors of
+// node i are succ_[succOff_[i] .. succOff_[i + 1]), its predecessors
+// pred_[predOff_[i] .. predOff_[i + 1]), each list in the order its
+// edges were first found, so renderings that walk it are deterministic.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -66,11 +72,13 @@ class CanonicalPeriod {
   std::size_t indexOf(graph::ActorId a, std::int64_t k) const;
   const Occurrence& node(std::size_t i) const { return nodes_[i]; }
 
-  const std::vector<std::size_t>& successors(std::size_t i) const {
-    return succ_[i];
+  /// Direct successors / predecessors of node i, each in the order its
+  /// edges were found; views into the period, valid while it lives.
+  std::span<const std::size_t> successors(std::size_t i) const {
+    return {succ_.data() + succOff_[i], succOff_[i + 1] - succOff_[i]};
   }
-  const std::vector<std::size_t>& predecessors(std::size_t i) const {
-    return pred_[i];
+  std::span<const std::size_t> predecessors(std::size_t i) const {
+    return {pred_.data() + predOff_[i], predOff_[i + 1] - predOff_[i]};
   }
 
   /// True if node `to` directly depends on node `from`.
@@ -81,8 +89,11 @@ class CanonicalPeriod {
     return q_[a.index()];
   }
 
-  /// "A1", "F2": the Figure 5 naming (1-based occurrence).
+  /// "A1", "F2": the Figure 5 naming (1-based occurrence).  Names are
+  /// not unique: K6's 11th firing and K61's 1st are both "K611".
   std::string nodeName(std::size_t i) const;
+  /// nodeName(i) appended to `out` (renderers reuse one buffer).
+  void appendNodeName(std::string& out, std::size_t i) const;
 
   /// Execution time of occurrence i (from the actor's per-phase table).
   double execTime(std::size_t i) const;
@@ -100,14 +111,15 @@ class CanonicalPeriod {
   void build(const csdf::RepetitionVector& rv,
              const graph::EvaluatedRates& rates,
              const symbolic::Environment& env, support::Budget* budget);
-  void addEdge(std::size_t from, std::size_t to);
 
   const graph::Graph* graph_;
   std::vector<std::int64_t> q_;
   std::vector<Occurrence> nodes_;
   std::vector<std::size_t> firstIndex_;  // per actor
-  std::vector<std::vector<std::size_t>> succ_;
-  std::vector<std::vector<std::size_t>> pred_;
+  std::vector<std::size_t> succOff_;     // size() + 1 row offsets
+  std::vector<std::size_t> succ_;
+  std::vector<std::size_t> predOff_;
+  std::vector<std::size_t> pred_;
 };
 
 }  // namespace tpdf::sched

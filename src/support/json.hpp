@@ -25,10 +25,12 @@
 //     violation.
 #pragma once
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <string>
 #include <string_view>
@@ -70,17 +72,26 @@ inline int utf8Sequence(std::string_view s, std::size_t i) {
   return k == len ? static_cast<int>(len) : -static_cast<int>(k);
 }
 
-/// Appends `s` escaped for a JSON string literal (quotes excluded).
-/// Control characters below 0x20 become short or \u00XX escapes;
-/// well-formed UTF-8 is copied verbatim and ill-formed bytes become
-/// U+FFFD.  Runs of plain bytes are copied in one append.
-inline void escapeTo(std::string& out, std::string_view s) {
+/// True for a byte that a JSON string cannot carry verbatim, or that
+/// needs a UTF-8 check: control characters, '"', '\\' and non-ASCII.
+inline bool needsEscapeCheck(unsigned char c) {
+  return c < 0x20 || c >= 0x80 || c == '"' || c == '\\';
+}
+
+/// Writes s[i, stop) escaped for a JSON string literal (quotes excluded)
+/// at `out`, which has room for 6 bytes per input byte plus 3 (a UTF-8
+/// sequence starting before `stop` is copied whole).  Control characters
+/// below 0x20 become short or \u00XX escapes; well-formed UTF-8 is copied
+/// verbatim and ill-formed bytes become U+FFFD.  Returns the end of the
+/// output; `i` ends at or just past `stop`.
+inline char* escapeRun(char* out, std::string_view s, std::size_t& i,
+                       std::size_t stop) {
   static constexpr char kHex[] = "0123456789abcdef";
-  std::size_t run = 0;  // first byte not yet copied
-  std::size_t i = 0;
-  while (i < s.size()) {
+  std::size_t run = i;  // first byte not yet copied
+  auto flush = [&] { out = std::copy(s.data() + run, s.data() + i, out); };
+  while (i < stop) {
     const auto c = static_cast<unsigned char>(s[i]);
-    if (c >= 0x20 && c < 0x80 && c != '"' && c != '\\') {
+    if (!needsEscapeCheck(c)) {
       ++i;
       continue;
     }
@@ -90,29 +101,33 @@ inline void escapeTo(std::string& out, std::string_view s) {
         i += static_cast<std::size_t>(n);
         continue;
       }
-      out.append(s.data() + run, i - run);
-      out += "\xEF\xBF\xBD";
+      flush();
+      std::memcpy(out, "\xEF\xBF\xBD", 3);
+      out += 3;
       i += static_cast<std::size_t>(-n);
       run = i;
       continue;
     }
-    out.append(s.data() + run, i - run);
+    flush();
+    *out++ = '\\';
     switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
+      case '"': *out++ = '"'; break;
+      case '\\': *out++ = '\\'; break;
+      case '\b': *out++ = 'b'; break;
+      case '\f': *out++ = 'f'; break;
+      case '\n': *out++ = 'n'; break;
+      case '\r': *out++ = 'r'; break;
+      case '\t': *out++ = 't'; break;
       default:
-        out += "\\u00";
-        out += kHex[c >> 4];
-        out += kHex[c & 0xF];
+        std::memcpy(out, "u00", 3);
+        out[3] = kHex[c >> 4];
+        out[4] = kHex[c & 0xF];
+        out += 5;
     }
     run = ++i;
   }
-  out.append(s.data() + run, s.size() - run);
+  flush();
+  return out;
 }
 
 }  // namespace detail
@@ -131,7 +146,7 @@ class Writer {
 
   explicit Writer(Layout layout, const ChunkOut* out = nullptr)
       : pretty_(layout == Layout::Pretty), out_(out) {
-    if (out_ != nullptr) buf_.reserve(kChunkBytes + kChunkBytes / 4);
+    if (out_ != nullptr) buf_.resize(kChunkBytes + kChunkBytes / 4);
   }
 
   Writer& beginObject() { return open('{'); }
@@ -141,123 +156,207 @@ class Writer {
 
   /// Names the next member of the open object; its value follows.
   Writer& key(std::string_view name) {
-    separate();
-    quoted(name);
-    buf_ += pretty_ ? ": " : ":";
+    char* p = separate(room(separatorRoom() + name.size() + 4));
+    commit(colon(quoted(p, name, 2)));
     afterKey_ = true;
     return *this;
   }
 
-  Writer& value(std::nullptr_t) { return literal("null"); }
-  Writer& value(bool b) { return literal(b ? "true" : "false"); }
-  /// Every integer type renders as an int64 (no fractional part).
+  /// Scalars: null, bool, every integer type (rendered as an int64, no
+  /// fractional part), double (shortest round-trip form, kept
+  /// recognizably floating-point — "1.0", not "1"; NaN and infinities
+  /// have no JSON spelling and become null), and strings, literals,
+  /// std::string_view and graph::Name.
   template <typename T>
-    requires(std::is_integral_v<T> && !std::is_same_v<T, bool>)
-  Writer& value(T v) {
-    char tmp[24];
-    const auto res =
-        std::to_chars(tmp, tmp + sizeof(tmp), static_cast<std::int64_t>(v));
-    return literal(std::string_view(tmp, res.ptr));
-  }
-  /// Shortest round-trip form, kept recognizably floating-point ("1.0",
-  /// not "1"); NaN and infinities have no JSON spelling and become null.
-  Writer& value(double d) {
-    if (!std::isfinite(d)) return literal("null");
-    char tmp[32];
-    char* end = std::to_chars(tmp, tmp + sizeof(tmp), d).ptr;
-    if (std::string_view(tmp, end).find_first_of(".e") == std::string::npos) {
-      *end++ = '.';
-      *end++ = '0';
-    }
-    return literal(std::string_view(tmp, end));
-  }
-  /// Strings, literals, std::string_view and graph::Name.
-  template <typename T>
-    requires std::is_convertible_v<const T&, std::string_view>
-  Writer& value(const T& s) {
-    separate();
-    quoted(s);
+    requires(!std::is_same_v<T, Value>)
+  Writer& value(const T& v) {
+    const std::size_t need = roomFor(v);
+    commit(put(separate(room(separatorRoom() + need)), v));
     return done();
   }
   /// A parsed or hand-built document, walked into this writer.
   Writer& value(const Value& v);
 
-  /// key(name).value(v).
+  /// key(name).value(v); a scalar goes out with its key and separator
+  /// in one step.
   template <typename T>
   Writer& member(std::string_view name, const T& v) {
-    return key(name).value(v);
+    if constexpr (std::is_same_v<T, Value>) {
+      return key(name).value(v);
+    } else {
+      const std::size_t need = roomFor(v);
+      char* p =
+          separate(room(separatorRoom() + name.size() + 4 + need));
+      commit(put(colon(quoted(p, name, 2 + need)), v));
+      return done();
+    }
   }
 
   /// Ends the document (pretty adds the final newline) and returns its
   /// text — or, with a ChunkOut, hands over the last chunk and returns "".
   std::string finish() {
-    if (pretty_) buf_ += '\n';
-    if (out_ != nullptr) (*out_)(std::exchange(buf_, {}));
+    if (pretty_) commit(newlineAt(room(1), 0));
+    if (out_ != nullptr) {
+      (*out_)(std::string_view(buf_.data(), len_));
+      len_ = 0;
+      return {};
+    }
+    buf_.resize(len_);
+    len_ = 0;
     return std::move(buf_);
   }
 
  private:
+  // Every write reserves its worst-case size with room() and then
+  // stores bytes through a pointer, which the helpers below take and
+  // return; commit() makes them part of the text.  The buffer is a
+  // std::string whose size is the capacity in use; `len_` is the length
+  // of the text in it.
+  char* room(std::size_t n) {
+    if (buf_.size() - len_ < n) {
+      buf_.resize(std::max(2 * buf_.size(), len_ + n + 240));
+    }
+    return buf_.data() + len_;
+  }
+  void commit(const char* end) {
+    len_ = static_cast<std::size_t>(end - buf_.data());
+  }
+
+  /// What separate() may write: a comma, a line break and the
+  /// indentation, which is stored in whole 8-byte groups.
+  std::size_t separatorRoom() const { return 10 + 2 * hasItems_.size(); }
+
   /// Before a value or key: the comma and line break that separate it
   /// from its predecessor (none right after a key or at the top level).
-  void separate() {
+  char* separate(char* p) {
     if (afterKey_) {
       afterKey_ = false;
-      return;
+      return p;
     }
-    if (hasItems_.empty()) return;
-    if (hasItems_.back()) buf_ += ',';
-    hasItems_.back() = true;
-    newline();
+    if (hasItems_.empty()) return p;
+    if (hasItems_.back() != 0) *p++ = ',';
+    hasItems_.back() = 1;
+    return pretty_ ? newlineAt(p, hasItems_.size()) : p;
   }
 
-  void quoted(std::string_view s) {
-    buf_ += '"';
-    detail::escapeTo(buf_, s);
-    buf_ += '"';
+  /// A line break and the indentation of `depth` open containers.
+  static char* newlineAt(char* p, std::size_t depth) {
+    *p++ = '\n';
+    for (std::size_t k = 0; k < 2 * depth; k += 8) {
+      std::memcpy(p + k, "        ", 8);
+    }
+    return p + 2 * depth;
   }
 
-  void newline() {
-    if (!pretty_) return;
-    buf_ += '\n';
-    buf_.append(2 * hasItems_.size(), ' ');
+  char* colon(char* p) const {
+    *p++ = ':';
+    if (pretty_) *p++ = ' ';
+    return p;
+  }
+
+  static std::size_t roomFor(std::nullptr_t) { return 5; }
+  template <typename T>
+    requires std::is_arithmetic_v<T>
+  static std::size_t roomFor(T) {
+    return 34;
+  }
+  template <typename T>
+    requires std::is_convertible_v<const T&, std::string_view>
+  static std::size_t roomFor(const T& s) {
+    return std::string_view(s).size() + 2;
+  }
+
+  static char* put(char* p, std::nullptr_t) { return literal(p, "null"); }
+  static char* put(char* p, bool b) {
+    return literal(p, b ? "true" : "false");
+  }
+  template <typename T>
+    requires(std::is_integral_v<T> && !std::is_same_v<T, bool>)
+  static char* put(char* p, T v) {
+    return std::to_chars(p, p + 24, static_cast<std::int64_t>(v)).ptr;
+  }
+  static char* put(char* p, double d) {
+    if (!std::isfinite(d)) return literal(p, "null");
+    char* end = std::to_chars(p, p + 32, d).ptr;
+    if (std::string_view(p, end).find_first_of(".e") == std::string::npos) {
+      std::memcpy(end, ".0", 2);
+      end += 2;
+    }
+    return end;
+  }
+  template <typename T>
+    requires std::is_convertible_v<const T&, std::string_view>
+  char* put(char* p, const T& s) {
+    return quoted(p, s, 0);
+  }
+
+  static char* literal(char* p, std::string_view token) {
+    std::memcpy(p, token.data(), token.size());
+    return p + token.size();
+  }
+
+  /// `s` quoted at `p`, which has room for s.size() + 2 + `tail` bytes;
+  /// returns the end, which has room for `tail` more.  Plain runs are
+  /// copied in one step; anything else is escaped in bounded blocks (so
+  /// a long string never reserves more than a block's worst case).
+  char* quoted(char* p, std::string_view s, std::size_t tail) {
+    *p++ = '"';
+    std::size_t i = 0;
+    while (i < s.size() &&
+           !detail::needsEscapeCheck(static_cast<unsigned char>(s[i]))) {
+      ++i;
+    }
+    p = std::copy(s.data(), s.data() + i, p);
+    if (i < s.size()) {
+      constexpr std::size_t kBlock = 4096;
+      commit(p);
+      while (i < s.size()) {
+        const std::size_t stop = std::min(s.size(), i + kBlock);
+        commit(detail::escapeRun(room(6 * (stop - i) + 4), s, i, stop));
+      }
+      p = room(1 + tail);
+    }
+    *p++ = '"';
+    return p;
   }
 
   Writer& open(char bracket) {
-    separate();
-    buf_ += bracket;
-    hasItems_.push_back(false);
+    char* p = separate(room(separatorRoom() + 1));
+    *p++ = bracket;
+    commit(p);
+    hasItems_.push_back(0);
     return *this;
   }
 
   Writer& close(char bracket) {
-    const bool hadItems = hasItems_.back();
+    const bool hadItems = hasItems_.back() != 0;
     hasItems_.pop_back();
-    if (hadItems) newline();  // empty containers stay "[]" / "{}"
-    buf_ += bracket;
-    return done();
-  }
-
-  Writer& literal(std::string_view token) {
-    separate();
-    buf_ += token;
+    char* p = room(separatorRoom());
+    // Empty containers stay "[]" / "{}".
+    if (hadItems && pretty_) p = newlineAt(p, hasItems_.size());
+    *p++ = bracket;
+    commit(p);
     return done();
   }
 
   /// After a complete value: a chunk boundary, if one is due.
   Writer& done() {
-    if (out_ != nullptr && !hasItems_.empty() && buf_.size() >= kChunkBytes) {
-      (*out_)(buf_);
-      buf_.clear();
+    if (out_ != nullptr && !hasItems_.empty() && len_ >= kChunkBytes) {
+      (*out_)(std::string_view(buf_.data(), len_));
+      len_ = 0;
     }
     return *this;
   }
 
   std::string buf_;
+  std::size_t len_ = 0;
   bool pretty_;
   bool afterKey_ = false;
   const ChunkOut* out_;
-  /// One entry per open container: has it received a member yet?
-  std::vector<bool> hasItems_;
+  /// One flag per open container: has it received a member yet?  A
+  /// string, so documents nested up to its inline capacity (15 levels)
+  /// allocate nothing for it.
+  std::string hasItems_;
 };
 
 /// One JSON value: null, bool, integer, double, string, array or object.

@@ -1,7 +1,7 @@
 #include "support/strings.hpp"
 
 #include <cctype>
-#include <sstream>
+#include <charconv>
 
 namespace tpdf::support {
 
@@ -48,10 +48,19 @@ std::vector<std::string> split(const std::string& s, char sep) {
 }
 
 std::string formatDouble(double v, int digits) {
-  std::ostringstream os;
-  os.precision(digits);
-  os << v;
-  return os.str();
+  std::string out;
+  appendDouble(out, v, digits);
+  return out;
+}
+
+void appendDouble(std::string& out, double v, int digits) {
+  // Whatever `digits` asks for, %g prints at most the 767 significant
+  // digits of a double's exact decimal expansion, a sign, a point and a
+  // 5-character exponent (or up to 4 leading zeros).
+  char tmp[800];
+  const std::to_chars_result res = std::to_chars(
+      tmp, tmp + sizeof(tmp), v, std::chars_format::general, digits);
+  out.append(tmp, res.ptr);
 }
 
 }  // namespace tpdf::support

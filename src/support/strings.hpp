@@ -20,7 +20,11 @@ std::string trim(const std::string& s);
 std::vector<std::string> split(const std::string& s, char sep);
 
 /// Renders a double with `digits` significant digits, trimming trailing
-/// zeros ("12.5", "3", "0.001").
+/// zeros ("12.5", "3", "0.001"): printf's "%.{digits}g", which is also
+/// what an ostream prints at precision(digits).
 std::string formatDouble(double v, int digits = 6);
+
+/// formatDouble(v, digits) appended to `out`.
+void appendDouble(std::string& out, double v, int digits = 6);
 
 }  // namespace tpdf::support

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -283,9 +284,11 @@ TEST(AnalysisContext, CanonicalPeriodThroughContextMatches) {
     ASSERT_EQ(shared.size(), direct.size()) << entry.g.name();
     for (std::size_t i = 0; i < direct.size(); ++i) {
       EXPECT_TRUE(shared.node(i) == direct.node(i)) << entry.g.name();
-      EXPECT_EQ(shared.successors(i), direct.successors(i))
+      EXPECT_TRUE(std::ranges::equal(shared.successors(i),
+                                     direct.successors(i)))
           << entry.g.name() << " node " << i;
-      EXPECT_EQ(shared.predecessors(i), direct.predecessors(i))
+      EXPECT_TRUE(std::ranges::equal(shared.predecessors(i),
+                                     direct.predecessors(i)))
           << entry.g.name() << " node " << i;
     }
   }

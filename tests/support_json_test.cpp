@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <charconv>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -290,6 +291,71 @@ TEST(JsonWriter, IllFormedUtf8BecomesReplacementCharacter) {
     Writer w(Layout::Compact);
     w.beginObject().member(in, in).endObject();
     EXPECT_EQ(w.finish(), "{\"" + want + "\":\"" + want + "\"}");
+  }
+}
+
+TEST(JsonWriter, DoublesUseTheShortestRoundTripForm) {
+  // Oracle: std::to_chars' shortest form, with ".0" added when it has no
+  // point or exponent, and null for non-finite values.
+  const auto expected = [](double d) -> std::string {
+    if (!std::isfinite(d)) return "null";
+    char tmp[32];
+    std::string out(tmp, std::to_chars(tmp, tmp + sizeof(tmp), d).ptr);
+    if (out.find_first_of(".e") == std::string::npos) out += ".0";
+    return out;
+  };
+  std::vector<double> values{0.0, -0.0, 1.0, -1.0, 9999.0, 10000.0, 99999.0,
+                             99999.5, 1e5, 100001.0, 123456.0, 1e15, 0.1,
+                             2147483648.0, -2147483649.0, 4.9e-324,
+                             std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()};
+  Prng rng(0xD0B1E);
+  for (int i = 0; i < 3000; ++i) {
+    values.push_back(static_cast<double>(rng.uniform(-200000, 200000)));
+    values.push_back(static_cast<double>(rng.uniform(0, 1 << 24)) / 8.0);
+    values.push_back(rng.uniform01() *
+                     std::pow(10.0, static_cast<double>(rng.uniform(-8, 8))));
+  }
+  for (const double d : values) {
+    Writer w(Layout::Compact);
+    w.beginArray().value(d).endArray();
+    ASSERT_EQ(w.finish(), "[" + expected(d) + "]") << d;
+    Writer m(Layout::Pretty);
+    m.beginObject().member("x", d).endObject();
+    ASSERT_EQ(m.finish(), "{\n  \"x\": " + expected(d) + "\n}\n") << d;
+  }
+}
+
+TEST(JsonWriter, LongStringsEscapeAcrossBlocks) {
+  // Strings several escape blocks (4 KiB) long, mixing plain runs,
+  // escapes, multi-byte sequences and ill-formed bytes so that each
+  // kind lands on a block boundary somewhere; the expected text is the
+  // concatenation of each piece's known escape.
+  const std::vector<std::pair<std::string, std::string>> pieces = {
+      {"a", "a"},
+      {"plain text ", "plain text "},
+      {"\n", "\\n"},
+      {"\x01", "\\u0001"},
+      {"\"", "\\\""},
+      {"\xC2\xB5", "\xC2\xB5"},
+      {"\xF0\x9F\x98\x80", "\xF0\x9F\x98\x80"},
+      {"\xFF", "\xEF\xBF\xBD"},
+  };
+  Prng rng(0x5EED);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::string in;
+    std::string want;
+    while (in.size() < 3 * 4096 + 300) {
+      const auto& [raw, escaped] = pieces[static_cast<std::size_t>(
+          rng.uniform(0, static_cast<std::int64_t>(pieces.size()) - 1))];
+      in += raw;
+      want += escaped;
+    }
+    Writer w(Layout::Compact);
+    w.beginObject().member(in, in).key("k").value(in).endObject();
+    ASSERT_EQ(w.finish(), "{\"" + want + "\":\"" + want + "\",\"k\":\"" +
+                              want + "\"}")
+        << trial;
   }
 }
 

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <sstream>
+#include <vector>
+
 #include "support/checked.hpp"
 #include "support/error.hpp"
 #include "support/inlinevec.hpp"
@@ -67,6 +73,43 @@ TEST(Strings, StartsWith) {
 TEST(Strings, FormatDouble) {
   EXPECT_EQ(formatDouble(3.0), "3");
   EXPECT_EQ(formatDouble(12.5), "12.5");
+}
+
+/// What formatDouble printed before it went through std::to_chars: an
+/// ostream at precision(digits).
+std::string streamed(double v, int digits) {
+  std::ostringstream os;
+  os.precision(digits);
+  os << v;
+  return os.str();
+}
+
+TEST(Strings, FormatDoubleMatchesStreamPrecision) {
+  std::vector<double> values{0.0,     -0.0,   1.0,     -1.0,   0.5,
+                             1e-5,    1e-4,   99999.0, 1e5,    123456.0,
+                             1234567.0, 1e15, 1e16,    1e300,  -2.5e-300,
+                             4.9e-324, 1.7976931348623157e308,
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN(),
+                             -std::numeric_limits<double>::quiet_NaN()};
+  Prng rng(7);
+  for (int i = 0; i < 2000; ++i) {
+    values.push_back(static_cast<double>(rng.uniform(-100000, 2000000)));
+    values.push_back(static_cast<double>(rng.uniform(0, 1 << 20)) / 64.0);
+    values.push_back((rng.uniform01() - 0.5) *
+                     std::pow(10.0, static_cast<double>(rng.uniform(-12, 12))));
+    std::uint64_t bits = rng.next();
+    double any = 0.0;
+    std::memcpy(&any, &bits, sizeof(any));
+    values.push_back(any);
+  }
+  for (const double v : values) {
+    for (const int digits : {-1, 0, 1, 3, 4, 6, 9, 10, 15, 17, 25, 60}) {
+      ASSERT_EQ(formatDouble(v, digits), streamed(v, digits))
+          << "digits " << digits;
+    }
+  }
 }
 
 TEST(Table, RendersAlignedColumns) {
