@@ -333,7 +333,7 @@ ScheduleResponse Session::schedule(const ScheduleRequest& request) {
     response.bindings = concretize(g, request.bindings, response);
     core::AnalysisContext& ctx = contextOf(*entry);
     const graph::EvaluatedRates& rates = ctx.rates(response.bindings);
-    response.result = csdf::findSchedule(ctx.view(), ctx.repetition(),
+    response.result = csdf::findSchedule(ctx.graph(), ctx.repetition(),
                                          response.bindings, request.policy,
                                          &rates, budget);
     if (!response.result.live) {
@@ -343,7 +343,7 @@ ScheduleResponse Session::schedule(const ScheduleRequest& request) {
     }
     if (request.computeBuffers) {
       response.buffers = csdf::minimumBuffers(
-          ctx.view(), ctx.repetition(), response.bindings,
+          ctx.graph(), ctx.repetition(), response.bindings,
           csdf::SchedulePolicy::MinOccupancy, &rates, budget);
       response.buffersComputed = response.buffers.ok;
       if (!response.buffers.ok) {
@@ -370,7 +370,7 @@ BufferResponse Session::buffers(const BufferRequest& request) {
     core::AnalysisContext& ctx = contextOf(*entry);
     const graph::EvaluatedRates& rates = ctx.rates(response.bindings);
     response.report =
-        csdf::minimumBuffers(ctx.view(), ctx.repetition(), response.bindings,
+        csdf::minimumBuffers(ctx.graph(), ctx.repetition(), response.bindings,
                              request.policy, &rates, budget);
     if (!response.report.ok) {
       response.fail(Status::AnalysisNegative, "no-buffer-sizing",
@@ -518,7 +518,7 @@ MapResponse Session::map(const MapRequest& request) {
     // a negative verdict (with the scheduler's diagnosis) instead of
     // letting the period construction fail on the cycle.
     const csdf::LivenessResult live = csdf::findSchedule(
-        ctx.view(), ctx.repetition(), response.bindings,
+        ctx.graph(), ctx.repetition(), response.bindings,
         csdf::SchedulePolicy::Eager, &ctx.rates(response.bindings), budget);
     if (!live.live) {
       response.fail(Status::AnalysisNegative, "no-schedule",

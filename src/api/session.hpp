@@ -10,6 +10,8 @@
 // façade composes.
 //
 // Contract:
+//   * A stored graph is read-only: the context built over it seals it
+//     (graph/graph.hpp), so its memoized intermediates never go stale.
 //   * No exception ever crosses a Session method: every failure is
 //     mapped to a Status + Diagnostic list on the response
 //     (diagnostics.hpp), with ParseError positions kept structured.

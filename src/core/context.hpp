@@ -8,39 +8,28 @@
 // of those once and hands out references, so staged passes consume one
 // set of intermediates instead of re-deriving them per pass.
 //
-// Revision awareness: the context is tied to a Graph *revision*, not to
-// an immutable Graph.  Every accessor first sync()s against
-// Graph::revision(); after an edit, sync() consumes the graph's touch
-// log (Graph::touchesSince) and invalidates only what the edit can
-// affect, at connected-component granularity:
+// Constructing a context seals its graph (Graph::freeze), so the memo
+// can never go stale: the repetition vector is computed once, and each
+// rate table once per valuation while it stays in the memo.  The rate
+// memo keeps the kRateTables most recently used valuations and evicts
+// the least recently used one when a new valuation arrives on a full
+// memo.  A reference returned by rates() therefore stays valid while
+// fewer than kRateTables other valuations are requested after it: a
+// caller may hold its table while asking for up to kRateTables - 1
+// others (a schedule request holds its own table while the liveness
+// check asks for its sample valuation's).  The repetition vector lives
+// as long as the context.
 //
-//   * repetition(): the balance system decomposes per component, so only
-//     components containing a touched actor are re-solved (through
-//     computeRepetitionVector's actor mask); untouched components
-//     keep their normalized sub-vectors verbatim.
-//   * rates(env): tables survive edits that keep the rate-table layout
-//     (setExecTime, addChannel, addParam — tracked by
-//     Graph::shapeRevision) and are dropped wholesale otherwise.
-//   * live(env, policy): per-component verdicts cached by component
-//     signature; an edit recomputes only the touched components'
-//     verdicts (via masked findSchedule), the rest are reused.
-//
-// When the touch log has been truncated (more edits than the log keeps),
-// sync() falls back to dropping everything — correctness never depends
-// on the log's depth.  References returned by repetition()/rates() stay
-// valid until the first sync() after a mutation; re-fetch them after
-// editing the graph.  Contexts are NOT internally synchronized — share
-// one context within a single thread (or guard it externally); the batch
-// driver (core/batch.hpp) gives each graph its own context.
+// Contexts are NOT internally synchronized: rates() updates the memo.
+// Share one context within a single thread (or guard it externally);
+// the batch driver (core/batch.hpp) gives each graph its own context.
 #pragma once
 
-#include <cstdint>
-#include <map>
+#include <cstddef>
+#include <list>
 #include <string>
 #include <utility>
-#include <vector>
 
-#include "csdf/liveness.hpp"
 #include "csdf/repetition.hpp"
 #include "graph/graph.hpp"
 #include "graph/rates.hpp"
@@ -50,92 +39,36 @@ namespace tpdf::core {
 
 class AnalysisContext {
  public:
+  /// Rate tables the memo keeps (see the lifetime rule above).
+  static constexpr std::size_t kRateTables = 16;
+
+  /// Seals `g`, which must outlive the context.
   explicit AnalysisContext(const graph::Graph& g);
 
   const graph::Graph& graph() const { return *g_; }
-  /// The graph after sync(): caches are current and its derived storage
-  /// is frozen, so concurrent readers of an unedited graph only read.
-  const graph::Graph& view() const {
-    sync();
-    return *g_;
-  }
+  /// The same graph as graph(), under the name the end-to-end benchmark
+  /// harness (perfbench/tpdfbench.cpp) calls.
+  const graph::Graph& view() const { return *g_; }
 
-  /// The symbolic repetition vector (Theorem 1), computed on first use
-  /// and updated incrementally (per touched component) across edits.
+  /// The symbolic repetition vector (Theorem 1), computed on first use.
   const csdf::RepetitionVector& repetition() const;
 
-  /// Integer rate tables under `env`, computed once per distinct binding
-  /// set.  Throws support::Error when a rate evaluates negative or a
-  /// parameter is unbound (never cached in that case).
-  ///
-  /// Returned references stay valid until the context syncs over a
-  /// rate-table-layout change (Graph::shapeRevision bump); entries are
-  /// never evicted otherwise, so the cache grows by one table per
-  /// distinct valuation.  For an unbounded parameter sweep over one
-  /// graph, use a fresh context per batch of valuations (or per
-  /// valuation) instead of one context forever.
+  /// Integer rate tables under `env`, memoized per distinct binding set
+  /// (at most kRateTables of them, least recently used evicted first).
+  /// Throws support::Error when a rate evaluates negative or a parameter
+  /// is unbound (never memoized in that case).
   const graph::EvaluatedRates& rates(const symbolic::Environment& env) const;
 
-  /// Whole-graph liveness verdict under `env`, assembled from
-  /// per-component verdicts (a graph is live iff every connected
-  /// component is — components share no channels).  Verdicts are
-  /// memoized per (valuation, policy, component) and survive edits to
-  /// *other* components.  On a non-live graph `diagnostic` (if non-null)
-  /// receives the first failing component's deadlock diagnosis.
-  bool live(const symbolic::Environment& env,
-            csdf::SchedulePolicy policy = csdf::SchedulePolicy::Eager,
-            std::string* diagnostic = nullptr) const;
-
-  /// Brings every cache up to date with the graph's current revision.
-  /// Called implicitly by every accessor; explicit calls are useful only
-  /// to control *when* invalidation work happens.
-  void sync() const;
-
-  /// Weakly-connected components of the synced revision (the unit of
-  /// incremental invalidation).
-  std::size_t componentCount() const;
-  std::uint32_t componentOf(graph::ActorId a) const;
-
-  /// Observability for the incremental machinery (cumulative).
-  struct Stats {
-    std::uint64_t syncs = 0;             ///< syncs that saw a new revision
-    std::uint64_t fullRebuilds = 0;      ///< truncated-log / fallback drops
-    std::uint64_t repetitionActorsReused = 0;
-    std::uint64_t repetitionActorsResolved = 0;
-    std::uint64_t rateTablesKept = 0;    ///< tables surviving an edit
-    std::uint64_t rateTablesDropped = 0;
-    std::uint64_t livenessComponentsReused = 0;
-    std::uint64_t livenessComponentsComputed = 0;
-  };
-  const Stats& stats() const { return stats_; }
+  /// Rate tables currently memoized (at most kRateTables).
+  std::size_t rateTableCount() const { return rateTables_.size(); }
 
  private:
-  /// A component's identity across revisions: (lowest member actor id,
-  /// member count).  Components only ever grow or merge (the Graph API
-  /// is add-only), so for a fixed lowest member the size uniquely
-  /// determines the member set over the context's lifetime.
-  using Signature = std::pair<std::uint32_t, std::uint32_t>;
-
-  void computeComponents() const;
-  static std::string cacheKey(const symbolic::Environment& env);
-
   const graph::Graph* g_;
-  mutable std::uint64_t syncedRevision_;
-  mutable std::uint64_t syncedShapeRevision_;
-  mutable std::size_t syncedActorCount_;
-
-  mutable bool componentsValid_ = false;
-  mutable std::vector<std::uint32_t> componentOf_;
-  mutable std::vector<std::uint32_t> compMinActor_;
-  mutable std::vector<std::uint32_t> compSize_;
-
   mutable bool repetitionComputed_ = false;
   mutable csdf::RepetitionVector repetition_;
-  mutable std::map<std::string, graph::EvaluatedRates> rateCache_;
-  // (valuation + policy) -> component signature -> verdict.
-  mutable std::map<std::string, std::map<Signature, csdf::LivenessResult>>
-      livenessCache_;
-  mutable Stats stats_;
+  // (binding key, table), most recently used first.
+  mutable std::list<std::pair<std::string, graph::EvaluatedRates>>
+      rateTables_;
 };
 
 }  // namespace tpdf::core

@@ -170,7 +170,7 @@ LivenessReport checkLivenessOver(const AnalysisContext& ctx,
                                  std::int64_t sampleValue,
                                  const graph::EvaluatedRates* providedRates,
                                  support::Budget* budget) {
-  const Graph& g = ctx.view();
+  const Graph& g = ctx.graph();
   LivenessReport report;
   if (!rv.consistent) {
     report.diagnostic = "graph is not rate consistent: " + rv.diagnostic;

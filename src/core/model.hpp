@@ -63,10 +63,9 @@ class TpdfGraph {
  public:
   explicit TpdfGraph(graph::Graph g);
 
+  /// The structural graph, read-only: it is built before the TpdfGraph
+  /// and sealed by the first analysis that freezes it.
   const graph::Graph& graph() const { return graph_; }
-  /// Mutable access for incremental edits; the usual revision rules
-  /// apply (mutators bump Graph::revision(), consumers re-derive).
-  graph::Graph& graph() { return graph_; }
   const std::string& name() const { return graph_.name(); }
 
   // ---- Kernel metadata ----------------------------------------------

@@ -120,7 +120,7 @@ RateSafetyReport checkRateSafety(const Graph& g,
 }
 
 RateSafetyReport checkRateSafety(const AnalysisContext& ctx) {
-  return checkRateSafety(ctx.view(), ctx.repetition());
+  return checkRateSafety(ctx.graph(), ctx.repetition());
 }
 
 void RateSafetyReport::write(support::json::Writer& w, const Graph& g) const {

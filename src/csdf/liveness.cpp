@@ -72,14 +72,7 @@ LivenessResult findSchedule(const Graph& g, const RepetitionVector& rv,
                             const symbolic::Environment& env,
                             SchedulePolicy policy,
                             const graph::EvaluatedRates* rates,
-                            support::Budget* budget,
-                            std::span<const char> actorMask) {
-  if (!actorMask.empty() && actorMask.size() != g.actorCount()) {
-    throw support::Error("actor mask has " +
-                         std::to_string(actorMask.size()) +
-                         " entries for " + std::to_string(g.actorCount()) +
-                         " actors");
-  }
+                            support::Budget* budget) {
   LivenessResult out;
   if (!rv.consistent) {
     out.diagnostic = "graph is not rate consistent: " + rv.diagnostic;
@@ -90,10 +83,6 @@ LivenessResult findSchedule(const Graph& g, const RepetitionVector& rv,
   out.q.reserve(n);
   std::int64_t totalFirings = 0;
   for (std::size_t i = 0; i < rv.q.size(); ++i) {
-    if (!actorMask.empty() && actorMask[i] == 0) {
-      out.q.push_back(0);  // excluded: never enabled, never blocking
-      continue;
-    }
     const std::int64_t qi = rv.q[i].evaluateInt(env);
     out.q.push_back(qi);
     totalFirings = support::checkedAdd(totalFirings, qi);

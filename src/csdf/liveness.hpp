@@ -21,7 +21,6 @@
 // loop (see the golden-schedule tests).
 #pragma once
 
-#include <span>
 #include <string>
 #include <vector>
 
@@ -62,21 +61,10 @@ struct LivenessResult {
 /// A non-null `budget` is charged one unit per firing, in lumps of at
 /// least 4096 (runs are capped at that length when budgeted), and may
 /// abort the search with support::BudgetExceeded.
-///
-/// A non-empty `actorMask` (one entry per actor; any other size throws
-/// support::Error) restricts the simulation to the masked-in actors:
-/// everything else gets q = 0 and never fires.  Masking whole connected
-/// components is exact — components share no channels, so a component is
-/// live in the full graph iff it is live alone — which is how
-/// core::AnalysisContext re-checks only the components an edit touched.
-/// The masked schedule covers only masked actors (it is the
-/// eager/min-occupancy order of that subgraph, not a slice of the full
-/// schedule).
 LivenessResult findSchedule(const graph::Graph& g, const RepetitionVector& rv,
                             const symbolic::Environment& env = {},
                             SchedulePolicy policy = SchedulePolicy::Eager,
                             const graph::EvaluatedRates* rates = nullptr,
-                            support::Budget* budget = nullptr,
-                            std::span<const char> actorMask = {});
+                            support::Budget* budget = nullptr);
 
 }  // namespace tpdf::csdf

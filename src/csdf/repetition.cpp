@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <span>
 
 #include "support/checked.hpp"
 #include "support/error.hpp"
@@ -66,10 +67,6 @@ struct Balance {
 
 constexpr std::uint32_t kNone = ~std::uint32_t{0};
 
-bool included(std::span<const char> actorMask, std::size_t actor) {
-  return actorMask.empty() || actorMask[actor] != 0;
-}
-
 /// Period sum of a port's effective rates when they are all integer
 /// constants; 0 otherwise.  A zero sum is returned as 0 too: both cases
 /// belong to the symbolic solve.  Throws OverflowError where the
@@ -108,7 +105,7 @@ struct Fraction {
 };
 
 /// The constant-rate solve.  Walks the connected components of the
-/// included actors over the frozen CSR adjacency, in seed order, and
+/// graph over the frozen CSR adjacency, in seed order, and
 /// solves each one whose period sums are all constant and non-zero in
 /// checked int64 fractions: r = 1 for the seed, r_b = r_a * X_a / Y_b
 /// along the channel that first reaches b, every other channel checked
@@ -118,8 +115,7 @@ struct Fraction {
 /// overflow) are marked in `pending` for the symbolic solve, which then
 /// produces the same diagnostic it always has.  Positive rates make a
 /// component's minimal solution unique, so both solves agree on it.
-void solveConstantComponents(const Graph& g, std::span<const char> actorMask,
-                             std::vector<std::int64_t>& value,
+void solveConstantComponents(const Graph& g, std::vector<std::int64_t>& value,
                              std::vector<char>& pending) {
   const std::size_t n = g.actorCount();
   std::vector<std::uint32_t> position(n, kNone);  // index in `order`
@@ -128,7 +124,7 @@ void solveConstantComponents(const Graph& g, std::span<const char> actorMask,
   std::vector<Fraction> r(n);
 
   for (std::size_t seed = 0; seed < n; ++seed) {
-    if (!included(actorMask, seed) || position[seed] != kNone) continue;
+    if (position[seed] != kNone) continue;
     const std::size_t begin = order.size();
     position[seed] = static_cast<std::uint32_t>(begin);
     r[seed] = Fraction{};
@@ -360,35 +356,15 @@ bool solveSymbolic(const Graph& g, const std::vector<char>& pending,
   return true;
 }
 
-RepetitionVector solve(const Graph& g, std::span<const char> actorMask,
-                       bool constantFirst) {
-  if (!actorMask.empty() && actorMask.size() != g.actorCount()) {
-    throw support::Error("actor mask has " +
-                         std::to_string(actorMask.size()) +
-                         " entries for " + std::to_string(g.actorCount()) +
-                         " actors");
-  }
+RepetitionVector solve(const Graph& g, bool constantFirst) {
   RepetitionVector out;
   const std::size_t n = g.actorCount();
-  if (!actorMask.empty()) {
-    for (const graph::Channel& c : g.channels()) {
-      if (included(actorMask, g.sourceActor(c.id).index()) !=
-          included(actorMask, g.destActor(c.id).index())) {
-        throw support::Error("actor mask splits a connected component at "
-                             "channel '" + g.channel(c.id).name + "'");
-      }
-    }
-  }
 
   // Per actor: the constant-rate solve's entry (0 if it left the actor
   // to the symbolic solve), else the symbolic solve's entry in `rs`.
   std::vector<std::int64_t> value(n, 0);
-  std::vector<char> pending(n, 0);
-  if (constantFirst) {
-    solveConstantComponents(g, actorMask, value, pending);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) pending[i] = included(actorMask, i);
-  }
+  std::vector<char> pending(n, constantFirst ? 0 : 1);
+  if (constantFirst) solveConstantComponents(g, value, pending);
   std::vector<Expr> rs;
   if (std::find(pending.begin(), pending.end(), 1) != pending.end()) {
     rs.resize(n);
@@ -411,11 +387,6 @@ RepetitionVector solve(const Graph& g, std::span<const char> actorMask,
   out.r.reserve(n);
   out.q.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    if (!included(actorMask, i)) {
-      out.r.emplace_back();
-      out.q.emplace_back();
-      continue;
-    }
     const std::int64_t tau = g.phases(ActorId(static_cast<std::uint32_t>(i)));
     std::int64_t q = 0;
     if (!pending[i] && !__builtin_mul_overflow(value[i], tau, &q)) {
@@ -432,14 +403,12 @@ RepetitionVector solve(const Graph& g, std::span<const char> actorMask,
 
 }  // namespace
 
-RepetitionVector computeRepetitionVector(const Graph& g,
-                                         std::span<const char> actorMask) {
-  return solve(g, actorMask, true);
+RepetitionVector computeRepetitionVector(const Graph& g) {
+  return solve(g, true);
 }
 
-RepetitionVector computeRepetitionVectorSymbolic(
-    const Graph& g, std::span<const char> actorMask) {
-  return solve(g, actorMask, false);
+RepetitionVector computeRepetitionVectorSymbolic(const Graph& g) {
+  return solve(g, false);
 }
 
 }  // namespace tpdf::csdf

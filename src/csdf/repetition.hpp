@@ -14,7 +14,6 @@
 // period sum or overflows, so each diagnostic comes from one place.
 #pragma once
 
-#include <span>
 #include <string>
 #include <vector>
 
@@ -52,26 +51,13 @@ struct RepetitionVector {
 /// Computes the symbolic repetition vector of `g` (all channels present,
 /// control channels included — the paper checks consistency on the fully
 /// connected graph).  Period sums and phase counts come from the frozen
-/// graph (no per-channel RateSeq copies).
-///
-/// A non-empty `actorMask` (one entry per actor; any other size throws
-/// support::Error) restricts the solve to a subset of actors: only
-/// actors with `actorMask[i] != 0` (and the channels between them)
-/// participate; r/q entries of excluded actors are left
-/// default-constructed.  Because the balance system decomposes per
-/// connected component and each component is seeded and normalized
-/// independently, solving a union of whole components this way yields
-/// exactly the entries the full solve would — which is what
-/// core::AnalysisContext relies on to re-solve only the components an
-/// edit touched.  The mask must cover whole components (a channel with
-/// exactly one masked-in endpoint is an error).
-RepetitionVector computeRepetitionVector(const graph::Graph& g,
-                                         std::span<const char> actorMask = {});
+/// graph (no per-channel RateSeq copies).  Each connected component is
+/// seeded and normalized on its own.
+RepetitionVector computeRepetitionVector(const graph::Graph& g);
 
 /// computeRepetitionVector with every component taken by the symbolic
 /// solve: the reference the constant-rate solve is checked against.
-RepetitionVector computeRepetitionVectorSymbolic(
-    const graph::Graph& g, std::span<const char> actorMask = {});
+RepetitionVector computeRepetitionVectorSymbolic(const graph::Graph& g);
 
 /// The topology matrix Gamma of Equation (3): one row per channel, one
 /// column per actor; entry = total period production (positive) or

@@ -34,11 +34,7 @@ Graph::Graph(const Graph& o)
       channels_(o.channels_),
       params_(o.params_),
       actorIndex_(o.actorIndex_),
-      channelIndex_(o.channelIndex_),
-      revision_(o.revision_),
-      shapeRevision_(o.shapeRevision_),
-      touchLog_(o.touchLog_),
-      oldestLoggedRevision_(o.oldestLoggedRevision_) {
+      channelIndex_(o.channelIndex_) {
   rehome();
 }
 
@@ -60,7 +56,6 @@ void Graph::rehome() {
     p.rates_ = storeRates(*p.rates_);
   }
   for (Channel& c : channels_) c.name = copyName(c.name);
-  frozenRevision_ = kNeverFrozen;
 }
 
 const RateSeq* Graph::storeRates(RateSeq rates) {
@@ -98,26 +93,15 @@ void Graph::NameIndex::insert(std::uint32_t h, std::uint32_t index) {
   ++size_;
 }
 
-void Graph::touch(Touch::Kind kind, std::uint32_t index) {
-  ++revision_;
-  if (touchLog_.size() >= kTouchLogCap) {
-    touchLog_.pop_front();
-    oldestLoggedRevision_ = touchLog_.front().revision;
+void Graph::requireUnsealed(const char* op) const {
+  if (sealed_) {
+    throw support::Error(std::string(op) + " on sealed graph '" + name_ +
+                         "': a graph is read-only once frozen");
   }
-  touchLog_.push_back(Touch{revision_, kind, index});
-}
-
-bool Graph::touchesSince(std::uint64_t sinceRevision,
-                         std::vector<Touch>& out) const {
-  if (sinceRevision >= revision_) return true;  // nothing newer
-  if (sinceRevision + 1 < oldestLoggedRevision_) return false;  // truncated
-  for (const Touch& t : touchLog_) {
-    if (t.revision > sinceRevision) out.push_back(t);
-  }
-  return true;
 }
 
 void Graph::addParam(const std::string& name) {
+  requireUnsealed("addParam");
   if (name.empty()) {
     throw support::ModelError("parameter name must not be empty");
   }
@@ -130,7 +114,6 @@ void Graph::addParam(const std::string& name) {
   }
   params_.insert(std::lower_bound(params_.begin(), params_.end(), name),
                  name);
-  touch(Touch::Kind::Param, 0);
 }
 
 bool Graph::hasParam(std::string_view name) const {
@@ -142,6 +125,7 @@ bool Graph::hasParam(std::string_view name) const {
 }
 
 ActorId Graph::addActor(const std::string& name, ActorKind kind) {
+  requireUnsealed("addActor");
   const std::uint32_t h = NameIndex::hash(name);
   if (actorIndex_.find(name, h, actors_)) {
     throw support::ModelError("duplicate actor name '" + name + "'");
@@ -157,13 +141,12 @@ ActorId Graph::addActor(const std::string& name, ActorKind kind) {
   a.kind = kind;
   actors_.push_back(std::move(a));
   actorIndex_.insert(h, id.value);
-  ++shapeRevision_;
-  touch(Touch::Kind::Actor, id.value);
   return id;
 }
 
 PortId Graph::addPort(ActorId actor, const std::string& name, PortKind kind,
                       RateSeq rates, int priority) {
+  requireUnsealed("addPort");
   if (!actor.valid() || actor.index() >= actors_.size()) {
     throw support::ModelError("addPort on unknown actor");
   }
@@ -184,13 +167,12 @@ PortId Graph::addPort(ActorId actor, const std::string& name, PortKind kind,
   p.priority = priority;
   ports_.push_back(std::move(p));
   actors_[actor.index()].ports.push_back(id);
-  ++shapeRevision_;
-  touch(Touch::Kind::Port, actor.value);
   return id;
 }
 
 ChannelId Graph::addChannel(const std::string& name, PortId src, PortId dst,
                             std::int64_t initialTokens) {
+  requireUnsealed("addChannel");
   const std::uint32_t h = NameIndex::hash(name);
   if (channelIndex_.find(name, h, channels_)) {
     throw support::ModelError("duplicate channel name '" + name + "'");
@@ -214,11 +196,11 @@ ChannelId Graph::addChannel(const std::string& name, PortId src, PortId dst,
   channelIndex_.insert(h, id.value);
   ports_[src.index()].channel = id;
   ports_[dst.index()].channel = id;
-  touch(Touch::Kind::Channel, id.value);
   return id;
 }
 
 void Graph::setExecTime(ActorId actor, std::span<const double> perPhase) {
+  requireUnsealed("setExecTime");
   if (perPhase.empty()) {
     throw support::ModelError("execution time vector must be non-empty");
   }
@@ -233,7 +215,6 @@ void Graph::setExecTime(ActorId actor, std::span<const double> perPhase) {
   a.execTime.clear();
   a.execTime.reserve(perPhase.size());
   for (double v : perPhase) a.execTime.push_back(v);
-  touch(Touch::Kind::ExecTime, actor.value);
 }
 
 std::optional<ActorId> Graph::findActor(std::string_view name) const {
@@ -260,15 +241,10 @@ std::optional<PortId> Graph::findPort(std::string_view actor,
   return std::nullopt;
 }
 
-void Graph::refreeze() const {
+void Graph::build() const {
   const std::size_t nActors = actors_.size();
   const std::size_t nPorts = ports_.size();
   const std::size_t nChannels = channels_.size();
-
-  // Recycle the previous revision's space: the arena keeps its largest
-  // chunk, so steady-state re-freezes allocate nothing from the system.
-  frozenArena_.clear();
-  extendedStore_.clear();
 
   auto* outOffset = frozenArena_.allocateArray<std::uint32_t>(nActors + 1);
   auto* inOffset = frozenArena_.allocateArray<std::uint32_t>(nActors + 1);
@@ -360,7 +336,7 @@ void Graph::refreeze() const {
   frozen_.effective = {effective, nPorts};
   frozen_.rateOffset = {rateOffset, nPorts};
   frozen_.rateTableSize = offset;
-  frozenRevision_ = revision_;
+  sealed_ = true;
 }
 
 }  // namespace tpdf::graph

@@ -3,19 +3,22 @@
 //
 // A Graph holds kernels and control actors, their data/control ports with
 // cyclo-static symbolic rate sequences and priorities, channels with
-// initial tokens, and the set of integer parameters.  Analyses never
-// mutate a Graph.
+// initial tokens, and the set of integer parameters.
+//
+// A Graph is built, then sealed: its first freeze() (which any derived
+// accessor runs) seals it, and every mutator called after that throws
+// support::Error and leaves the graph unchanged.  TPDF fixes a graph's
+// topology; only parameter values and modes change at run time, and
+// those live outside the Graph.  A copy of a sealed graph starts
+// unsealed, so a derived graph is built by copying and extending.
 //
 // Storage is built for million-actor graphs: entity names live in one
 // arena-backed pool (a Name is a 16-byte view, not a std::string) and
 // are looked up through flat (hash, id) indices, rate sequences live out
 // of line and an actor's first two port ids inline (so the element
 // vectors hold small records and an actor needs no heap block of its
-// own), per-actor adjacency is
-// a CSR block frozen once per revision and served as spans, and every
-// mutator bumps a revision counter (with a bounded touch log) so
-// analysis caches can invalidate incrementally instead of recomputing
-// from scratch.  See docs/analysis-pipeline.md ("Memory layout").
+// own), and per-actor adjacency is a CSR block built once at sealing
+// and served as spans.  See docs/analysis-pipeline.md ("Memory layout").
 #pragma once
 
 #include <array>
@@ -119,6 +122,8 @@ class Graph {
   const std::string& name() const { return name_; }
 
   // ---- Construction ------------------------------------------------
+  //
+  // Every mutator throws support::Error once the graph is sealed.
 
   /// Declares an integer parameter (element of the paper's set P).
   /// Throws support::ModelError on an empty name or one colliding with
@@ -165,8 +170,8 @@ class Graph {
                                  std::string_view port) const;
 
   /// Channels whose source port belongs to `a`, in port order.  Served
-  /// from the frozen CSR block: no per-call allocation; the span is
-  /// valid until the next mutation.
+  /// from the frozen CSR block: no per-call allocation; the span lives
+  /// as long as the graph.
   std::span<const ChannelId> outChannels(ActorId a) const {
     const Frozen& f = freeze();
     return f.outAdj.subspan(f.outOffset[a.index()],
@@ -201,27 +206,27 @@ class Graph {
   /// The rate sequence of `p`, cyclically extended to the actor's phase
   /// count.  When the port's own sequence already has tau entries (the
   /// common case) this is the port's sequence itself; shorter ones are
-  /// materialized at freeze time.  Valid until the next mutation.
+  /// materialized at freeze time.
   const RateSeq& effectiveRates(PortId p) const {
     return *freeze().effective[p.index()];
   }
 
   /// Offset of port `p` in an EvaluatedRates table (graph/rates.hpp);
   /// the port's slice has length phases(port's actor).  Ports are laid
-  /// out in id order, so the layout changes only with shapeRevision().
+  /// out in id order.
   std::uint32_t rateOffset(PortId p) const {
     return freeze().rateOffset[p.index()];
   }
   /// Total length of an EvaluatedRates table.
   std::size_t rateTableSize() const { return freeze().rateTableSize; }
 
-  // ---- Frozen storage and revision tracking ------------------------
+  // ---- Frozen storage ----------------------------------------------
 
-  /// Flat per-revision derived storage: CSR channel adjacency, phase
-  /// counts, channel endpoints, extended rate tables and the rate-table
-  /// layout.  All trivially-copyable blocks live in an arena that is
-  /// recycled wholesale on re-freeze; `effective` pointers alias either
-  /// a Port's own RateSeq or `extendedStore`.
+  /// Flat derived storage of the sealed graph: CSR channel adjacency,
+  /// phase counts, channel endpoints, extended rate tables and the
+  /// rate-table layout.  All trivially-copyable blocks live in one
+  /// arena; `effective` pointers alias either a Port's own RateSeq or
+  /// `extendedStore`.
   struct Frozen {
     std::span<const std::uint32_t> outOffset;  // actorCount + 1
     std::span<const std::uint32_t> inOffset;   // actorCount + 1
@@ -235,42 +240,13 @@ class Graph {
     std::size_t rateTableSize = 0;
   };
 
-  /// Returns the derived storage for the current revision, building it
-  /// if the graph changed since the last freeze.  O(1) when current.
-  /// Not synchronized: freeze once (any accessor does) before sharing
-  /// the graph across threads.
+  /// Seals the graph and returns its derived storage, built on the
+  /// first call and O(1) after.  Not synchronized: freeze once (any
+  /// derived accessor does) before sharing the graph across threads.
   const Frozen& freeze() const {
-    if (frozenRevision_ != revision_) [[unlikely]] refreeze();
+    if (!sealed_) [[unlikely]] build();
     return frozen_;
   }
-
-  /// Bumped by every mutator.  Analysis caches compare this to decide
-  /// whether their memoized results are current.
-  std::uint64_t revision() const { return revision_; }
-  /// Bumped only by mutations that change the rate-table layout
-  /// (addActor/addPort); setExecTime and addChannel leave it alone, so
-  /// per-port rate tables survive those edits.
-  std::uint64_t shapeRevision() const { return shapeRevision_; }
-
-  /// One structural edit, for incremental cache invalidation.
-  struct Touch {
-    enum class Kind : std::uint8_t {
-      Param,      // index unused
-      Actor,      // index = actor
-      Port,       // index = owning actor
-      Channel,    // index = channel (endpoints derivable)
-      ExecTime,   // index = actor
-    };
-    std::uint64_t revision = 0;
-    Kind kind = Kind::Param;
-    std::uint32_t index = 0;
-  };
-
-  /// Appends every touch with revision > `sinceRevision` to `out` and
-  /// returns true; returns false when the log no longer reaches back
-  /// that far (bounded log — caller must fall back to full rebuild).
-  bool touchesSince(std::uint64_t sinceRevision,
-                    std::vector<Touch>& out) const;
 
   /// Bytes held by the name pool (diagnostics/bench): every actor and
   /// channel name plus each distinct port name once.
@@ -327,11 +303,12 @@ class Graph {
   /// Stores `rates` for a port; the constant sequences [0] to
   /// [kSharedRates - 1] are stored once and shared.
   const RateSeq* storeRates(RateSeq rates);
-  void touch(Touch::Kind kind, std::uint32_t index);
+  /// Throws support::Error naming `op` when the graph is sealed.
+  void requireUnsealed(const char* op) const;
   /// Points every Name and rate sequence of elements copied from another
   /// graph into this graph's own pool and store.
   void rehome();
-  void refreeze() const;
+  void build() const;
 
   std::string name_;
   support::StringInterner interner_;
@@ -347,18 +324,11 @@ class Graph {
   NameIndex actorIndex_;
   NameIndex channelIndex_;
 
-  std::uint64_t revision_ = 0;
-  std::uint64_t shapeRevision_ = 0;
-  static constexpr std::size_t kTouchLogCap = 1024;
-  std::deque<Touch> touchLog_;
-  std::uint64_t oldestLoggedRevision_ = 1;  // first revision still in log
-
-  // Lazily-built derived storage; recycled in place on re-freeze.
-  static constexpr std::uint64_t kNeverFrozen = ~std::uint64_t{0};
+  // Derived storage, built lazily by the first freeze(), which seals.
   mutable Frozen frozen_;
   mutable support::Arena frozenArena_;
   mutable std::deque<RateSeq> extendedStore_;
-  mutable std::uint64_t frozenRevision_ = kNeverFrozen;
+  mutable bool sealed_ = false;
 };
 
 }  // namespace tpdf::graph

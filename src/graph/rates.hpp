@@ -88,10 +88,9 @@ class Graph;
 
 /// All port rates of one graph evaluated to integers under one
 /// environment, in the flat layout of Graph::rateOffset.  The table keeps
-/// its own copy of that layout, so it stays valid across edits that
-/// leave Graph::shapeRevision alone.  Negative evaluated rates are
-/// rejected at construction (they would corrupt every occupancy
-/// computation downstream).
+/// its own copy of that layout, so a lookup needs no graph.  Negative
+/// evaluated rates are rejected at construction (they would corrupt
+/// every occupancy computation downstream).
 class EvaluatedRates {
  public:
   EvaluatedRates(const Graph& g, const symbolic::Environment& env);

@@ -30,8 +30,8 @@ std::string cacheId(std::uint64_t hash) {
 
 void CacheStats::write(support::json::Writer& w) const {
   w.beginObject().member("hits", hits).member("misses", misses);
-  w.member("evictions", evictions).member("invalidations", invalidations);
-  w.member("entries", entries).member("bytes", bytes).endObject();
+  w.member("evictions", evictions).member("entries", entries);
+  w.member("bytes", bytes).endObject();
 }
 
 GraphCache::GraphCache(std::size_t maxEntries, std::size_t maxBytes)
@@ -45,18 +45,9 @@ GraphCache::Acquired GraphCache::acquire(const std::string& text) {
     std::unique_lock<std::mutex> lock(mutex_);
     const auto it = index_.find(hash);
     if (it != index_.end()) {
-      std::shared_ptr<Entry> entry = *it->second;
-      if (entry->model->graph().revision() == entry->revision) {
-        ++counters_.hits;
-        lru_.splice(lru_.begin(), lru_, it->second);
-        return {std::move(entry), true};
-      }
-      // The stored graph was mutated since its context was memoized:
-      // the cached analysis state is stale.  Drop it and re-admit.
-      ++counters_.invalidations;
-      bytes_ -= entry->bytes;
-      lru_.erase(it->second);
-      index_.erase(it);
+      ++counters_.hits;
+      lru_.splice(lru_.begin(), lru_, it->second);
+      return {*it->second, true};
     }
     const auto pending = inflight_.find(hash);
     if (pending != inflight_.end()) {
@@ -87,7 +78,6 @@ GraphCache::Acquired GraphCache::acquire(const std::string& text) {
     fresh->ctx =
         std::make_shared<core::AnalysisContext>(fresh->model->graph());
     const graph::Graph& g = fresh->model->graph();
-    fresh->revision = g.revision();
     fresh->bytes =
         text.size() + g.namePoolBytes() + g.frozenBytes() + sizeof(Entry);
   } catch (...) {

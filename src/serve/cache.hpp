@@ -24,10 +24,9 @@
 // serializes request execution over one entry while requests against
 // different graphs run in parallel.
 //
-// Invalidation: Entry::revision records Graph::revision() at admission;
-// a later acquire that finds the stored graph mutated (revision bumped)
-// drops the stale entry and re-admits fresh state, counted in
-// CacheStats::invalidations.
+// An entry never goes stale: the AnalysisContext seals its graph at
+// admission, before the entry is shared, so the memoized state is read
+// against a graph nobody can edit.
 #pragma once
 
 #include <cstdint>
@@ -58,13 +57,11 @@ struct CacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t evictions = 0;
-  std::uint64_t invalidations = 0;
   std::size_t entries = 0;
   std::size_t bytes = 0;
 
-  /// {"hits": ..., "misses": ..., "evictions": ..., "invalidations":
-  /// ..., "entries": ..., "bytes": ...} — the `stats` wire command's
-  /// cache payload.
+  /// {"hits": ..., "misses": ..., "evictions": ..., "entries": ...,
+  /// "bytes": ...} — the `stats` wire command's cache payload.
   void write(support::json::Writer& w) const;
   support::json::Value toJson() const { return support::json::toValue(*this); }
 };
@@ -79,9 +76,6 @@ class GraphCache {
     std::string id;
     std::shared_ptr<core::TpdfGraph> model;
     std::shared_ptr<core::AnalysisContext> ctx;
-    /// Graph::revision() at admission; a mismatch on a later lookup
-    /// means the graph was mutated and the memoized context is stale.
-    std::uint64_t revision = 0;
     /// Resident-size estimate used for the byte bound.
     std::size_t bytes = 0;
     /// Serializes request execution over the shared (non-thread-safe)

@@ -79,10 +79,9 @@ class Arena {
 
   /// Invalidates everything allocated so far and makes the space
   /// available again, retaining the largest chunk so a rebuild of the
-  /// same data does not go back through the system allocator.  Used by
-  /// storage that is regenerated wholesale (the Graph's frozen CSR
-  /// blocks); NOT usable under the interned-name pool, whose views must
-  /// stay valid for the owner's whole lifetime.
+  /// same data does not go back through the system allocator.  NOT
+  /// usable under the interned-name pool, whose views must stay valid
+  /// for the owner's whole lifetime.
   void clear() {
     std::size_t largest = 0;
     std::size_t largestBytes = 0;

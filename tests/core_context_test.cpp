@@ -2,11 +2,10 @@
 //
 // Graph serves its derived facts (CSR adjacency, phase counts, cyclic
 // rate extensions, channel endpoints, rate-table layout) from a block
-// frozen once per revision; these must match a direct walk of the
-// actors, ports and channels, and follow an edit to the next revision.
-// Every analysis routed through a shared AnalysisContext must produce
-// byte-identical answers to a fresh computation, on the paper graphs and
-// on randomized chains.
+// built once when it is sealed; these must match a direct walk of the
+// actors, ports and channels.  Every analysis routed through a shared
+// AnalysisContext must produce byte-identical answers to a fresh
+// computation, on the paper graphs and on randomized chains.
 #include "core/context.hpp"
 
 #include <gtest/gtest.h>
@@ -168,22 +167,6 @@ TEST(FrozenGraph, MultiPhasePortsExtendCyclically) {
             "[1,1,1,1,1,1]");
 }
 
-TEST(FrozenGraph, AccessorsFollowAnEditToTheNextRevision) {
-  Graph g = multiphase();
-  const ActorId a = *g.findActor("A");
-  ASSERT_EQ(g.phases(a), 2);  // freezes the current revision
-  const std::size_t tableBefore = g.rateTableSize();
-
-  g.addPort(a, "x", PortKind::DataOut, RateSeq::parse("[1,2,3]"));
-  EXPECT_EQ(g.phases(a), 6);
-  EXPECT_EQ(g.effectiveRates(*g.findPort("A.o")).toString(),
-            "[2,1,2,1,2,1]");
-  EXPECT_EQ(g.effectiveRates(*g.findPort("A.x")).toString(),
-            "[1,2,3,1,2,3]");
-  EXPECT_EQ(g.rateTableSize(), tableBefore + 4 + 6);
-  expectFrozenMatchesReference(g, {});
-}
-
 TEST(EvaluatedRates, NegativeRateRejected) {
   Graph g("neg");
   g.addParam("p");
@@ -221,6 +204,50 @@ TEST(AnalysisContext, RateTablesAreMemoizedPerEnvironment) {
   EXPECT_EQ(&ctx.rates(Environment{{"p", 3}}), &r3);
 }
 
+bool sameTable(const Graph& g, const EvaluatedRates& a,
+               const EvaluatedRates& b) {
+  return std::ranges::all_of(g.ports(), [&](const Port& p) {
+    return std::ranges::equal(a.of(p.id), b.of(p.id));
+  });
+}
+
+TEST(AnalysisContext, RateMemoKeepsTheMostRecentlyUsedTables) {
+  const Graph g = apps::fig2Tpdf();
+  const core::AnalysisContext ctx(g);
+  constexpr std::int64_t kValuations = core::AnalysisContext::kRateTables + 5;
+  const EvaluatedRates* previous = nullptr;
+  const EvaluatedRates* latest = nullptr;
+  for (std::int64_t p = 1; p <= kValuations; ++p) {
+    previous = latest;
+    latest = &ctx.rates(Environment{{"p", p}});
+    EXPECT_LE(ctx.rateTableCount(), core::AnalysisContext::kRateTables);
+  }
+  EXPECT_EQ(ctx.rateTableCount(), core::AnalysisContext::kRateTables);
+  // The two most recently used tables are still the live ones.
+  EXPECT_TRUE(sameTable(g, *previous,
+                        EvaluatedRates(g, Environment{{"p", kValuations - 1}})));
+  EXPECT_TRUE(sameTable(g, *latest,
+                        EvaluatedRates(g, Environment{{"p", kValuations}})));
+  EXPECT_EQ(&ctx.rates(Environment{{"p", kValuations - 1}}), previous);
+  EXPECT_EQ(&ctx.rates(Environment{{"p", kValuations}}), latest);
+}
+
+TEST(AnalysisContext, HeldTableSurvivesTheOtherSlotsOfTheMemo) {
+  // A caller may hold one table while asking for kRateTables - 1 others;
+  // using it again makes it the most recently used.
+  const Graph g = apps::fig2Tpdf();
+  const core::AnalysisContext ctx(g);
+  const EvaluatedRates& held = ctx.rates(Environment{{"p", 1}});
+  for (std::int64_t round = 0; round < 3; ++round) {
+    for (std::size_t k = 1; k < core::AnalysisContext::kRateTables; ++k) {
+      ctx.rates(Environment{{"p", static_cast<std::int64_t>(k) + 1 +
+                                      round * 100}});
+    }
+    EXPECT_EQ(&ctx.rates(Environment{{"p", 1}}), &held);
+  }
+  EXPECT_TRUE(sameTable(g, held, EvaluatedRates(g, Environment{{"p", 1}})));
+}
+
 TEST(AnalysisContext, FullAnalysisReportsAreByteIdentical) {
   for (const CorpusEntry& entry : corpus()) {
     const core::AnalysisReport direct = core::analyze(entry.g, entry.env);
@@ -243,7 +270,7 @@ TEST(AnalysisContext, SchedulesThroughContextAreByteIdentical) {
       const csdf::LivenessResult direct = csdf::findSchedule(
           entry.g, csdf::computeRepetitionVector(entry.g), entry.env, policy);
       const csdf::LivenessResult shared =
-          csdf::findSchedule(ctx.view(), ctx.repetition(), entry.env, policy,
+          csdf::findSchedule(ctx.graph(), ctx.repetition(), entry.env, policy,
                              &ctx.rates(entry.env));
       ASSERT_EQ(shared.live, direct.live) << entry.g.name();
       ASSERT_EQ(shared.q, direct.q) << entry.g.name();
@@ -267,7 +294,7 @@ TEST(AnalysisContext, MinimumBuffersThroughContextMatch) {
   const csdf::BufferReport direct =
       csdf::minimumBuffers(g, csdf::computeRepetitionVector(g), env);
   const csdf::BufferReport shared = csdf::minimumBuffers(
-      ctx.view(), ctx.repetition(), env, csdf::SchedulePolicy::MinOccupancy,
+      ctx.graph(), ctx.repetition(), env, csdf::SchedulePolicy::MinOccupancy,
       &ctx.rates(env));
   ASSERT_EQ(shared.ok, direct.ok);
   EXPECT_EQ(shared.perChannel, direct.perChannel);

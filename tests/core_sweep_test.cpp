@@ -503,7 +503,7 @@ SweepPoint oraclePoint(const AnalysisContext& ctx, const SweepSpec& spec,
   if (maxWork != 0) budget.setMaxWork(maxWork);
   support::Budget* b = maxWork != 0 ? &budget : nullptr;
   try {
-    const graph::EvaluatedRates rates(ctx.view(), bindings);
+    const graph::EvaluatedRates rates(ctx.graph(), bindings);
     AnalysisReport report;
     report.repetition = ctx.repetition();
     report.safety = checkRateSafety(ctx);
@@ -515,7 +515,7 @@ SweepPoint oraclePoint(const AnalysisContext& ctx, const SweepSpec& spec,
     if (!point.live) point.diagnostic = report.liveness.diagnostic;
     if (point.bounded) {
       const csdf::BufferReport buffers =
-          csdf::minimumBuffers(ctx.view(), ctx.repetition(), bindings,
+          csdf::minimumBuffers(ctx.graph(), ctx.repetition(), bindings,
                                spec.bufferPolicy, &rates, b);
       if (!buffers.ok) ADD_FAILURE() << buffers.diagnostic;
       point.buffersComputed = true;
@@ -523,7 +523,7 @@ SweepPoint oraclePoint(const AnalysisContext& ctx, const SweepSpec& spec,
       point.dataBufferTotal = buffers.dataTotal(g);
       point.controlBufferTotal = buffers.controlTotal(g);
 
-      const sched::CanonicalPeriod period(ctx.view(), ctx.repetition(), rates,
+      const sched::CanonicalPeriod period(ctx.graph(), ctx.repetition(), rates,
                                           bindings, b);
       if (work != nullptr) work->first = budget.work();
       const platform::PlatformSpec ps =

@@ -313,6 +313,45 @@ TEST(Graph, AddActorRejectsParameterNameCollision) {
   EXPECT_EQ(g.actorCount(), 0u);
 }
 
+TEST(Graph, FreezeSealsEveryMutator) {
+  Graph g = simpleChain();
+  g.addParam("p");
+  const std::size_t tableSize = g.rateTableSize();  // the first freeze
+  const ActorId a = *g.findActor("A");
+  const PortId ao = *g.findPort("A.o");
+  const PortId ci = *g.findPort("C.i");
+  const double times[] = {2.0};
+  EXPECT_THROW(g.addParam("q"), support::Error);
+  EXPECT_THROW(g.addActor("D"), support::Error);
+  EXPECT_THROW(g.addPort(a, "x", PortKind::DataOut, RateSeq::constant(1)),
+               support::Error);
+  EXPECT_THROW(g.addChannel("e3", ao, ci), support::Error);
+  EXPECT_THROW(g.setExecTime(a, times), support::Error);
+
+  EXPECT_EQ(g.params().size(), 1u);
+  EXPECT_EQ(g.actorCount(), 3u);
+  EXPECT_EQ(g.portCount(), 4u);
+  EXPECT_EQ(g.channelCount(), 2u);
+  EXPECT_EQ(g.actor(a).execTime.size(), 1u);
+  EXPECT_DOUBLE_EQ(g.actor(a).execTime[0], 1.0);
+  EXPECT_EQ(g.rateTableSize(), tableSize);
+
+  // A copy starts unsealed and freezes its own extended structure.
+  Graph copy(g);
+  const ActorId d = copy.addActor("D");
+  const PortId di =
+      copy.addPort(d, "i", PortKind::DataIn, RateSeq::parse("[1,1]"));
+  const PortId co = copy.addPort(*copy.findActor("C"), "o",
+                                 PortKind::DataOut, RateSeq::constant(1));
+  copy.addChannel("e3", co, di);
+  copy.setExecTime(d, times);
+  EXPECT_EQ(copy.actorCount(), 4u);
+  EXPECT_EQ(copy.rateTableSize(), tableSize + 3);
+  EXPECT_EQ(copy.destActor(*copy.findChannel("e3")), d);
+  EXPECT_EQ(g.actorCount(), 3u);
+  EXPECT_EQ(g.rateTableSize(), tableSize);
+}
+
 TEST(Actor, ExecTimeOfPhaseWrapsCyclically) {
   Actor a;
   a.execTime = {1.0, 2.5, 4.0};
