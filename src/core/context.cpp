@@ -35,4 +35,18 @@ const graph::EvaluatedRates& AnalysisContext::rates(
   return rateTables_.emplace_front(std::move(key), std::move(table)).second;
 }
 
+std::size_t AnalysisContext::memoBytesBound() const {
+  const graph::Graph& g = *g_;
+  std::size_t key = 0;
+  for (const std::string& param : g.params()) {
+    key += param.size() + 21;  // "name=" + 19 digits + ';'
+  }
+  using Node = std::pair<std::string, graph::EvaluatedRates>;
+  const std::size_t table = sizeof(Node) + 2 * sizeof(void*) + key +
+                            sizeof(std::uint32_t) * (g.portCount() + 1) +
+                            sizeof(std::int64_t) * g.rateTableSize();
+  const std::size_t repetition = 2 * sizeof(symbolic::Expr) * g.actorCount();
+  return repetition + kRateTables * table;
+}
+
 }  // namespace tpdf::core

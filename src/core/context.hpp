@@ -62,6 +62,12 @@ class AnalysisContext {
   /// Rate tables currently memoized (at most kRateTables).
   std::size_t rateTableCount() const { return rateTables_.size(); }
 
+  /// Bytes the memo holds at its cap: the repetition vector and
+  /// kRateTables rate tables, each with its binding key (every parameter
+  /// bound to a 19-digit value) and list node.  An estimate of the heap
+  /// the context can grow to; the tpdfd cache charges it at admission.
+  std::size_t memoBytesBound() const;
+
  private:
   const graph::Graph* g_;
   mutable bool repetitionComputed_ = false;

@@ -147,32 +147,39 @@ std::size_t SweepSpec::gridSize() const {
   return total;
 }
 
-// ---- SweepPoint / SweepResult JSON ---------------------------------------
+// ---- SweepResult ----------------------------------------------------------
 
-void SweepPoint::write(support::json::Writer& w) const {
-  bindings.write(w.beginObject().key("bindings"));
-  w.member("ok", ok);
-  if (!ok) {
-    w.member("error", error);
-    if (resourceLimited) w.member("resourceLimited", true);
+const AnalysisReport* SweepResult::report(std::size_t i) const {
+  if (!points[i].ok || reports.empty()) return nullptr;
+  const std::optional<AnalysisReport>& kept = reports[points[i].valuation];
+  return kept.has_value() ? &*kept : nullptr;
+}
+
+void SweepResult::writePoint(support::json::Writer& w, std::size_t i) const {
+  const SweepPoint& p = points[i];
+  bindings(i).write(w.beginObject().key("bindings"));
+  w.member("ok", p.ok);
+  if (!p.ok) {
+    w.member("error", p.error);
+    if (p.resourceLimited) w.member("resourceLimited", true);
     w.endObject();
     return;
   }
-  w.member("consistent", consistent).member("rateSafe", rateSafe);
-  w.member("live", live).member("bounded", bounded);
-  if (!diagnostic.empty()) w.member("diagnostic", diagnostic);
-  if (buffersComputed) {
-    w.member("bufferTotal", bufferTotal);
-    w.member("dataBufferTotal", dataBufferTotal);
-    w.member("controlBufferTotal", controlBufferTotal);
+  w.member("consistent", p.consistent).member("rateSafe", p.rateSafe);
+  w.member("live", p.live).member("bounded", p.bounded);
+  if (!diagnostic(i).empty()) w.member("diagnostic", diagnostic(i));
+  if (p.buffersComputed) {
+    w.member("bufferTotal", p.bufferTotal);
+    w.member("dataBufferTotal", p.dataBufferTotal);
+    w.member("controlBufferTotal", p.controlBufferTotal);
   }
-  if (periodComputed) {
-    w.member("period", period).member("throughput", throughput);
+  if (p.periodComputed) {
+    w.member("period", p.period).member("throughput", p.throughput);
   }
   // Only platform-aware sweeps carry the variant label; legacy sweeps
   // serialize byte-identically to the pre-platform format.
-  if (!platform.empty()) w.member("platform", platform);
-  if (buffersComputed && periodComputed) w.member("pareto", pareto);
+  if (!platform(i).empty()) w.member("platform", platform(i));
+  if (p.buffersComputed && p.periodComputed) w.member("pareto", p.pareto);
   w.endObject();
 }
 
@@ -208,15 +215,18 @@ void SweepResult::write(support::json::Writer& w) const {
     for (const std::string& name : defaulted) w.value(name);
     w.endArray();
   }
-  w.member("analyzed", analyzed()).member("bounded", bounded());
-  w.member("notBounded", analyzed() - bounded()).member("errors", failed());
-  if (resourceLimited() > 0) w.member("resourceLimited", resourceLimited());
+  const std::size_t ok = analyzed();
+  const std::size_t okBounded = bounded();
+  const std::size_t limited = resourceLimited();
+  w.member("analyzed", ok).member("bounded", okBounded);
+  w.member("notBounded", ok - okBounded).member("errors", points.size() - ok);
+  if (limited > 0) w.member("resourceLimited", limited);
   w.key("points").beginArray();
-  for (const SweepPoint& p : points) p.write(w);
+  for (std::size_t i = 0; i < points.size(); ++i) writePoint(w, i);
   w.endArray().key("pareto").beginArray();
   for (const std::size_t i : frontier) {
     w.beginObject().member("point", i);
-    points[i].bindings.write(w.key("bindings"));
+    bindings(i).write(w.key("bindings"));
     w.member("bufferTotal", points[i].bufferTotal);
     w.member("period", points[i].period).endObject();
   }
@@ -254,42 +264,54 @@ bool capture(SweepPoint& point, Body&& body) {
 /// Marks the non-dominated points (bufferTotal vs. period, both
 /// minimized) and returns their indices by ascending bufferTotal.  A
 /// point survives iff no other point is <= on both metrics and < on one.
-std::vector<std::size_t> paretoFrontier(std::vector<SweepPoint>& points) {
-  std::vector<std::size_t> candidates;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (points[i].ok && points[i].bounded && points[i].buffersComputed &&
-        points[i].periodComputed) {
-      candidates.push_back(i);
+std::vector<std::size_t> paretoFrontier(std::vector<SweepPoint>& points,
+                                        std::size_t valuations) {
+  const auto measured = [](const SweepPoint& p) {
+    return p.ok && p.bounded && p.buffersComputed && p.periodComputed;
+  };
+  // The variants of a valuation share its bufferTotal, so any of them
+  // slower than the valuation's fastest is dominated by it.  The sort
+  // runs over compact keys of the rest: about one per valuation.
+  std::vector<double> fastest(valuations,
+                              std::numeric_limits<double>::infinity());
+  for (const SweepPoint& p : points) {
+    if (measured(p)) {
+      fastest[p.valuation] = std::min(fastest[p.valuation], p.period);
     }
   }
-  std::sort(candidates.begin(), candidates.end(),
-            [&](std::size_t a, std::size_t b) {
-              if (points[a].bufferTotal != points[b].bufferTotal) {
-                return points[a].bufferTotal < points[b].bufferTotal;
-              }
-              if (points[a].period != points[b].period) {
-                return points[a].period < points[b].period;
-              }
-              return a < b;
-            });
+  struct Key {
+    std::int64_t buffers;
+    double period;
+    std::size_t index;
+  };
+  std::vector<Key> keys;
+  keys.reserve(valuations);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const SweepPoint& p = points[i];
+    if (measured(p) && p.period == fastest[p.valuation]) {
+      keys.push_back({p.bufferTotal, p.period, i});
+    }
+  }
+  std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
+    if (a.buffers != b.buffers) return a.buffers < b.buffers;
+    if (a.period != b.period) return a.period < b.period;
+    return a.index < b.index;
+  });
   std::vector<std::size_t> frontier;
   double bestPeriod = std::numeric_limits<double>::infinity();
   std::size_t g = 0;
-  while (g < candidates.size()) {
+  while (g < keys.size()) {
     // One group of equal bufferTotal; only its minimum-period points can
     // be non-dominated, and only if they beat every smaller buffer.
     std::size_t gEnd = g;
-    while (gEnd < candidates.size() &&
-           points[candidates[gEnd]].bufferTotal ==
-               points[candidates[g]].bufferTotal) {
+    while (gEnd < keys.size() && keys[gEnd].buffers == keys[g].buffers) {
       ++gEnd;
     }
-    const double groupMin = points[candidates[g]].period;  // sorted
+    const double groupMin = keys[g].period;  // sorted
     if (groupMin < bestPeriod) {
-      for (std::size_t k = g; k < gEnd; ++k) {
-        if (points[candidates[k]].period != groupMin) break;
-        points[candidates[k]].pareto = true;
-        frontier.push_back(candidates[k]);
+      for (std::size_t k = g; k < gEnd && keys[k].period == groupMin; ++k) {
+        points[keys[k].index].pareto = true;
+        frontier.push_back(keys[k].index);
       }
       bestPeriod = groupMin;
     }
@@ -369,11 +391,10 @@ SweepResult sweep(const AnalysisContext& ctx, const SweepSpec& spec) {
   // Platform variants: the (topology × bandwidth) cartesian product of
   // the platform axes applied to the base spec, built once up front and
   // shared read-only by the workers.  Variants vary slowest in the grid
-  // enumeration: point i runs on variant i / paramGrid.
+  // enumeration: point i runs on variant i / paramGrid.  Labels go to
+  // result.platforms ("" for legacy sweeps).
   struct PlatformVariant {
-    std::string label;        // canonical spec ("" for legacy sweeps)
-    std::size_t pes = 0;      // 0 = use spec.pes (no platform spec)
-    double latency = 0.0;     // off-fabric latency when topology is set
+    sched::Platform platform;
     std::optional<platform::Topology> topology;  // nullopt = ideal
   };
   const bool platformAware = !spec.platform.empty() ||
@@ -409,16 +430,24 @@ SweepResult sweep(const AnalysisContext& ctx, const SweepSpec& spec) {
       }
       for (const platform::PlatformSpec& v : finals) {
         PlatformVariant variant;
+        variant.platform.peCount = spec.pes;
+        result.platforms.emplace_back();
         if (platformAware) {
-          variant.label = v.canonical(spec.pes);
+          result.platforms.back() = v.canonical(spec.pes);
           platform::Topology topo = v.build(spec.pes);
-          variant.pes = topo.peCount();
+          variant.platform.peCount = topo.peCount();
           if (!topo.ideal()) {
-            variant.latency = v.latency;
+            variant.platform.linkLatency = v.latency;
             variant.topology.emplace(std::move(topo));
           }
         }
         variants.push_back(std::move(variant));
+      }
+    }
+    // The vector is complete: its topologies no longer move.
+    for (PlatformVariant& variant : variants) {
+      if (variant.topology.has_value()) {
+        variant.platform.topology = &*variant.topology;
       }
     }
   }
@@ -466,44 +495,56 @@ SweepResult sweep(const AnalysisContext& ctx, const SweepSpec& spec) {
     return budget.limited() ? &budget : nullptr;
   };
 
+  // Row-major strides: valuation j takes value (j / stride[a]) % n of
+  // axis a (the first axis varies slowest).  A saturated grid is cut to
+  // its first maxPoints valuations, which only reach the low digits.
+  const std::size_t valuations = std::min(paramGrid, pointCount);
+  std::vector<std::size_t> strides(spec.axes.size(), 1);
+  {
+    std::size_t stride = 1;
+    for (std::size_t a = spec.axes.size(); a-- > 0;) {
+      strides[a] = stride;
+      const std::size_t n = spec.axes[a].values.size();
+      stride = stride > valuations / n ? valuations : stride * n;
+    }
+  }
+
+  // Every valuation binds the same names: they are inserted (and their
+  // ids interned, under the parameter table's lock) once here, and a
+  // task's copy only overwrites the values.
+  Environment skeleton = spec.fixed;
+  for (const SweepAxis& axis : spec.axes) skeleton.bind(axis.param, 1);
+
   // Valuation-major: one task per parameter valuation j runs everything
   // that does not depend on the platform (rate table, liveness, buffers,
   // canonical period) once, then list-schedules that period for each
   // variant v, i.e. grid point i = v * paramGrid + j.
   result.points.resize(pointCount);
-  const std::size_t valuations = std::min(paramGrid, pointCount);
-  std::vector<Environment> valuationBindings(valuations);
+  result.valuations.resize(valuations);
+  if (spec.keepReports) result.reports.resize(valuations);
   const std::size_t workers = std::min(resolveJobs(spec.jobs), valuations);
   support::ThreadPool pool(workers);
   for (std::size_t j = 0; j < valuations; ++j) {
     pool.submit([&, j] {
-      // Decode the row-major coordinates: the first axis varies slowest.
-      std::size_t rest = j;
-      std::vector<std::int64_t> coords(spec.axes.size(), 0);
-      for (std::size_t a = spec.axes.size(); a-- > 0;) {
-        const std::size_t n = spec.axes[a].values.size();
-        coords[a] = spec.axes[a].values[rest % n];
-        rest /= n;
-      }
-
+      SweepValuation& valuation = result.valuations[j];
       // The valuation's analyses, run under the budget every one of its
       // points would start with.  `shared` is the point state they leave
       // behind (a failure marks every variant the same way); the
-      // variants copy it and add their own list schedule.  Its bindings
-      // go to valuationBindings instead (see the second pass below).
+      // variants copy it and add their own list schedule.
       const auto deadline = support::Budget::Clock::now() +
                             std::chrono::milliseconds(spec.pointTimeoutMs);
       support::Budget sharedBudget;
       support::Budget* budget = pointBudget(sharedBudget, deadline);
       SweepPoint shared;
-      AnalysisReport report;
       std::optional<sched::CanonicalPeriod> period;
       const bool sharedOk = capture(shared, [&] {
-        Environment env = spec.fixed;
+        Environment& env = valuation.bindings;
+        env = skeleton;
         for (std::size_t a = 0; a < spec.axes.size(); ++a) {
-          env.bind(spec.axes[a].param, coords[a]);
+          const std::vector<std::int64_t>& values = spec.axes[a].values;
+          env.bind(spec.axes[a].param,
+                   values[(j / strides[a]) % values.size()]);
         }
-        valuationBindings[j] = env;
 
         // The per-binding memoization, worker-local: evaluate every rate
         // expression exactly once and reuse the table across liveness,
@@ -516,20 +557,17 @@ SweepResult sweep(const AnalysisContext& ctx, const SweepSpec& spec) {
         }
         const graph::EvaluatedRates rates(g, completed);
 
-        report.repetition = rv;
-        report.safety = safety;
-        report.liveness = checkLiveness(ctx, env, 2, rates, budget);
-
-        shared.consistent = report.consistent();
-        shared.rateSafe = report.rateSafe();
-        shared.live = report.live();
-        shared.bounded = report.bounded();
+        LivenessReport liveness = checkLiveness(ctx, env, 2, rates, budget);
+        shared.consistent = rv.consistent;
+        shared.rateSafe = safety.safe;
+        shared.live = liveness.live;
+        shared.bounded = shared.consistent && shared.rateSafe && shared.live;
         if (!shared.consistent) {
-          shared.diagnostic = report.repetition.diagnostic;
+          valuation.diagnostic = rv.diagnostic;
         } else if (!shared.rateSafe) {
-          shared.diagnostic = report.safety.diagnostic;
+          valuation.diagnostic = safety.diagnostic;
         } else if (!shared.live) {
-          shared.diagnostic = report.liveness.diagnostic;
+          valuation.diagnostic = liveness.diagnostic;
         }
 
         if (shared.bounded && spec.computeBuffers) {
@@ -540,68 +578,46 @@ SweepResult sweep(const AnalysisContext& ctx, const SweepSpec& spec) {
             shared.bufferTotal = buffers.total();
             shared.dataBufferTotal = buffers.dataTotal(g);
             shared.controlBufferTotal = buffers.controlTotal(g);
-          } else if (shared.diagnostic.empty()) {
-            shared.diagnostic = buffers.diagnostic;
+          } else if (valuation.diagnostic.empty()) {
+            valuation.diagnostic = buffers.diagnostic;
           }
         }
         if (shared.bounded && spec.computePeriod) {
           period.emplace(g, rv, rates, completed, budget);
         }
+        if (spec.keepReports) {
+          result.reports[j] = AnalysisReport{rv, safety, std::move(liveness)};
+        }
       });
       const std::uint64_t sharedWork = sharedBudget.work();
 
+      std::optional<sched::ListScheduler> scheduler;
+      if (period.has_value()) scheduler.emplace(*period);
       for (std::size_t i = j; i < pointCount; i += paramGrid) {
-        const PlatformVariant& variant =
-            variants[std::min(i / paramGrid, variants.size() - 1)];
+        const std::size_t v = std::min(i / paramGrid, variants.size() - 1);
         SweepPoint& point = result.points[i];
         point = shared;
-        point.platform = variant.label;
+        point.valuation = j;
+        point.variant = v;
         if (!sharedOk) continue;
         point.ok = capture(point, [&] {
-          if (period.has_value()) {
-            // The point's own budget, already charged with the work its
-            // valuation's analyses spent: a cap trips at the same
-            // checkpoint as if the point had run them itself.
-            support::Budget variantBudget;
-            support::Budget* vb = pointBudget(variantBudget, deadline);
-            if (vb != nullptr) vb->charge(sharedWork);
-            sched::Platform plat{.peCount = spec.pes};
-            if (variant.pes != 0) plat.peCount = variant.pes;
-            if (variant.topology.has_value()) {
-              plat.linkLatency = variant.latency;
-              plat.topology = &*variant.topology;
-            }
-            const sched::ListSchedule schedule =
-                sched::listSchedule(*period, plat, {}, vb);
-            point.periodComputed = true;
-            point.period = schedule.makespan;
-            point.throughput =
-                schedule.makespan > 0.0 ? 1.0 / schedule.makespan : 0.0;
-          }
-          if (spec.keepReports) point.report = report;
+          if (!scheduler.has_value()) return;
+          // The point's own budget, already charged with the work its
+          // valuation's analyses spent: a cap trips at the same
+          // checkpoint as if the point had run them itself.
+          support::Budget variantBudget;
+          support::Budget* vb = pointBudget(variantBudget, deadline);
+          if (vb != nullptr) vb->charge(sharedWork);
+          point.period = scheduler->run(variants[v].platform, vb);
+          point.periodComputed = true;
+          point.throughput = point.period > 0.0 ? 1.0 / point.period : 0.0;
         });
       }
     });
   }
   pool.wait();
 
-  // The bindings are copied in a second pass, one contiguous run of
-  // points per worker, so that walking the points in order (rendering
-  // the document) reads them in allocation order.  Copied by the
-  // valuation tasks they land scattered, which slows the render of a
-  // 10k-point sweep by ~10%.
-  const std::size_t run = (pointCount + workers - 1) / workers;
-  for (std::size_t begin = 0; begin < pointCount; begin += run) {
-    pool.submit([&, begin] {
-      const std::size_t end = std::min(begin + run, pointCount);
-      for (std::size_t i = begin; i < end; ++i) {
-        result.points[i].bindings = valuationBindings[i % paramGrid];
-      }
-    });
-  }
-  pool.wait();
-
-  result.frontier = paretoFrontier(result.points);
+  result.frontier = paretoFrontier(result.points, valuations);
   return result;
 }
 

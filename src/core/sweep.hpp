@@ -11,7 +11,7 @@
 //   * the frozen graph structure and the symbolic repetition vector are
 //     computed once for the whole sweep (not once per point);
 //   * rate safety is parameter-independent, so its report is computed
-//     once and replicated into every point's AnalysisReport;
+//     once and its verdict read by every point;
 //   * each parameter valuation evaluates its integer rate tables
 //     exactly once and reuses them across liveness, buffer sizing and
 //     the canonical period (the per-binding memoization of
@@ -19,7 +19,12 @@
 //     never mutated — contexts are not internally synchronized);
 //   * none of those depend on the platform, so a valuation runs them
 //     once and every platform variant of it only list-schedules the
-//     shared canonical period (one pool task per valuation).
+//     shared canonical period (one pool task per valuation, one
+//     sched::ListScheduler per valuation: the critical-path ranks are
+//     computed once and a variant's schedule allocates nothing);
+//   * a point is a fixed-size record: the valuation's bindings,
+//     diagnostic and report and the variant's platform label are stored
+//     once on the SweepResult and reached by index.
 //
 // Every point carries the full boundedness verdict plus two design
 // metrics: the minimum-buffer total (csdf::minimumBuffers) and the
@@ -28,7 +33,7 @@
 // then marks the Pareto frontier of buffer-total vs. period — the
 // classic memory/latency trade-off curve of design-space exploration.
 //
-// Per-point AnalysisReports are field-identical to a fresh
+// Kept AnalysisReports are field-identical to a fresh
 // core::analyze() at the same binding (locked in by the sweep
 // equivalence property test); per-point failures are captured like
 // core::analyzeBatch entries instead of aborting the sweep.
@@ -116,11 +121,10 @@ struct SweepSpec {
   /// Number of platform variants (1 when no platform axes are set).
   std::size_t platformVariants() const;
 
-  /// Keep the full AnalysisReport on every point (the equivalence tests
-  /// need it); each platform variant gets its own copy of its
-  /// valuation's report.  Off by default: a 64k-point sweep retaining
-  /// 64k sample schedules would dwarf the metrics the sweep exists to
-  /// produce.
+  /// Keep the full AnalysisReport of every valuation (the equivalence
+  /// tests need it), once per valuation: SweepResult::report(i).  Off by
+  /// default: a 64k-point sweep retaining 64k sample schedules would
+  /// dwarf the metrics the sweep exists to produce.
   bool keepReports = false;
 
   /// Per-point resource limits (0 = unlimited): each grid point gets its
@@ -146,60 +150,64 @@ struct SweepSpec {
   std::size_t gridSize() const;
 };
 
-/// Outcome at one grid point.
+/// Outcome at one grid point: a small fixed-size record.  What the point
+/// shares with the other platform variants of its valuation (bindings,
+/// diagnostic, report) and its variant's platform label are stored once
+/// on the SweepResult, which the point refers to by index; read them
+/// through SweepResult::bindings(i), platform(i), diagnostic(i) and
+/// report(i).
 struct SweepPoint {
-  /// The point's bindings: axis values + the spec's fixed bindings.
-  /// Parameters in neither stay unbound here and are sampled at 2 for
-  /// the concrete steps, exactly like a single analyze (the defaulted
-  /// names are recorded once on the SweepResult — a *swept* parameter is
-  /// never defaulted).
-  symbolic::Environment bindings;
+  /// Index into SweepResult::valuations.
+  std::size_t valuation = 0;
+  /// Index into SweepResult::platforms.
+  std::size_t variant = 0;
 
   /// False when this point's evaluation threw (e.g. a rate evaluating
   /// negative at the binding); `error` holds the reason and every other
   /// field is meaningless.
   bool ok = false;
-  std::string error;
   /// True when the failure was the point's budget tripping (deadline,
   /// work cap or cancellation) rather than an analysis error.
   bool resourceLimited = false;
 
-  // Verdicts (extracted from the point's AnalysisReport).
+  // Verdicts of the point's analysis chain.
   bool consistent = false;
   bool rateSafe = false;
   bool live = false;
   bool bounded = false;
-  /// Diagnostic of the first failing stage when not bounded.
-  std::string diagnostic;
 
-  /// Engaged when SweepSpec::keepReports was set.
-  std::optional<AnalysisReport> report;
-
-  // Metrics (bounded points only).
   bool buffersComputed = false;
-  std::int64_t bufferTotal = 0;
-  std::int64_t dataBufferTotal = 0;
-  std::int64_t controlBufferTotal = 0;
-
   bool periodComputed = false;
-  /// List-schedule makespan of one iteration on the spec's platform.
-  double period = 0.0;
-  /// Iterations per time unit (0 when the period is 0).
-  double throughput = 0.0;
-
-  /// Canonical spec of the platform variant this point ran on; empty
-  /// when the sweep had no platform axes or base spec.
-  std::string platform;
-
   /// On the buffer-total vs. period Pareto frontier (no other point has
   /// both metrics <= with one strictly <).
   bool pareto = false;
 
-  /// {"bindings": {...}, "ok": true, "bounded": true, ..., "bufferTotal":
-  /// N, "period": x, "pareto": false}; metric members only when computed,
-  /// {"ok": false, "error": ...} on failure.
-  void write(support::json::Writer& w) const;
-  support::json::Value toJson() const { return support::json::toValue(*this); }
+  std::string error;
+
+  // Metrics (bounded points only).
+  std::int64_t bufferTotal = 0;
+  std::int64_t dataBufferTotal = 0;
+  std::int64_t controlBufferTotal = 0;
+  /// List-schedule makespan of one iteration on the variant's platform.
+  double period = 0.0;
+  /// Iterations per time unit (0 when the period is 0).
+  double throughput = 0.0;
+};
+
+// A point is a record walked 10^4-10^5 times per sweep (filled, sorted
+// for the frontier, rendered): no environment, report or label inside.
+static_assert(sizeof(SweepPoint) <= 160, "SweepPoint must stay small");
+
+/// What every platform variant of one parameter valuation shares (its
+/// kept report is in SweepResult::reports).
+struct SweepValuation {
+  /// Axis values + the spec's fixed bindings.  Parameters in neither
+  /// stay unbound here and are sampled at 2 for the concrete steps,
+  /// exactly like a single analyze (the defaulted names are recorded
+  /// once on the SweepResult — a *swept* parameter is never defaulted).
+  symbolic::Environment bindings;
+  /// Diagnostic of the first failing stage when not bounded.
+  std::string diagnostic;
 };
 
 struct SweepResult {
@@ -210,17 +218,47 @@ struct SweepResult {
   bool truncated = false;
   /// Graph parameters neither swept nor fixed, sampled at 2 everywhere.
   std::vector<std::string> defaulted;
-  /// One entry per analyzed point, in grid enumeration order (row-major,
-  /// first axis slowest) regardless of worker completion order.
+  /// One entry per analyzed parameter valuation, in grid enumeration
+  /// order (row-major, first axis slowest).
+  std::vector<SweepValuation> valuations;
+  /// Canonical spec of each platform variant; one empty label when the
+  /// sweep had no platform axes or base spec.
+  std::vector<std::string> platforms;
+  /// By valuation: its AnalysisReport, engaged when its analyses
+  /// completed.  Empty unless SweepSpec::keepReports was set.
+  std::vector<std::optional<AnalysisReport>> reports;
+  /// One entry per analyzed point, in grid enumeration order (variants
+  /// slowest, then the valuations) regardless of worker completion
+  /// order.
   std::vector<SweepPoint> points;
   /// Indices into `points` on the Pareto frontier, by ascending
   /// bufferTotal.  Empty when buffers or periods were not computed.
   std::vector<std::size_t> frontier;
 
+  /// Point i's bindings, platform label and diagnostic.
+  const symbolic::Environment& bindings(std::size_t i) const {
+    return valuations[points[i].valuation].bindings;
+  }
+  const std::string& platform(std::size_t i) const {
+    return platforms[points[i].variant];
+  }
+  const std::string& diagnostic(std::size_t i) const {
+    return valuations[points[i].valuation].diagnostic;
+  }
+  /// Point i's full AnalysisReport (field-identical to a fresh analyze
+  /// at its bindings) when SweepSpec::keepReports was set and the point
+  /// is ok; null otherwise.
+  const AnalysisReport* report(std::size_t i) const;
+
   std::size_t analyzed() const;        // points with ok
   std::size_t bounded() const;         // points with ok && bounded
   std::size_t failed() const;          // points with !ok
   std::size_t resourceLimited() const; // points with !ok && resourceLimited
+
+  /// Point i: {"bindings": {...}, "ok": true, "bounded": true, ...,
+  /// "bufferTotal": N, "period": x, "pareto": false}; metric members
+  /// only when computed, {"ok": false, "error": ...} on failure.
+  void writePoint(support::json::Writer& w, std::size_t i) const;
 
   /// {"axes": [...], "gridSize": N, "points": [...], "truncated": true,
   /// "defaulted": [...], "analyzed": N, "bounded": N, "notBounded": N,

@@ -73,40 +73,41 @@ void ListSchedule::write(support::json::Writer& w,
 ListSchedule listSchedule(const CanonicalPeriod& cp, const Platform& platform,
                           const ListSchedulerOptions& options,
                           support::Budget* budget) {
-  if (platform.peCount == 0) {
-    throw support::Error("platform must have at least one PE");
-  }
-  if (platform.topology != nullptr &&
-      platform.topology->peCount() != platform.peCount) {
-    throw support::Error("platform topology covers " +
-                         std::to_string(platform.topology->peCount()) +
-                         " PEs but peCount is " +
-                         std::to_string(platform.peCount));
-  }
+  ListSchedule out;
+  out.entries.reserve(cp.size());
+  out.makespan = ListScheduler(cp, options).run(platform, budget, &out.entries);
+  std::sort(out.entries.begin(), out.entries.end(),
+            [](const ScheduledOccurrence& a, const ScheduledOccurrence& b) {
+              if (a.start != b.start) return a.start < b.start;
+              return a.node < b.node;
+            });
+  return out;
+}
+
+ListScheduler::ListScheduler(const CanonicalPeriod& cp,
+                             const ListSchedulerOptions& options)
+    : cp_(&cp), options_(options) {}
+
+bool ListScheduler::lowerPriority(const Ready& a, const Ready& b) {
+  if (a.control != b.control) return b.control;
+  if (a.rank != b.rank) return a.rank < b.rank;
+  return a.node > b.node;
+}
+
+void ListScheduler::rank() {
+  const CanonicalPeriod& cp = *cp_;
   const graph::Graph& g = cp.graph();
   const std::size_t n = cp.size();
-
-  // Per-node state in one record, so that visiting a node (placing it,
-  // reading a placed predecessor, releasing a successor) touches one
-  // place in memory.
-  struct NodeState {
-    double exec = 0.0;
-    double rank = 0.0;    // critical-path rank; best successor rank until final
-    double finish = 0.0;  // once placed
-    std::size_t pe = 0;   // once placed
-    std::size_t pending = 0;  // unranked successors, then unplaced predecessors
-    bool control = false;     // an occurrence of a control actor
-  };
-  std::vector<NodeState> state(n);
+  state_.assign(n, NodeState{});
   {
     std::vector<char> actorIsControl(g.actorCount(), 0);
     for (const graph::Actor& a : g.actors()) {
       actorIsControl[a.id.index()] = a.kind == ActorKind::Control ? 1 : 0;
     }
     for (std::size_t i = 0; i < n; ++i) {
-      state[i].exec = cp.execTime(i);
-      state[i].control = actorIsControl[cp.node(i).actor.index()] != 0;
-      state[i].pending = cp.successors(i).size();
+      state_[i].exec = cp.execTime(i);
+      state_[i].control = actorIsControl[cp.node(i).actor.index()] != 0;
+      state_[i].pending = cp.successors(i).size();
     }
   }
 
@@ -118,14 +119,14 @@ ListSchedule listSchedule(const CanonicalPeriod& cp, const Platform& platform,
     std::vector<std::size_t> peeled;
     peeled.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      if (state[i].pending == 0) peeled.push_back(i);
+      if (state_[i].pending == 0) peeled.push_back(i);
     }
     for (std::size_t head = 0; head < peeled.size(); ++head) {
-      NodeState& done = state[peeled[head]];
+      NodeState& done = state_[peeled[head]];
       done.rank += done.exec;
       for (const std::size_t p : cp.predecessors(peeled[head])) {
-        state[p].rank = std::max(state[p].rank, done.rank);
-        if (--state[p].pending == 0) peeled.push_back(p);
+        state_[p].rank = std::max(state_[p].rank, done.rank);
+        if (--state_[p].pending == 0) peeled.push_back(p);
       }
     }
     if (peeled.size() != n) {
@@ -133,41 +134,44 @@ ListSchedule listSchedule(const CanonicalPeriod& cp, const Platform& platform,
     }
   }
   for (std::size_t i = 0; i < n; ++i) {
-    state[i].pending = cp.predecessors(i).size();
+    if (cp.predecessors(i).empty()) {
+      initial_.push_back(
+          {options_.controlPriority && state_[i].control, state_[i].rank, i});
+    }
   }
+  std::make_heap(initial_.begin(), initial_.end(), lowerPriority);
+  // Every node is ready at most once: sized once, no run grows it.
+  ready_.reserve(n);
+  hasRanks_ = true;
+}
+
+double ListScheduler::run(const Platform& platform, support::Budget* budget,
+                          std::vector<ScheduledOccurrence>* entries) {
+  if (platform.peCount == 0) {
+    throw support::Error("platform must have at least one PE");
+  }
+  if (platform.topology != nullptr &&
+      platform.topology->peCount() != platform.peCount) {
+    throw support::Error("platform topology covers " +
+                         std::to_string(platform.topology->peCount()) +
+                         " PEs but peCount is " +
+                         std::to_string(platform.peCount));
+  }
+  if (!hasRanks_) rank();
+  const CanonicalPeriod& cp = *cp_;
+  const std::size_t n = cp.size();
+  // A node's finish and PE are written when it is placed, before any
+  // successor reads them: only the pending counts need a reset.
+  for (std::size_t i = 0; i < n; ++i) {
+    state_[i].pending = cp.predecessors(i).size();
+  }
+  ready_ = initial_;
 
   const std::size_t workerCount = platform.peCount;
   const std::size_t totalPes =
       workerCount + (platform.dedicatedControlPe ? 1 : 0);
   const std::size_t controlPe = workerCount;  // last PE when dedicated
-  std::vector<double> peAvailable(totalPes, 0.0);
-
-  ListSchedule out;
-  out.entries.reserve(n);
-
-  // Ready nodes as a binary heap whose top is the highest-priority one:
-  // control actors first (rule 1), then by descending rank, then by node
-  // index for determinism — a strict total order, so the pick does not
-  // depend on the heap's layout.  Each entry carries its own key.
-  struct Ready {
-    bool control;
-    double rank;
-    std::size_t node;
-  };
-  auto lowerPriority = [](const Ready& a, const Ready& b) {
-    if (a.control != b.control) return b.control;
-    if (a.rank != b.rank) return a.rank < b.rank;
-    return a.node > b.node;
-  };
-  auto readyEntry = [&](std::size_t i) {
-    return Ready{options.controlPriority && state[i].control, state[i].rank,
-                 i};
-  };
-  std::vector<Ready> ready;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (state[i].pending == 0) ready.push_back(readyEntry(i));
-  }
-  std::make_heap(ready.begin(), ready.end(), lowerPriority);
+  peAvailable_.assign(totalPes, 0.0);
 
   // Cross-PE communication cost: the uncontended traversal of the
   // topology route when both PEs are on the fabric, the legacy uniform
@@ -186,9 +190,9 @@ ListSchedule listSchedule(const CanonicalPeriod& cp, const Platform& platform,
   // (rule 2: the receiver fires immediately on token arrival).
   auto earliestStartOn = [&](std::span<const std::size_t> preds,
                              std::size_t pe) {
-    double t = peAvailable[pe];
+    double t = peAvailable_[pe];
     for (const std::size_t p : preds) {
-      const NodeState& from = state[p];
+      const NodeState& from = state_[p];
       double arrival = from.finish;
       if (from.pe != pe && !from.control) {
         arrival += commCost(from.pe, pe);
@@ -198,21 +202,23 @@ ListSchedule listSchedule(const CanonicalPeriod& cp, const Platform& platform,
     return t;
   };
 
-  while (!ready.empty()) {
+  double makespan = 0.0;
+  std::size_t placedCount = 0;
+  while (!ready_.empty()) {
     support::Budget::checkpoint(budget);
-    std::pop_heap(ready.begin(), ready.end(), lowerPriority);
-    const std::size_t node = ready.back().node;
-    ready.pop_back();
+    std::pop_heap(ready_.begin(), ready_.end(), lowerPriority);
+    const std::size_t node = ready_.back().node;
+    ready_.pop_back();
     const std::span<const std::size_t> preds = cp.predecessors(node);
     const std::span<const std::size_t> succs = cp.successors(node);
     // The successors' states are touched below; start loading them now.
     // (The loop is bound by memory latency, not by the heap's size.)
-    for (const std::size_t s : succs) __builtin_prefetch(&state[s]);
+    for (const std::size_t s : succs) __builtin_prefetch(&state_[s]);
 
     // Choose the PE minimizing start time.
     std::size_t chosenPe = 0;
     double chosenStart = std::numeric_limits<double>::infinity();
-    NodeState& placed = state[node];
+    NodeState& placed = state_[node];
     if (platform.dedicatedControlPe && placed.control) {
       chosenPe = controlPe;
       chosenStart = earliestStartOn(preds, controlPe);
@@ -228,30 +234,29 @@ ListSchedule listSchedule(const CanonicalPeriod& cp, const Platform& platform,
 
     placed.finish = chosenStart + placed.exec;
     placed.pe = chosenPe;
-    peAvailable[chosenPe] = placed.finish;
-    out.entries.push_back({node, chosenPe, chosenStart, placed.finish});
-    out.makespan = std::max(out.makespan, placed.finish);
+    peAvailable_[chosenPe] = placed.finish;
+    ++placedCount;
+    if (entries != nullptr) {
+      entries->push_back({node, chosenPe, chosenStart, placed.finish});
+    }
+    makespan = std::max(makespan, placed.finish);
 
     for (const std::size_t s : succs) {
-      if (--state[s].pending == 0) {
+      if (--state_[s].pending == 0) {
         // A released node is popped soon; fetch its adjacency rows.
         __builtin_prefetch(cp.predecessors(s).data());
         __builtin_prefetch(cp.successors(s).data());
-        ready.push_back(readyEntry(s));
-        std::push_heap(ready.begin(), ready.end(), lowerPriority);
+        ready_.push_back({options_.controlPriority && state_[s].control,
+                          state_[s].rank, s});
+        std::push_heap(ready_.begin(), ready_.end(), lowerPriority);
       }
     }
   }
 
-  if (out.entries.size() != n) {
+  if (placedCount != n) {
     throw support::Error("list scheduler failed to place every occurrence");
   }
-  std::sort(out.entries.begin(), out.entries.end(),
-            [](const ScheduledOccurrence& a, const ScheduledOccurrence& b) {
-              if (a.start != b.start) return a.start < b.start;
-              return a.node < b.node;
-            });
-  return out;
+  return makespan;
 }
 
 std::vector<LinkLoad> linkLoad(const CanonicalPeriod& cp,

@@ -61,6 +61,60 @@ ListSchedule listSchedule(const CanonicalPeriod& cp, const Platform& platform,
                           const ListSchedulerOptions& options = {},
                           support::Budget* budget = nullptr);
 
+/// listSchedule() for one period on many platforms.  The critical-path
+/// ranks depend only on the period, so they are computed once, and the
+/// per-run state is kept between runs: a run after the first allocates
+/// nothing unless its platform has more PEs.  The sweep schedules each
+/// valuation's period on every platform variant through one of these.
+class ListScheduler {
+ public:
+  /// `cp` must outlive the scheduler.
+  explicit ListScheduler(const CanonicalPeriod& cp,
+                         const ListSchedulerOptions& options = {});
+
+  /// Schedules the period on `platform` as listSchedule() does and
+  /// returns the makespan.  When `entries` is not null, the placements
+  /// are appended to it in placement order.
+  double run(const Platform& platform, support::Budget* budget = nullptr,
+             std::vector<ScheduledOccurrence>* entries = nullptr);
+
+ private:
+  // Per-node state in one record, so that visiting a node (placing it,
+  // reading a placed predecessor, releasing a successor) touches one
+  // place in memory.
+  struct NodeState {
+    double exec = 0.0;
+    double rank = 0.0;        // critical-path rank, fixed by rank()
+    double finish = 0.0;      // once placed
+    std::size_t pe = 0;       // once placed
+    std::size_t pending = 0;  // unplaced predecessors (in rank(): successors)
+    bool control = false;     // an occurrence of a control actor
+  };
+  // A ready node with its priority key: control actors first (rule 1),
+  // then by descending rank, then by node index for determinism.
+  struct Ready {
+    bool control;
+    double rank;
+    std::size_t node;
+  };
+  /// The ready heap's order: its top is the highest-priority node.  The
+  /// order is strict and total, so the pick does not depend on the
+  /// heap's layout.
+  static bool lowerPriority(const Ready& a, const Ready& b);
+
+  /// Computes the ranks and `initial_` (once, on the first run, so that
+  /// a bad platform is reported before a cyclic period).
+  void rank();
+
+  const CanonicalPeriod* cp_;
+  ListSchedulerOptions options_;
+  bool hasRanks_ = false;
+  std::vector<NodeState> state_;
+  std::vector<Ready> initial_;  // heap of the nodes ready at the start
+  std::vector<Ready> ready_;    // per run
+  std::vector<double> peAvailable_;
+};
+
 /// Static per-link load of one canonical iteration under the platform's
 /// topology: every cross-PE data dependency contributes one unit-token
 /// transfer along its precomputed route.  Indexed by link id; empty when

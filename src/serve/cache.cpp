@@ -1,6 +1,7 @@
 #include "serve/cache.hpp"
 
 #include <exception>
+#include <iterator>
 #include <optional>
 #include <utility>
 
@@ -34,35 +35,45 @@ void CacheStats::write(support::json::Writer& w) const {
   w.member("bytes", bytes).endObject();
 }
 
-GraphCache::GraphCache(std::size_t maxEntries, std::size_t maxBytes)
-    : maxEntries_(maxEntries), maxBytes_(maxBytes) {}
+GraphCache::GraphCache(std::size_t maxEntries, std::size_t maxBytes,
+                       HashFn hash)
+    : maxEntries_(maxEntries), maxBytes_(maxBytes), hash_(hash) {}
 
 GraphCache::Acquired GraphCache::acquire(const std::string& text) {
-  const std::uint64_t hash = contentHash(text);
+  const std::uint64_t hash = hash_(text);
   // Engaged only on a miss: a hit pays no shared-state allocation.
   std::optional<std::promise<std::shared_ptr<Entry>>> admission;
   {
     std::unique_lock<std::mutex> lock(mutex_);
-    const auto it = index_.find(hash);
-    if (it != index_.end()) {
-      ++counters_.hits;
-      lru_.splice(lru_.begin(), lru_, it->second);
-      return {*it->second, true};
-    }
-    const auto pending = inflight_.find(hash);
-    if (pending != inflight_.end()) {
-      // Single flight: another thread is admitting this source.  Wait
-      // for its entry instead of parsing it again — a hit, since this
-      // thread pays no parse.  A failed parse rethrows its error here.
+    while (true) {
+      const auto it = index_.find(hash);
+      if (it != index_.end() && (*it->second)->source == text) {
+        ++counters_.hits;
+        lru_.splice(lru_.begin(), lru_, it->second);
+        return {*it->second, true};
+      }
+      const auto pending = inflight_.find(hash);
+      if (pending == inflight_.end()) break;
+      // Single flight: another thread is admitting a source with this
+      // hash.  When it is this source, its entry is this call's too — a
+      // hit, since this thread pays no parse (a failed parse rethrows its
+      // error here).  When it is a colliding source, wait it out and look
+      // again.
+      const bool same = pending->second.text == text;
       const std::shared_future<std::shared_ptr<Entry>> admitted =
-          pending->second;
+          pending->second.admitted;
       lock.unlock();
-      std::shared_ptr<Entry> entry = admitted.get();
+      if (same) {
+        std::shared_ptr<Entry> entry = admitted.get();
+        lock.lock();
+        ++counters_.hits;
+        return {std::move(entry), true};
+      }
+      admitted.wait();
       lock.lock();
-      ++counters_.hits;
-      return {std::move(entry), true};
     }
-    inflight_.emplace(hash, admission.emplace().get_future().share());
+    inflight_.emplace(
+        hash, Inflight{text, admission.emplace().get_future().share()});
   }
 
   // Miss: parse and build the analysis context OUTSIDE the cache lock,
@@ -74,12 +85,13 @@ GraphCache::Acquired GraphCache::acquire(const std::string& text) {
     fresh = std::make_shared<Entry>();
     fresh->hash = hash;
     fresh->id = cacheId(hash);
+    fresh->source = text;
     fresh->model = std::make_shared<core::TpdfGraph>(io::readGraph(text));
     fresh->ctx =
         std::make_shared<core::AnalysisContext>(fresh->model->graph());
     const graph::Graph& g = fresh->model->graph();
-    fresh->bytes =
-        text.size() + g.namePoolBytes() + g.frozenBytes() + sizeof(Entry);
+    fresh->bytes = text.size() + g.namePoolBytes() + g.frozenBytes() +
+                   fresh->ctx->memoBytesBound() + sizeof(Entry);
   } catch (...) {
     std::lock_guard<std::mutex> lock(mutex_);
     inflight_.erase(hash);
@@ -90,6 +102,10 @@ GraphCache::Acquired GraphCache::acquire(const std::string& text) {
   std::lock_guard<std::mutex> lock(mutex_);
   inflight_.erase(hash);
   ++counters_.misses;
+  if (const auto it = index_.find(hash); it != index_.end()) {
+    // A colliding source holds the slot: it gives way to this one.
+    evictLocked(it->second);
+  }
   bytes_ += fresh->bytes;
   lru_.push_front(fresh);
   index_.emplace(hash, lru_.begin());
@@ -102,12 +118,19 @@ void GraphCache::evictLocked() {
   while (lru_.size() > 1 &&
          ((maxEntries_ != 0 && lru_.size() > maxEntries_) ||
           (maxBytes_ != 0 && bytes_ > maxBytes_))) {
-    const std::shared_ptr<Entry>& victim = lru_.back();
-    ++counters_.evictions;
-    bytes_ -= victim->bytes;
-    index_.erase(victim->hash);
-    lru_.pop_back();
+    evictLocked(std::prev(lru_.end()));
   }
+}
+
+void GraphCache::evictLocked(Lru::iterator victim) {
+  ++counters_.evictions;
+  bytes_ -= (*victim)->bytes;
+  index_.erase((*victim)->hash);
+  // Never looked up again: the text goes now, while connections that
+  // adopted the entry keep its graph.  (A swap frees the buffer; an
+  // assignment of an empty string would keep it.)
+  std::string().swap((*victim)->source);
+  lru_.erase(victim);
 }
 
 CacheStats GraphCache::stats() const {

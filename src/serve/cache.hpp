@@ -8,10 +8,18 @@
 // re-deriving them (the repeated-analysis speedup the bench suite pins
 // at ~3x, now shared across processes).
 //
+// FNV-1a is not collision-resistant, so the hash only finds the entry:
+// each entry keeps its source text and a lookup compares it.  An entry
+// is never served for other text; a second source with the same hash
+// takes the slot over (the older entry counts as evicted).  Both carry
+// the same cacheId, which ClientSession re-points at the entry of the
+// request at hand.
+//
 // Bounds and eviction: the cache is LRU-bounded by BOTH entry count and
 // resident bytes (source text + the graph's interned-name pool + frozen
-// CSR arena, Graph::namePoolBytes()/frozenBytes()).  Eviction only
-// unlinks the entry from the cache: clients that adopted it keep their
+// CSR arena, Graph::namePoolBytes()/frozenBytes(), + the context memo at
+// its cap, AnalysisContext::memoBytesBound()).  Eviction only unlinks
+// the entry from the cache: clients that adopted it keep their
 // shared_ptrs, so in-flight requests never race a disappearing graph.
 //
 // Concurrency: the cache's own index is mutex-guarded; parsing and
@@ -74,6 +82,10 @@ class GraphCache {
     std::uint64_t hash = 0;
     /// cacheId(hash) — the id clients adopt the graph under.
     std::string id;
+    /// The text the entry was parsed from; a lookup must match it.
+    /// Guarded by the cache's mutex, and emptied when the entry is
+    /// evicted (an evicted entry is never looked up again).
+    std::string source;
     std::shared_ptr<core::TpdfGraph> model;
     std::shared_ptr<core::AnalysisContext> ctx;
     /// Resident-size estimate used for the byte bound.
@@ -90,10 +102,14 @@ class GraphCache {
     bool hit = false;
   };
 
+  using HashFn = std::uint64_t (*)(std::string_view);
+
   /// 0 means unbounded on that axis.  At least one admitted entry is
   /// always retained, so a single graph larger than maxBytes still
-  /// serves (it just evicts everything else).
-  GraphCache(std::size_t maxEntries, std::size_t maxBytes);
+  /// serves (it just evicts everything else).  `hash` keys the entries;
+  /// tests pass a weak one to make distinct sources collide.
+  GraphCache(std::size_t maxEntries, std::size_t maxBytes,
+             HashFn hash = contentHash);
 
   GraphCache(const GraphCache&) = delete;
   GraphCache& operator=(const GraphCache&) = delete;
@@ -114,17 +130,25 @@ class GraphCache {
 
   /// Evicts from the LRU tail until both bounds hold (keeps >= 1).
   void evictLocked();
+  /// Unlinks one entry and releases its source text.
+  void evictLocked(Lru::iterator victim);
+
+  /// An admission in progress: the text being parsed (alive while the
+  /// admitting call runs) and the entry it will produce.
+  struct Inflight {
+    std::string_view text;
+    std::shared_future<std::shared_ptr<Entry>> admitted;
+  };
 
   const std::size_t maxEntries_;
   const std::size_t maxBytes_;
+  const HashFn hash_;
 
   mutable std::mutex mutex_;
   Lru lru_;  // front = most recently used
   std::unordered_map<std::uint64_t, Lru::iterator> index_;
   /// Admissions in progress (parse outside the lock), by hash.
-  std::unordered_map<std::uint64_t,
-                     std::shared_future<std::shared_ptr<Entry>>>
-      inflight_;
+  std::unordered_map<std::uint64_t, Inflight> inflight_;
   std::size_t bytes_ = 0;
   CacheStats counters_;  // entries/bytes filled in by stats()
 };

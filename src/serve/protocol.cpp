@@ -221,6 +221,13 @@ ClientSession::Target ClientSession::resolveTarget(const Value& doc,
   target.entry = std::move(acquired.entry);
   target.cached = acquired.hit;
   target.id = target.entry->id;
+  const auto adopted = adopted_.find(target.id);
+  if (adopted != adopted_.end() && adopted->second != target.entry) {
+    // The id names another source with the same content hash: it now
+    // names this request's graph.
+    session_.erase(target.id);
+    adopted_.erase(adopted);
+  }
   if (!session_.has(target.id)) {
     session_.adopt(target.id, target.entry->model, target.entry->ctx);
     adopted_.emplace(target.id, target.entry);

@@ -100,7 +100,11 @@ class ThreadPool {
       }
       {
         std::unique_lock<std::mutex> lock(mutex_);
-        if (escaped && !firstError_) firstError_ = escaped;
+        // Handed over or dropped under the lock: once wait() can see the
+        // error, no worker holds a reference that could free it under
+        // the thread catching it.
+        if (escaped && !firstError_) firstError_ = std::move(escaped);
+        escaped = nullptr;
         if (--pending_ == 0) idle_.notify_all();
       }
     }

@@ -1,6 +1,7 @@
 #include "symbolic/expr.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <ostream>
 
 #include "support/checked.hpp"
@@ -181,7 +182,56 @@ Rational Expr::evaluate(const Environment& env) const {
   return sum;
 }
 
+namespace {
+
+/// base^exp for exp > 0 by binary exponentiation, as Monomial's Rational
+/// power memo computes it; false when a step overflows int64.
+bool checkedPow(std::int64_t base, std::int32_t exp, std::int64_t& out) {
+  out = 1;
+  while (true) {
+    if ((exp & 1) != 0 && __builtin_mul_overflow(out, base, &out)) return false;
+    exp >>= 1;
+    if (exp == 0) return true;
+    if (__builtin_mul_overflow(base, base, &base)) return false;
+  }
+}
+
+/// The sum of `terms` in checked int64: each term's coefficient times
+/// its parameter powers, summed in term order, exactly the products and
+/// partial sums the Rational path forms.  False on anything that path
+/// handles differently: a fractional coefficient, a negative exponent,
+/// an unbound parameter, an overflow, or INT64_MIN (which Rational
+/// cannot normalize, so there it throws).
+bool evaluateChecked(const Expr::TermVec& terms, const Environment& env,
+                     std::int64_t& sum) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  sum = 0;
+  for (const Monomial& t : terms) {
+    if (!t.coeff().isInteger()) return false;
+    std::int64_t value = t.coeff().num();
+    if (value == kMin) return false;
+    for (const ParamExp& pe : t.exponents()) {
+      const std::int64_t* bound = env.find(pe.id);
+      std::int64_t power = 0;
+      if (bound == nullptr || pe.exp < 0 || !checkedPow(*bound, pe.exp, power) ||
+          __builtin_mul_overflow(value, power, &value) || value == kMin) {
+        return false;
+      }
+    }
+    if (__builtin_add_overflow(sum, value, &sum) || sum == kMin) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 std::int64_t Expr::evaluateInt(const Environment& env) const {
+  // Rates are integer polynomials in practice: evaluate them in checked
+  // int64 and fall back to the exact Rational path (gcd per operation)
+  // only when that fails, so its value and its error texts stay the
+  // contract.
+  std::int64_t fast = 0;
+  if (evaluateChecked(terms_, env, fast)) return fast;
   const Rational v = evaluate(env);
   if (!v.isInteger()) {
     throw support::Error("expression '" + toString() +

@@ -219,14 +219,16 @@ TEST(ApiSweep, PointsAgreeWithFacadeAnalyzeAtTheSameBinding) {
   ASSERT_TRUE(response.ran);
   const graph::Graph* g = session.graph(id);
   ASSERT_NE(g, nullptr);
-  for (const core::SweepPoint& point : response.result.points) {
-    ASSERT_TRUE(point.ok);
+  const core::SweepResult& result = response.result;
+  for (std::size_t i = 0; i < result.points.size(); ++i) {
+    ASSERT_TRUE(result.points[i].ok);
     AnalyzeRequest analyzeRequest;
     analyzeRequest.graphId = id;
-    analyzeRequest.bindings = point.bindings;
+    analyzeRequest.bindings = result.bindings(i);
     const AnalyzeResponse direct = session.analyze(analyzeRequest);
     ASSERT_TRUE(direct.analysisRan);
-    EXPECT_EQ(point.report->toJson(*g).pretty(),
+    ASSERT_NE(result.report(i), nullptr);
+    EXPECT_EQ(result.report(i)->toJson(*g).pretty(),
               direct.report.toJson(*g).pretty());
   }
 }

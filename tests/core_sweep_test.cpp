@@ -198,8 +198,8 @@ TEST(Sweep, EnumeratesRowMajorFirstAxisSlowest) {
   const std::vector<std::pair<std::int64_t, std::int64_t>> expected = {
       {1, 3}, {1, 4}, {1, 5}, {2, 3}, {2, 4}, {2, 5}};
   for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(result.points[i].bindings.lookup("p"), expected[i].first);
-    EXPECT_EQ(result.points[i].bindings.lookup("q"), expected[i].second);
+    EXPECT_EQ(result.bindings(i).lookup("p"), expected[i].first);
+    EXPECT_EQ(result.bindings(i).lookup("q"), expected[i].second);
   }
 }
 
@@ -226,7 +226,7 @@ TEST(Sweep, HardCapTruncatesToEnumerationPrefix) {
   EXPECT_TRUE(result.truncated);
   ASSERT_EQ(result.points.size(), 10u);
   for (std::size_t i = 0; i < 10; ++i) {
-    EXPECT_EQ(result.points[i].bindings.lookup("p"),
+    EXPECT_EQ(result.bindings(i).lookup("p"),
               static_cast<std::int64_t>(i + 1));
   }
 }
@@ -240,11 +240,12 @@ void expectSweepMatchesFreshAnalyses(const Graph& g, SweepSpec spec) {
   spec.keepReports = true;
   const SweepResult result = sweep(g, spec);
   ASSERT_FALSE(result.points.empty());
-  for (const SweepPoint& point : result.points) {
+  for (std::size_t i = 0; i < result.points.size(); ++i) {
+    const SweepPoint& point = result.points[i];
     ASSERT_TRUE(point.ok) << point.error;
-    ASSERT_TRUE(point.report.has_value());
-    const AnalysisReport fresh = analyze(g, point.bindings);
-    EXPECT_EQ(point.report->toJson(g).pretty(), fresh.toJson(g).pretty());
+    ASSERT_NE(result.report(i), nullptr);
+    const AnalysisReport fresh = analyze(g, result.bindings(i));
+    EXPECT_EQ(result.report(i)->toJson(g).pretty(), fresh.toJson(g).pretty());
     EXPECT_EQ(point.bounded, fresh.bounded());
   }
 }
@@ -270,7 +271,7 @@ TEST(SweepEquivalence, Figure1IsParameterFree) {
   const SweepResult result = sweep(g, spec);
   ASSERT_EQ(result.points.size(), 1u);
   EXPECT_TRUE(result.points[0].bounded);
-  EXPECT_EQ(result.points[0].report->toJson(g).pretty(),
+  EXPECT_EQ(result.report(0)->toJson(g).pretty(),
             analyze(g).toJson(g).pretty());
 }
 
@@ -333,16 +334,15 @@ TEST(Sweep, NeverDefaultsASweptParameterAndRecordsTheRest) {
   // q is neither swept nor fixed: recorded once, sampled at 2 per point.
   EXPECT_EQ(result.defaulted, (std::vector<std::string>{"q"}));
   ASSERT_EQ(result.points.size(), 2u);
-  for (const SweepPoint& point : result.points) {
-    ASSERT_TRUE(point.ok);
+  for (std::size_t i = 0; i < result.points.size(); ++i) {
+    ASSERT_TRUE(result.points[i].ok);
     // The swept parameter keeps its grid value in the sample env — never
     // the 2 fallback; q takes the fallback.
-    EXPECT_EQ(point.report->liveness.sampleEnv.lookup("p"),
-              point.bindings.lookup("p"));
-    EXPECT_EQ(point.report->liveness.sampleEnv.lookup("q"), 2);
+    EXPECT_EQ(result.report(i)->liveness.sampleEnv.lookup("p"),
+              result.bindings(i).lookup("p"));
+    EXPECT_EQ(result.report(i)->liveness.sampleEnv.lookup("q"), 2);
   }
-  EXPECT_NE(result.points[0].bindings.lookup("p"),
-            result.points[1].bindings.lookup("p"));
+  EXPECT_NE(result.bindings(0).lookup("p"), result.bindings(1).lookup("p"));
 }
 
 // ---- Per-point failure capture -------------------------------------------
@@ -375,16 +375,17 @@ TEST(Sweep, MetricsMatchTheStandaloneEntryPoints) {
   spec.axes.push_back(SweepAxis::list("p", {1, 3, 7}));
   const SweepResult result = sweep(g, spec);
   const AnalysisContext ctx(g);
-  for (const SweepPoint& point : result.points) {
+  for (std::size_t i = 0; i < result.points.size(); ++i) {
+    const SweepPoint& point = result.points[i];
     ASSERT_TRUE(point.ok);
     ASSERT_TRUE(point.buffersComputed);
     ASSERT_TRUE(point.periodComputed);
     const csdf::BufferReport buffers =
-        csdf::minimumBuffers(g, ctx.repetition(), point.bindings);
+        csdf::minimumBuffers(g, ctx.repetition(), result.bindings(i));
     EXPECT_EQ(point.bufferTotal, buffers.total());
     EXPECT_EQ(point.dataBufferTotal, buffers.dataTotal(g));
     EXPECT_EQ(point.controlBufferTotal, buffers.controlTotal(g));
-    const sched::CanonicalPeriod period(ctx, point.bindings);
+    const sched::CanonicalPeriod period(ctx, result.bindings(i));
     const sched::ListSchedule schedule =
         sched::listSchedule(period, sched::Platform{.peCount = spec.pes});
     EXPECT_DOUBLE_EQ(point.period, schedule.makespan);
@@ -394,11 +395,8 @@ TEST(Sweep, MetricsMatchTheStandaloneEntryPoints) {
   }
 }
 
-TEST(Sweep, ParetoFrontierIsExactlyTheNonDominatedSet) {
-  const Graph g = apps::fig2Tpdf();
-  SweepSpec spec;
-  spec.axes.push_back(SweepAxis::range("p", 1, 16));
-  const SweepResult result = sweep(g, spec);
+/// The frontier against a quadratic domination check.
+void expectFrontierIsTheNonDominatedSet(const SweepResult& result) {
   std::vector<std::size_t> computed;
   for (std::size_t i = 0; i < result.points.size(); ++i) {
     const SweepPoint& p = result.points[i];
@@ -439,6 +437,24 @@ TEST(Sweep, ParetoFrontierIsExactlyTheNonDominatedSet) {
   }
 }
 
+TEST(Sweep, ParetoFrontierIsExactlyTheNonDominatedSet) {
+  SweepSpec spec;
+  spec.axes.push_back(SweepAxis::range("p", 1, 16));
+  expectFrontierIsTheNonDominatedSet(sweep(apps::fig2Tpdf(), spec));
+  // Platform variants: points of one valuation share their buffers and
+  // differ (or tie) in period.
+  spec.topologies = {"mesh:2x2", "bus:4"};
+  spec.linkBandwidths = {1.0, 16.0};
+  expectFrontierIsTheNonDominatedSet(sweep(apps::fig2Tpdf(), spec));
+  SweepSpec ofdm;
+  ofdm.axes.push_back(SweepAxis::parse("b", "1:8"));
+  ofdm.axes.push_back(SweepAxis::parse("N", "64,256"));
+  ofdm.axes.push_back(SweepAxis::parse("L", "1:2"));
+  ofdm.topologies = {"mesh:2x2", "ring:4", "bus:4"};
+  ofdm.linkBandwidths = {1.0, 4.0, 16.0};
+  expectFrontierIsTheNonDominatedSet(sweep(apps::ofdmCsdfGraph(), ofdm));
+}
+
 TEST(Sweep, AnalysisOnlySkipsMetricsAndFrontier) {
   const Graph g = apps::fig2Tpdf();
   SweepSpec spec;
@@ -448,11 +464,11 @@ TEST(Sweep, AnalysisOnlySkipsMetricsAndFrontier) {
   const SweepResult result = sweep(g, spec);
   EXPECT_EQ(result.bounded(), 4u);
   EXPECT_TRUE(result.frontier.empty());
-  for (const SweepPoint& point : result.points) {
-    EXPECT_FALSE(point.buffersComputed);
-    EXPECT_FALSE(point.periodComputed);
-    EXPECT_FALSE(point.pareto);
-    EXPECT_FALSE(point.report.has_value());  // keepReports defaults off
+  for (std::size_t i = 0; i < result.points.size(); ++i) {
+    EXPECT_FALSE(result.points[i].buffersComputed);
+    EXPECT_FALSE(result.points[i].periodComputed);
+    EXPECT_FALSE(result.points[i].pareto);
+    EXPECT_EQ(result.report(i), nullptr);  // keepReports defaults off
   }
 }
 
@@ -488,17 +504,26 @@ std::string slurp(const std::string& path) {
 /// Checkpoints a point spends before its list schedule, and in total.
 using WorkSplit = std::pair<std::uint64_t, std::uint64_t>;
 
+/// Point i of `result` as compact JSON.
+std::string pointJson(const SweepResult& result, std::size_t i) {
+  support::json::Writer w(support::json::Layout::Compact);
+  result.writePoint(w, i);
+  return w.finish();
+}
+
 /// One point analyzed on its own, the long way: rate table, liveness,
 /// minimum buffers, canonical period and list schedule, under a private
 /// budget capped at `maxWork` (0 = unlimited).  `work`, when non-null,
 /// receives the checkpoints spent before the list schedule and in total.
-SweepPoint oraclePoint(const AnalysisContext& ctx, const SweepSpec& spec,
-                       const Environment& bindings, const std::string& label,
-                       std::uint64_t maxWork, WorkSplit* work = nullptr) {
+/// Returned as a one-point result, so it renders like a sweep's point.
+SweepResult oraclePoint(const AnalysisContext& ctx, const SweepSpec& spec,
+                        const Environment& bindings, const std::string& label,
+                        std::uint64_t maxWork, WorkSplit* work = nullptr) {
   const Graph& g = ctx.graph();
-  SweepPoint point;
-  point.bindings = bindings;
-  point.platform = label;
+  SweepResult result;
+  result.valuations.push_back({bindings, ""});
+  result.platforms.push_back(label);
+  SweepPoint& point = result.points.emplace_back();
   support::Budget budget;
   if (maxWork != 0) budget.setMaxWork(maxWork);
   support::Budget* b = maxWork != 0 ? &budget : nullptr;
@@ -512,7 +537,9 @@ SweepPoint oraclePoint(const AnalysisContext& ctx, const SweepSpec& spec,
     point.rateSafe = report.rateSafe();
     point.live = report.live();
     point.bounded = report.bounded();
-    if (!point.live) point.diagnostic = report.liveness.diagnostic;
+    if (!point.live) {
+      result.valuations[0].diagnostic = report.liveness.diagnostic;
+    }
     if (point.bounded) {
       const csdf::BufferReport buffers =
           csdf::minimumBuffers(ctx.graph(), ctx.repetition(), bindings,
@@ -547,7 +574,7 @@ SweepPoint oraclePoint(const AnalysisContext& ctx, const SweepSpec& spec,
     point.resourceLimited = true;
     point.error = e.what();
   }
-  return point;
+  return result;
 }
 
 /// Every point of `result` equals its oracle point (Pareto membership
@@ -556,13 +583,14 @@ void expectMatchesOracle(const Graph& g, const SweepSpec& spec,
                          const SweepResult& result) {
   const AnalysisContext ctx(g);
   for (std::size_t i = 0; i < result.points.size(); ++i) {
-    const SweepPoint& point = result.points[i];
-    SweepPoint oracle =
-        oraclePoint(ctx, spec, point.bindings, point.platform,
+    SweepResult oracle =
+        oraclePoint(ctx, spec, result.bindings(i), result.platform(i),
                     static_cast<std::uint64_t>(spec.pointMaxWork));
-    oracle.pareto = point.pareto;
-    EXPECT_EQ(point.toJson().dump(), oracle.toJson().dump()) << "point " << i;
-    EXPECT_EQ(point.resourceLimited, oracle.resourceLimited) << "point " << i;
+    oracle.points[0].pareto = result.points[i].pareto;
+    EXPECT_EQ(pointJson(result, i), pointJson(oracle, 0)) << "point " << i;
+    EXPECT_EQ(result.points[i].resourceLimited,
+              oracle.points[0].resourceLimited)
+        << "point " << i;
   }
 }
 
@@ -602,11 +630,13 @@ TEST(SweepPlatformAxes, EveryVariantKeepsItsOwnReport) {
   spec.keepReports = true;
   const SweepResult result = sweep(g, spec);
   ASSERT_EQ(result.points.size(), 8u);
-  for (const SweepPoint& point : result.points) {
-    ASSERT_TRUE(point.ok) << point.error;
-    ASSERT_TRUE(point.report.has_value());
-    EXPECT_EQ(point.report->toJson(g).pretty(),
-              analyze(g, point.bindings).toJson(g).pretty());
+  for (std::size_t i = 0; i < result.points.size(); ++i) {
+    ASSERT_TRUE(result.points[i].ok) << result.points[i].error;
+    ASSERT_NE(result.report(i), nullptr);
+    EXPECT_EQ(result.report(i)->toJson(g).pretty(),
+              analyze(g, result.bindings(i)).toJson(g).pretty());
+    // Stored once per valuation: both variants reach the same report.
+    EXPECT_EQ(result.report(i), result.report(i % 4));
   }
 }
 
@@ -620,15 +650,15 @@ TEST(SweepPlatformAxes, CapInsideAVariantKeepsThePrefixAndItsLabels) {
   EXPECT_EQ(cut.gridSize, full.points.size());
   EXPECT_TRUE(cut.truncated);
   ASSERT_EQ(cut.points.size(), spec.maxPoints);
+  SweepResult expected = full;
   for (std::size_t i = 0; i < cut.points.size(); ++i) {
-    SweepPoint expected = full.points[i];
-    expected.pareto = cut.points[i].pareto;
-    EXPECT_EQ(cut.points[i].toJson().dump(), expected.toJson().dump())
-        << "point " << i;
-    EXPECT_EQ(cut.points[i].platform, expected.platform) << "point " << i;
+    expected.points[i].pareto = cut.points[i].pareto;
+    EXPECT_EQ(pointJson(cut, i), pointJson(expected, i)) << "point " << i;
+    EXPECT_EQ(cut.platform(i), full.platform(i)) << "point " << i;
   }
-  EXPECT_EQ(cut.points.back().platform, "bus:4,bw=1");
-  EXPECT_EQ(cut.points.back().bindings.lookup("b"), 2);
+  const std::size_t last = cut.points.size() - 1;
+  EXPECT_EQ(cut.platform(last), "bus:4,bw=1");
+  EXPECT_EQ(cut.bindings(last).lookup("b"), 2);
 }
 
 struct CapOutcome {
@@ -642,13 +672,13 @@ struct CapOutcome {
 CapOutcome sweepWithWorkCap(const Graph& g, SweepSpec spec, std::size_t probe) {
   const SweepResult unlimited = sweep(g, spec);
   const AnalysisContext ctx(g);
-  const auto workOf = [&](const SweepPoint& point) {
+  const auto workOf = [&](const SweepResult& result, std::size_t i) {
     WorkSplit work;
-    oraclePoint(ctx, spec, point.bindings, point.platform,
+    oraclePoint(ctx, spec, result.bindings(i), result.platform(i),
                 std::numeric_limits<std::uint64_t>::max(), &work);
     return work;
   };
-  const auto [shared, total] = workOf(unlimited.points.at(probe));
+  const auto [shared, total] = workOf(unlimited, probe);
   EXPECT_LT(shared, total);
   spec.pointMaxWork = static_cast<std::int64_t>(shared + (total - shared) / 2);
 
@@ -659,14 +689,15 @@ CapOutcome sweepWithWorkCap(const Graph& g, SweepSpec spec, std::size_t probe) {
     EXPECT_EQ(result.points.size(), unlimited.points.size());
     expectMatchesOracle(g, spec, result);
     outcome = CapOutcome{};
-    for (const SweepPoint& point : result.points) {
+    for (std::size_t i = 0; i < result.points.size(); ++i) {
+      const SweepPoint& point = result.points[i];
       if (point.ok) {
         ++outcome.ok;
         continue;
       }
       EXPECT_TRUE(point.resourceLimited) << point.error;
-      const bool fitsShared =
-          workOf(point).first <= static_cast<std::uint64_t>(spec.pointMaxWork);
+      const bool fitsShared = workOf(result, i).first <=
+                              static_cast<std::uint64_t>(spec.pointMaxWork);
       ++(fitsShared ? outcome.inList : outcome.inShared);
     }
   }

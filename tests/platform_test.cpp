@@ -423,12 +423,14 @@ TEST(PlatformSweep, TopologyAxisMultipliesTheGrid) {
   ASSERT_EQ(result.points.size(), 2u);
   ASSERT_TRUE(result.points[0].ok) << result.points[0].error;
   ASSERT_TRUE(result.points[1].ok) << result.points[1].error;
-  EXPECT_EQ(result.points[0].platform, "crossbar:2");
-  EXPECT_EQ(result.points[1].platform, "bus:2,bw=1,lat=1");
+  EXPECT_EQ(result.platform(0), "crossbar:2");
+  EXPECT_EQ(result.platform(1), "bus:2,bw=1,lat=1");
   // Contended links can only stretch the static period.
   EXPECT_GE(result.points[1].period, result.points[0].period);
   // The variant label travels into the point JSON.
-  EXPECT_NE(result.points[1].toJson().pretty().find("\"platform\""),
+  support::json::Writer w(support::json::Layout::Compact);
+  result.writePoint(w, 1);
+  EXPECT_NE(w.finish().find("\"platform\":\"bus:2,bw=1,lat=1\""),
             std::string::npos);
 }
 
@@ -441,8 +443,8 @@ TEST(PlatformSweep, BandwidthAxisOverridesTheBaseSpec) {
   EXPECT_EQ(spec.gridSize(), 2u);
   const SweepResult result = sweep(g, spec);
   ASSERT_EQ(result.points.size(), 2u);
-  EXPECT_EQ(result.points[0].platform, "bus:2,bw=1,lat=1");
-  EXPECT_EQ(result.points[1].platform, "bus:2,bw=8,lat=1");
+  EXPECT_EQ(result.platform(0), "bus:2,bw=1,lat=1");
+  EXPECT_EQ(result.platform(1), "bus:2,bw=8,lat=1");
   ASSERT_TRUE(result.points[0].ok);
   ASSERT_TRUE(result.points[1].ok);
   // Greedy list scheduling is not monotone in the communication cost

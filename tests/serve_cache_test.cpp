@@ -243,5 +243,110 @@ TEST(ServeCache, RacingAcquiresOfBadSourceAllSeeTheParseError) {
   EXPECT_EQ(stats.hits + stats.misses, 0u);
 }
 
+// ---- Hash collisions --------------------------------------------------
+
+/// Every source collides: the test-only way to make FNV-1a's weakness
+/// show without searching for a real collision.
+std::uint64_t collidingHash(std::string_view) { return 42; }
+
+/// A second valid graph with other actor names than graphText's.
+std::string otherGraphText() {
+  return "graph h {\n"
+         "  kernel x { out o rates [2]; }\n"
+         "  kernel y { in i rates [1]; }\n"
+         "  channel c from x.o to y.i;\n"
+         "}\n";
+}
+
+TEST(ServeCache, CollidingSourcesNeverShareAnEntry) {
+  GraphCache cache(8, 0, collidingHash);
+  const GraphCache::Acquired a = cache.acquire(graphText("a"));
+  const GraphCache::Acquired b = cache.acquire(otherGraphText());
+  EXPECT_FALSE(b.hit);
+  EXPECT_NE(a.entry.get(), b.entry.get());
+  EXPECT_EQ(a.entry->model->graph().name(), "g_a");
+  EXPECT_EQ(b.entry->model->graph().name(), "h");
+  EXPECT_EQ(b.entry->source, otherGraphText());
+  // One slot per hash: the newer source took it over, and the evicted
+  // entry let its text go.
+  EXPECT_TRUE(a.entry->source.empty());
+  EXPECT_LE(a.entry->source.capacity(), std::string().capacity());
+  CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.bytes, b.entry->bytes);
+
+  const GraphCache::Acquired again = cache.acquire(graphText("a"));
+  EXPECT_FALSE(again.hit);
+  EXPECT_EQ(again.entry->model->graph().name(), "g_a");
+  EXPECT_TRUE(cache.acquire(graphText("a")).hit);
+  stats = cache.stats();
+  EXPECT_EQ(stats.misses, 3u);
+  EXPECT_EQ(stats.hits, 1u);
+}
+
+TEST(ServeCache, RacingCollidingSourcesEachGetTheirOwnGraph) {
+  constexpr std::size_t kThreads = 8;
+  constexpr int kRounds = 20;
+  GraphCache cache(8, 0, collidingHash);
+  std::latch start(kThreads);
+  std::atomic<int> foreign{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const std::string text = t % 2 == 0 ? graphText("a") : otherGraphText();
+      const std::string name = t % 2 == 0 ? "g_a" : "h";
+      start.arrive_and_wait();
+      for (int round = 0; round < kRounds; ++round) {
+        const GraphCache::Acquired got = cache.acquire(text);
+        if (got.entry->model->graph().name() != name) {
+          foreign.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(foreign.load(), 0);
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits + stats.misses, kThreads * kRounds);
+}
+
+TEST(ServeCache, CollidingSourcesThroughOneClientSession) {
+  GraphCache cache(8, 0, collidingHash);
+  ClientSession client(cache, RequestPolicy{});
+  const auto analyze = [&](const std::string& text) {
+    auto request = support::json::Value::object();
+    request.set("command", "analyze");
+    request.set("graph", text);
+    return client.handle(request.dump()).line;
+  };
+  // Both sources get the same "#..." id; each reply must still be its
+  // own graph's analysis, also when the other was adopted first.
+  EXPECT_NE(analyze(graphText("a")).find("\"actor\":\"a\""), std::string::npos);
+  const std::string other = analyze(otherGraphText());
+  EXPECT_NE(other.find("\"actor\":\"x\""), std::string::npos) << other;
+  EXPECT_EQ(other.find("\"actor\":\"a\""), std::string::npos) << other;
+  const std::string back = analyze(graphText("a"));
+  EXPECT_NE(back.find("\"actor\":\"a\""), std::string::npos) << back;
+  EXPECT_EQ(back.find("\"actor\":\"x\""), std::string::npos) << back;
+}
+
+TEST(ServeCache, ByteCountChargesTheContextMemoAtItsCap) {
+  GraphCache cache(8, 0);
+  const std::string text = otherGraphText();
+  const GraphCache::Acquired got = cache.acquire(text);
+  const graph::Graph& g = got.entry->model->graph();
+  const std::size_t memo = got.entry->ctx->memoBytesBound();
+  // At least the tables' integer storage at the memo's cap.
+  EXPECT_GE(memo, core::AnalysisContext::kRateTables *
+                      (sizeof(std::int64_t) * g.rateTableSize() +
+                       sizeof(std::uint32_t) * (g.portCount() + 1)));
+  EXPECT_EQ(got.entry->bytes, text.size() + g.namePoolBytes() +
+                                  g.frozenBytes() + memo +
+                                  sizeof(GraphCache::Entry));
+  EXPECT_EQ(cache.stats().bytes, got.entry->bytes);
+}
+
 }  // namespace
 }  // namespace tpdf::serve

@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <set>
+#include <string>
+#include <typeinfo>
+#include <vector>
+
 #include "support/error.hpp"
+#include "support/prng.hpp"
 
 namespace tpdf::symbolic {
 namespace {
@@ -229,6 +237,115 @@ TEST(ParseExpr, RoundTripThroughToString) {
     if (e.toString().find('^') == std::string::npos) {
       EXPECT_EQ(parseExpr(e.toString()), e) << text;
     }
+  }
+}
+
+// ---- evaluateInt: the int64 path agrees with the Rational path --------
+
+/// evaluateInt as the Rational path computes it: the exact value,
+/// required to be an integer.
+std::int64_t rationalEvaluateInt(const Expr& e, const Environment& env) {
+  const Rational v = e.evaluate(env);
+  if (!v.isInteger()) {
+    throw support::Error("expression '" + e.toString() +
+                         "' does not evaluate to an integer (" +
+                         v.toString() + ")");
+  }
+  return v.toInteger();
+}
+
+/// "value N", or the thrown type and its text.
+template <typename Eval>
+std::string outcome(Eval&& eval) {
+  try {
+    return "value " + std::to_string(eval());
+  } catch (const std::exception& e) {
+    return std::string(typeid(e).name()) + ": " + e.what();
+  }
+}
+
+void expectPathsAgree(const Expr& e, const Environment& env) {
+  EXPECT_EQ(outcome([&] { return e.evaluateInt(env); }),
+            outcome([&] { return rationalEvaluateInt(e, env); }))
+      << e.toString();
+}
+
+constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+
+TEST(ExprEvaluateInt, EdgeCasesMatchTheRationalPath) {
+  const Environment env{{"a", 2}, {"b", 3037000499}, {"c", kMax}, {"u", 1}};
+  const ParamId a = ParamTable::instance().intern("a");
+  const ParamId b = ParamTable::instance().intern("b");
+  const std::vector<Expr> cases = {
+      Expr(Rational(kMax)),
+      Expr(Rational(kMin)),                         // Rational cannot normalize
+      Expr(Monomial(Rational(-(kMax / 2) - 1), {{a, 1}})),  // product INT64_MIN
+      Expr(Rational(-kMax)) - Expr::param("u"),     // sum INT64_MIN
+      Expr(Rational(kMax)) + Expr::param("a"),      // sum overflows
+      Expr(Monomial(Rational(1), {{b, 2}})),        // b^2 fits
+      Expr(Monomial(Rational(2), {{b, 2}})),        // 2 b^2 overflows
+      Expr(Monomial(Rational(1), {{a, 62}})),       // 2^62
+      Expr(Monomial(Rational(1), {{a, 63}})),       // 2^63 overflows
+      Expr(Monomial(Rational(-1), {{a, 63}})),
+      Expr::param("c") * Expr::param("a"),
+      Expr(Monomial(Rational(1, 2), {{a, 1}})),     // fractional coefficient
+      Expr(Monomial(Rational(1, 3), {{a, 1}})),     // not an integer
+      Expr(Monomial(Rational(4), {{a, -2}})),       // negative exponent
+      Expr(Monomial(Rational(3), {{a, -1}})),
+      Expr::param("unbound") + Expr(1),
+      Expr(Rational(kMax)) + Expr(Rational(kMax)) * Expr::param("unbound"),
+      Expr(),
+  };
+  for (const Expr& e : cases) expectPathsAgree(e, env);
+}
+
+TEST(ExprEvaluateInt, RandomExpressionsMatchTheRationalPath) {
+  const std::vector<std::string> names = {"a", "b", "c", "free"};
+  std::vector<ParamId> ids;  // in name order, as Monomial requires
+  for (const std::string& name : std::set<std::string>(names.begin(), names.end())) {
+    ids.push_back(ParamTable::instance().intern(name));
+  }
+  const std::vector<std::int64_t> values = {
+      1, 2, 3, 7, 1 << 20, 3037000499, 3037000500, kMax / 3, kMax};
+  const std::vector<std::int64_t> coefficients = {
+      1, -1, 2, -3, 5, 1 << 30, kMax, -kMax, kMin, kMax / 2, kMin / 2};
+  support::Prng prng(0xE7A1);
+  const auto pick = [&prng](const auto& from) {
+    return from[static_cast<std::size_t>(
+        prng.uniform(0, static_cast<std::int64_t>(from.size()) - 1))];
+  };
+  for (int round = 0; round < 4000; ++round) {
+    Environment env;
+    for (const char* name : {"a", "b", "c"}) {
+      env.bind(name, prng.chance(0.5) ? prng.uniform(1, 9) : pick(values));
+    }
+    if (prng.chance(0.1)) env.bind("free", pick(values));
+    // Distinct power products, so building the sum adds no coefficients.
+    std::set<std::vector<std::int32_t>> seen;
+    Expr e;
+    const int terms = static_cast<int>(prng.uniform(1, 4));
+    for (int t = 0; t < terms; ++t) {
+      std::vector<std::int32_t> exps;
+      ExpVec powers;
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        const bool mentioned = i + 1 < ids.size() ? prng.chance(0.5)
+                                                  : prng.chance(0.05);
+        std::int32_t exp = mentioned ? static_cast<std::int32_t>(
+                                           prng.uniform(-2, 4))
+                                     : 0;
+        if (exp < 0 && prng.chance(0.7)) exp = -exp;
+        exps.push_back(exp);
+        if (exp != 0) powers.push_back({ids[i], exp});
+      }
+      if (!seen.insert(exps).second) continue;
+      Rational coeff = prng.chance(0.6) ? Rational(prng.uniform(-9, 9))
+                                        : Rational(pick(coefficients));
+      if (prng.chance(0.15)) coeff = Rational(prng.uniform(-9, 9), prng.uniform(2, 6));
+      if (coeff.isZero()) coeff = Rational(1);
+      e += Expr(Monomial(coeff, powers));
+    }
+    expectPathsAgree(e, env);
   }
 }
 

@@ -340,7 +340,7 @@ int runRequest(const Cli& cli, api::Session& session,
       for (const std::size_t i : r.frontier) {
         const core::SweepPoint& p = r.points[i];
         std::printf("  %-24s buffers=%-8lld period=%g\n",
-                    bindingsText(p.bindings).c_str(),
+                    bindingsText(r.bindings(i)).c_str(),
                     static_cast<long long>(p.bufferTotal), p.period);
       }
     }
